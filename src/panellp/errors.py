@@ -40,15 +40,6 @@ class DegenerateVariableError(PanelLPError):
     """A transform hit a variable it cannot handle (e.g. zero variance)."""
 
 
-class ConvergenceError(PanelLPError):
-    """Iterative demeaning failed to converge; carries the last delta."""
-
-    def __init__(self, message: str, *, sweeps: int, last_delta: float):
-        self.sweeps = sweeps
-        self.last_delta = last_delta
-        super().__init__(message)
-
-
 class EmptySampleError(PanelLPError):
     """No rows survive listwise deletion for a regression sample."""
 

@@ -28,7 +28,7 @@ from .errors import (
     InsufficientClustersError,
     PanelLPError,
 )
-from .panel import Panel, _alternating_demean
+from .panel import Panel
 
 __all__ = [
     "DesignMatrix",
@@ -44,7 +44,9 @@ __all__ = [
 ]
 
 # Relative pivot threshold for rank detection: a column is dropped when its
-# QR pivot magnitude falls below PIVOT_RTOL times the largest pivot.
+# QR pivot magnitude falls below PIVOT_RTOL times the largest pivot.  Pivots
+# come from the columns scaled to unit 2-norm, so a regressor in large units
+# (population, GDP in currency) cannot make the others look collinear.
 PIVOT_RTOL = 1e-10
 
 
@@ -57,6 +59,8 @@ class DesignMatrix:
     holds the cluster label per row (entity labels under the default
     clustering).  ``raw_response`` optionally keeps the pre-demeaning
     response so an overall (rather than within) R-squared can be formed.
+    ``demean_sweeps`` counts the group-mean passes of the fixed-effect
+    projection: 1 with any fixed effect, 0 without.
     """
 
     response: np.ndarray
@@ -167,10 +171,11 @@ def significance_stars(p_value: float) -> str:
 def ols_fit(design: DesignMatrix) -> RegressionResult:
     """Least squares via column-pivoted QR with relative rank filtering.
 
-    Columns whose pivot magnitude falls below ``PIVOT_RTOL`` times the
-    leading pivot are dropped and reported in ``dropped_columns``; the fit
-    is then re-run on the retained set, whose coefficient order follows the
-    original design.  R-squared is ``1 - RSS/TSS`` with TSS taken about the
+    Columns whose pivot magnitude in the unit-norm-scaled design falls
+    below ``PIVOT_RTOL`` times the leading pivot (all-zero columns among
+    them) are dropped and reported in ``dropped_columns``; the fit is then
+    re-run on the unscaled retained set, whose coefficient order follows
+    the original design.  R-squared is ``1 - RSS/TSS`` with TSS taken about the
     response mean (the within R-squared when the design was demeaned).
     """
     if design.n_rows == 0:
@@ -181,7 +186,10 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
     if k == 0:
         raise DegenerateDesignError("design has no columns")
 
-    _, R, piv = sla.qr(X, mode="economic", pivoting=True)
+    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+    # a private column-major copy, so LAPACK factors it in place
+    scaled = np.asfortranarray(X) / np.where(norms > 0.0, norms, 1.0)
+    _, R, piv = sla.qr(scaled, mode="economic", pivoting=True, overwrite_a=True)
     diag = np.abs(np.diag(R))
     lead = diag[0] if diag.size else 0.0
     if lead <= 0.0:

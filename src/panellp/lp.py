@@ -2,7 +2,7 @@
 
 One regression per horizon ``k``: the k-period-ahead change in the
 (log) outcome on the shock dummy plus controls, with entity and period
-fixed effects swept out by alternating demeaning and standard errors
+fixed effects removed by an exact two-way projection and standard errors
 clustered by country.  Three designs are supported:
 
 * baseline — the shock dummy, two of its lags, contemporaneous controls,
@@ -29,6 +29,7 @@ from scipy.special import expit
 
 from .errors import EmptySampleError, MissingVariableError, PanelLPError
 from .estimator import (
+    PIVOT_RTOL,
     CoefficientInterval,
     DesignMatrix,
     RegressionResult,
@@ -40,7 +41,7 @@ from .events import EventList, EventSet, build_dummies
 from .panel import (
     Panel,
     VariableSpec,
-    _alternating_demean,
+    _fe_residualize,
     add_lag,
     apply_variable_spec,
     first_difference,
@@ -97,8 +98,6 @@ class LPSpec:
     group_handling: str = "design"
     r2_mode: str = "within"
     ci_dist: str = "t"
-    demean_tolerance: float = 1e-10
-    demean_max_sweeps: int = 10_000
 
     def __post_init__(self):
         if self.kind not in ("baseline", "interaction", "transition"):
@@ -304,7 +303,7 @@ def _finish_design(
             f"no complete rows at horizon {k}; missing cells per variable: {counts}"
         )
     raw = np.column_stack([work.column(n)[mask] for n in needed])
-    demeaned, sweeps, _ = _alternating_demean(
+    demeaned, sweeps = _fe_residualize(
         raw,
         ent_idx,
         per_idx,
@@ -312,9 +311,12 @@ def _finish_design(
         work.n_periods,
         spec.entity_fe,
         spec.time_fe,
-        spec.demean_tolerance,
-        spec.demean_max_sweeps,
     )
+    # A regressor the fixed effects absorb leaves rounding noise that the
+    # unit-scaled rank filter would keep as a column; zeroed, it is dropped.
+    raw_ss = np.einsum("ij,ij->j", raw[:, 1:], raw[:, 1:])
+    within_ss = np.einsum("ij,ij->j", demeaned[:, 1:], demeaned[:, 1:])
+    demeaned[:, 1:][:, within_ss <= PIVOT_RTOL**2 * raw_ss] = 0.0
     entities = np.asarray([work.entities[i] for i in ent_idx], dtype=object)
     periods = np.asarray([work.periods[j] for j in per_idx])
     clusters = entities if spec.cluster == "entity" else periods

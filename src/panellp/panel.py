@@ -21,7 +21,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    ConvergenceError,
     DegenerateVariableError,
     MissingVariableError,
     PanelLPError,
@@ -453,7 +452,15 @@ def apply_variable_spec(panel: Panel, spec: VariableSpec) -> tuple[Panel, int]:
 # ---------------------------------------------------------------------------
 
 
-def _alternating_demean(
+def _group_sums(codes: np.ndarray, v: np.ndarray, n_groups: int) -> np.ndarray:
+    """``(n_groups, n_vars)`` column sums of ``v`` over rows sharing a code."""
+    out = np.empty((n_groups, v.shape[1]))
+    for c in range(v.shape[1]):
+        out[:, c] = np.bincount(codes, weights=v[:, c], minlength=n_groups)
+    return out
+
+
+def _fe_residualize(
     values: np.ndarray,
     ent_codes: np.ndarray,
     per_codes: np.ndarray,
@@ -461,55 +468,50 @@ def _alternating_demean(
     n_per: int,
     entity_fe: bool,
     time_fe: bool,
-    tolerance: float,
-    max_sweeps: int,
-) -> tuple[np.ndarray, int, float]:
-    """Alternately sweep out entity and period means from ``values``.
+) -> tuple[np.ndarray, int]:
+    """Exact residuals of the ``(n_rows, n_vars)`` matrix ``values`` after
+    projecting out the fixed effects; rows are grouped by the code arrays.
 
-    ``values`` is an ``(n_rows, n_vars)`` matrix; rows are grouped by the
-    integer code arrays.  Iterates until the largest cell change in a full
-    sweep is below ``tolerance``.  Returns ``(demeaned, sweeps, last_delta)``
-    and raises :class:`ConvergenceError` past ``max_sweeps``.
+    With both effects the period effects ``g`` solve
+    ``(diag(n_t) - N' diag(1/n_i) N) g = b``, where ``N`` is the entity x
+    period incidence and ``b`` the per-period sums of the entity-demeaned
+    columns; the entity effects are then the entity means of the columns
+    less those of ``g``.  That matrix, the Laplacian of the period graph, is
+    singular once per connected set, so the first observed period of each
+    set is held at zero and periods without rows are skipped (Abowd, Creecy
+    and Kramarz 2002).  Returns ``(residuals, passes)``: one group-mean pass
+    with any fixed effect, none without.
     """
-    v = np.array(values, dtype=float, copy=True)
-    if v.ndim == 1:
-        v = v[:, None]
     if not entity_fe and not time_fe:
-        return v, 0, 0.0
-    m = v.shape[1]
-    cnt_e = np.bincount(ent_codes, minlength=n_ent).astype(float)
+        return np.array(values, dtype=float, copy=True), 0
     cnt_p = np.bincount(per_codes, minlength=n_per).astype(float)
-    div_e = np.maximum(cnt_e, 1.0)
-    div_p = np.maximum(cnt_p, 1.0)
-    has_e = cnt_e > 0
-    has_p = cnt_p > 0
-    delta = np.inf
-    for sweep in range(1, max_sweeps + 1):
-        delta = 0.0
-        if entity_fe:
-            means = np.empty((n_ent, m))
-            for c in range(m):
-                means[:, c] = np.bincount(ent_codes, weights=v[:, c], minlength=n_ent)
-            means /= div_e[:, None]
-            v -= means[ent_codes]
-            if has_e.any():
-                delta = max(delta, float(np.abs(means[has_e]).max()))
-        if time_fe:
-            means = np.empty((n_per, m))
-            for c in range(m):
-                means[:, c] = np.bincount(per_codes, weights=v[:, c], minlength=n_per)
-            means /= div_p[:, None]
-            v -= means[per_codes]
-            if has_p.any():
-                delta = max(delta, float(np.abs(means[has_p]).max()))
-        if delta < tolerance:
-            return v, sweep, delta
-    raise ConvergenceError(
-        f"two-way demeaning did not converge in {max_sweeps} sweeps "
-        f"(last sweep moved cells by {delta:.3e}, tolerance {tolerance:.1e})",
-        sweeps=max_sweeps,
-        last_delta=float(delta),
-    )
+    if not entity_fe:
+        div_p = np.maximum(cnt_p, 1.0)[:, None]
+        per_means = _group_sums(per_codes, values, n_per) / div_p
+        return values - np.take(per_means, per_codes, axis=0), 1
+    div_e = np.maximum(np.bincount(ent_codes, minlength=n_ent), 1.0)[:, None]
+    ent_means = _group_sums(ent_codes, values, n_ent) / div_e
+    if not time_fe:
+        return values - np.take(ent_means, ent_codes, axis=0), 1
+    N = np.bincount(
+        ent_codes * n_per + per_codes, minlength=n_ent * n_per
+    ).reshape(n_ent, n_per).astype(float)
+    schur = np.diag(cnt_p) - (N / div_e).T @ N
+    rhs = _group_sums(per_codes, values, n_per) - N.T @ ent_means
+    # Link periods that share an entity; squaring the links bit_length(T)
+    # times joins each period to its whole connected set, whose lowest
+    # period is then the first link in its row.
+    reach = (N.T @ N > 0).astype(float)
+    for _ in range(int(n_per).bit_length()):
+        reach = (reach @ reach > 0).astype(float)
+    observed = np.flatnonzero(cnt_p > 0)
+    free = observed[reach[observed].argmax(axis=1) < observed]
+    per_fe = np.zeros_like(rhs)
+    if free.size:
+        per_fe[free] = np.linalg.solve(schur[np.ix_(free, free)], rhs[free])
+    ent_fe = ent_means - N @ per_fe / div_e
+    resid = values - np.take(ent_fe, ent_codes, axis=0)
+    return resid - np.take(per_fe, per_codes, axis=0), 1
 
 
 def two_way_demean(
@@ -517,14 +519,13 @@ def two_way_demean(
     variables: Sequence[str],
     entity_fe: bool = True,
     time_fe: bool = True,
-    tolerance: float = 1e-10,
-    max_sweeps: int = 10_000,
 ) -> Panel:
     """Demean the listed variables over their joint non-missing cells.
 
     Every listed variable is demeaned on the same row set (cells where all
     of them are observed); cells outside that set come back missing, which
     keeps the result aligned with the listwise-deleted regression sample.
+    The projection is exact on connected and disconnected panels alike.
     """
     names = [str(v) for v in variables]
     mask = panel.present_mask(names)
@@ -532,7 +533,7 @@ def two_way_demean(
     if ent_idx.size == 0:
         raise PanelLPError("no cell has all the requested variables observed")
     mat = np.column_stack([panel.column(n)[mask] for n in names])
-    out, _, _ = _alternating_demean(
+    out, _ = _fe_residualize(
         mat,
         ent_idx,
         per_idx,
@@ -540,8 +541,6 @@ def two_way_demean(
         panel.n_periods,
         entity_fe,
         time_fe,
-        tolerance,
-        max_sweeps,
     )
     result = panel
     for c, name in enumerate(names):

@@ -223,7 +223,7 @@ def ols_oracle_suite(reps: int = 40, seed: int = 20260401) -> SuiteReport:
 
 
 def fe_oracle_suite(panels: int = 50, seed: int = 20260402) -> SuiteReport:
-    """Alternating demeaning vs explicit-dummy least squares."""
+    """Exact two-way fixed-effect projection vs explicit-dummy least squares."""
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     worst = 0.0

@@ -53,6 +53,49 @@ def punch_holes(
     return out
 
 
+def sparse_panel(
+    rng: np.random.Generator,
+    layout: str,
+    variables: tuple[str, ...] = ("y", "a", "b"),
+) -> Panel:
+    """A panel whose entity-period graph is disconnected or barely connected.
+
+    ``"blocks"``: entities E00-E05 observed in 2000-2006 and E06-E11 in
+    2009-2015, with 2007-2008 empty and one hole per entity.  ``"chain"``:
+    entity i spans the 2 or 3 years from 2000 + i, so only neighbouring
+    entities share a year.  Every variable carries entity and period
+    effects; cells off the layout are missing.
+    """
+    if layout == "blocks":
+        n_entities, n_periods = 12, 16
+        mask = np.zeros((n_entities, n_periods), dtype=bool)
+        mask[:6, :7] = True
+        mask[6:, 9:] = True
+        for i in range(n_entities):
+            mask[i, rng.choice(np.flatnonzero(mask[i]))] = False
+    elif layout == "chain":
+        n_entities = 30
+        n_periods = n_entities + 2
+        mask = np.zeros((n_entities, n_periods), dtype=bool)
+        for i in range(n_entities):
+            mask[i, i : i + 2 + i % 2] = True
+    else:
+        raise ValueError(f"unknown layout {layout!r}")
+    alpha = rng.normal(scale=3.0, size=(n_entities, 1))
+    gamma = rng.normal(scale=2.0, size=(1, n_periods))
+    cols = {}
+    for v in variables:
+        grid = alpha * rng.normal() + gamma * rng.normal()
+        grid = grid + rng.normal(size=(n_entities, n_periods))
+        grid[~mask] = np.nan
+        cols[v] = grid
+    return Panel(
+        [f"E{i:02d}" for i in range(n_entities)],
+        list(range(2000, 2000 + n_periods)),
+        cols,
+    )
+
+
 @pytest.fixture
 def data_dir() -> pathlib.Path:
     return DATA_DIR

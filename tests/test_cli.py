@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from panellp.cli import main
@@ -182,6 +183,25 @@ def test_estimate_failure_leaves_no_partial_output(tmp_path, sim_dir, capsys):
     assert "horizon" in capsys.readouterr().err
     out = tmp_path / "out"
     assert not out.exists() or os.listdir(out) == []
+
+
+def test_estimate_population_level_control_exits_0(tmp_path, capsys):
+    # the sample config plus a population control of about 1e8 people
+    rng = np.random.default_rng(7)
+    lines = (REPO_ROOT / "data" / "sample_panel.csv").read_text().splitlines()
+    rows = [lines[0] + ",pop"]
+    rows += [f"{line},{rng.uniform(0.5e8, 2e8):.1f}" for line in lines[1:]]
+    write_lines(tmp_path / "panel.csv", rows)
+    cfg = (REPO_ROOT / "configs" / "sample_baseline.cfg").read_text()
+    cfg = cfg.replace("data/sample_panel.csv", str(tmp_path / "panel.csv"))
+    cfg = cfg.replace("= data/", f"= {REPO_ROOT / 'data'}/")
+    cfg = cfg.replace("out/sample_baseline", str(tmp_path / "out"))
+    cfg = cfg.replace("trade_share", "trade_share,pop")
+    (tmp_path / "run.cfg").write_text(cfg)
+    assert main(["estimate", "--config", str(tmp_path / "run.cfg")]) == 0
+    assert capsys.readouterr().err == ""
+    irf_rows = read_irf(str(tmp_path / "out" / "irf.csv"))
+    assert [r["horizon"] for r in irf_rows] == [0, 1, 2, 3, 4, 5]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from panellp.estimator import (
 )
 from panellp.panel import Panel, two_way_demean
 
-from conftest import balanced_panel, punch_holes
+from conftest import balanced_panel, punch_holes, sparse_panel
 
 
 def make_design(rng, n=60, k=3, n_clusters=12, beta=None):
@@ -410,7 +410,7 @@ def test_single_column_combination_equals_interval(rng):
 def within_route(panel, response, regressors):
     """Demean-then-fit, mirroring the production projection path."""
     names = [response] + list(regressors)
-    dm = two_way_demean(panel, names, tolerance=1e-12)
+    dm = two_way_demean(panel, names)
     mask = panel.present_mask(names)
     ent_idx, per_idx = np.nonzero(mask)
     design = DesignMatrix(
@@ -438,6 +438,16 @@ def test_lsdv_equals_demeaning_unbalanced(rng):
         rng,
         frac=0.15,
     )
+    demeaned = within_route(p, "y", ["a", "b"])
+    dummies = lsdv_fit(p, "y", ["a", "b"])
+    for name in ("a", "b"):
+        assert abs(demeaned.coefficient(name) - dummies.coefficient(name)) < 1e-8
+    assert demeaned.n_obs == dummies.n_obs
+
+
+@pytest.mark.parametrize("layout", ["blocks", "chain"])
+def test_lsdv_equals_demeaning_on_sparse_graphs(rng, layout):
+    p = sparse_panel(rng, layout)
     demeaned = within_route(p, "y", ["a", "b"])
     dummies = lsdv_fit(p, "y", ["a", "b"])
     for name in ("a", "b"):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pytest
 
+from panellp.cli import _spec_from_config
 from panellp.errors import EmptySampleError, PanelLPError
 from panellp.events import EventList, PandemicEvent
+from panellp.ingest import load_config, read_event_list, read_panel
 from panellp.lp import (
     GroupSpec,
     LPSpec,
@@ -18,8 +22,10 @@ from panellp.lp import (
     pp_conversion,
     smooth_transition,
 )
-from panellp.panel import Panel, VariableSpec
+from panellp.panel import Panel, VariableSpec, scale_column
 from panellp.simgen import DGPSpec, generate
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def sim_case(seed=3, **dgp_kw):
@@ -39,6 +45,16 @@ def spec_y(**kw):
     base = dict(dependent=VariableSpec("y", transform="level"), horizons=3)
     base.update(kw)
     return LPSpec(**base)
+
+
+def sample_case():
+    """The shipped sample panel, events and baseline spec."""
+    cfg = load_config(str(REPO_ROOT / "configs" / "sample_baseline.cfg"))
+    panel = read_panel(str(REPO_ROOT / cfg["input.panel"]))
+    events = read_event_list(
+        str(REPO_ROOT / cfg["input.events"]), str(REPO_ROOT / cfg["input.mortality"])
+    )
+    return panel, events, _spec_from_config(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +260,41 @@ def test_irf_diagnostics_and_series_access():
     assert set(irf.diagnostics["demean_sweeps"]) == {0, 1, 2}
     with pytest.raises(PanelLPError, match="no series"):
         irf.series("ghost")
+
+
+@pytest.mark.parametrize("factor", [1e8, 1e12])
+def test_control_units_leave_rank_and_shock_unchanged(factor):
+    # a level control in large units (population, GDP in currency) must
+    # neither stall the demeaning nor make the rank filter drop other columns
+    panel, events, spec = sample_case()
+    base = estimate_irf(panel, events, spec)
+    scaled = estimate_irf(scale_column(panel, "trade_share", factor), events, spec)
+    assert [h.dropped_columns for h in scaled.horizons] == [
+        h.dropped_columns for h in base.horizons
+    ]
+    np.testing.assert_allclose(
+        scaled.estimates("shock"), base.estimates("shock"), rtol=1e-9
+    )
+
+
+def test_absorbed_controls_are_dropped_in_any_units(rng):
+    # controls constant within entity or within period are absorbed by the
+    # fixed effects; non-integer values leave rounding noise that must not
+    # survive the unit-scaled rank filter as a regressor
+    panel, events, _ = sim_case()
+    base = estimate_irf(panel, events, spec_y())
+    area = rng.uniform(0.1, 7.3, size=(panel.n_entities, 1))
+    world = rng.uniform(0.1, 7.3, size=(1, panel.n_periods)) * 1e8
+    shape = (panel.n_entities, panel.n_periods)
+    panel = panel.with_column("area", np.broadcast_to(area, shape))
+    panel = panel.with_column("world", np.broadcast_to(world, shape))
+    spec = spec_y(controls=(VariableSpec("area"), VariableSpec("world")))
+    irf = estimate_irf(panel, events, spec)
+    for h in irf.horizons:
+        assert h.dropped_columns == ("area", "world")
+    np.testing.assert_allclose(
+        irf.estimates("shock"), base.estimates("shock"), rtol=1e-12, atol=1e-15
+    )
 
 
 def test_dependent_log_transform_equals_prelogged_levels():

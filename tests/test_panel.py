@@ -24,7 +24,7 @@ from panellp.panel import (
     two_way_demean,
 )
 
-from conftest import balanced_panel, punch_holes
+from conftest import balanced_panel, punch_holes, sparse_panel
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def test_demeaned_balanced_panel_matches_closed_form(rng):
 
 def test_demeaned_groups_are_orthogonal(rng):
     p = punch_holes(balanced_panel(rng, n_entities=8, n_periods=10), rng)
-    q = two_way_demean(p, ["y", "x"], tolerance=1e-12)
+    q = two_way_demean(p, ["y", "x"])
     mask = p.present_mask(["y", "x"])
     for name in ("y", "x"):
         z = q.column(name)
@@ -296,11 +296,45 @@ def test_demeaned_groups_are_orthogonal(rng):
                 assert abs(vals[sel].mean()) < 1e-10
 
 
+@pytest.mark.parametrize("layout", ["blocks", "chain"])
+def test_demeaned_groups_are_orthogonal_on_sparse_graphs(rng, layout):
+    # disjoint entity blocks (two connected sets, two empty years) and a
+    # chain of short overlapping spells both leave zero group means
+    p = sparse_panel(rng, layout)
+    names = ["y", "a", "b"]
+    q = two_way_demean(p, names)
+    mask = p.present_mask(names)
+    ent_idx, per_idx = np.nonzero(mask)
+    for name in names:
+        vals = q.column(name)[mask]
+        ent_means = np.bincount(ent_idx, weights=vals) / np.bincount(ent_idx)
+        per_cnt = np.bincount(per_idx, minlength=p.n_periods)
+        per_sums = np.bincount(per_idx, weights=vals, minlength=p.n_periods)
+        assert np.abs(ent_means).max() < 1e-10
+        assert np.abs(per_sums[per_cnt > 0] / per_cnt[per_cnt > 0]).max() < 1e-10
+
+
+def test_demean_exactly_identified_connected_sets_absorb_every_cell():
+    # A alone in 2000-2001; 2002 empty; then a path of two-year entities
+    # 2003-2012-2011-...-2004, so 2004 reaches the set's first year only
+    # through nine links.  Each set's effects fit its cells exactly.  Missing
+    # a set leaves the period system singular, and holding 2004 at zero as
+    # if it began a set leaves residuals behind.
+    path = [3, 12, 11, 10, 9, 8, 7, 6, 5, 4]
+    grid = np.full((len(path), 13), np.nan)
+    grid[0, [0, 1]] = [1.5, -0.25]
+    for i, (a, b) in enumerate(zip(path, path[1:]), start=1):
+        grid[i, [a, b]] = [0.5 * i, 2.0 - 0.75 * i]
+    p = Panel([f"E{i}" for i in range(len(path))], range(2000, 2013), {"y": grid})
+    q = two_way_demean(p, ["y"])
+    np.testing.assert_allclose(q.column("y")[~np.isnan(grid)], 0.0, atol=1e-12)
+
+
 def test_demeaning_is_a_projection(rng):
     # applying the within transform twice changes nothing
     p = punch_holes(balanced_panel(rng), rng)
-    once = two_way_demean(p, ["y"], tolerance=1e-13)
-    twice = two_way_demean(once, ["y"], tolerance=1e-13)
+    once = two_way_demean(p, ["y"])
+    twice = two_way_demean(once, ["y"])
     mask = ~np.isnan(once.column("y"))
     np.testing.assert_allclose(
         twice.column("y")[mask], once.column("y")[mask], atol=1e-9
