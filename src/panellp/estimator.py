@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import stats
+from scipy import special
 
 from .errors import (
     DegenerateDesignError,
@@ -55,10 +55,12 @@ class DesignMatrix:
     """A ready-to-fit regression sample.
 
     Rows map one-to-one onto entity-period cells that survived listwise
-    deletion; ``entities``/``periods`` carry that provenance.  ``clusters``
-    holds the cluster label per row (entity labels under the default
-    clustering).  ``raw_response`` optionally keeps the pre-demeaning
-    response so an overall (rather than within) R-squared can be formed.
+    deletion; ``entities``/``periods`` carry that provenance as numpy
+    label arrays, gathered by grid position (:meth:`Panel.cell_labels`).
+    ``clusters`` holds the cluster label per row (entity labels under the
+    default clustering).  ``raw_response`` optionally keeps the
+    pre-demeaning response so an overall (rather than within) R-squared
+    can be formed.
     ``demean_sweeps`` counts the group-mean passes of the fixed-effect
     projection: 1 with any fixed effect, 0 without.
     """
@@ -296,11 +298,11 @@ def _interval(
             raise InsufficientClustersError(
                 f"t reference needs >= 2 clusters (df = {df})"
             )
-        p = 2.0 * float(stats.t.sf(abs(tstat), df))
-        crit = float(stats.t.ppf(0.5 + level / 2.0, df))
+        p = 2.0 * float(special.stdtr(df, -abs(tstat)))
+        crit = float(special.stdtrit(df, 0.5 + level / 2.0))
     elif dist == "normal":
-        p = 2.0 * float(stats.norm.sf(abs(tstat)))
-        crit = float(stats.norm.ppf(0.5 + level / 2.0))
+        p = 2.0 * float(special.ndtr(-abs(tstat)))
+        crit = float(special.ndtri(0.5 + level / 2.0))
     else:
         raise PanelLPError(f"unknown reference distribution {dist!r}")
     return CoefficientInterval(
@@ -425,8 +427,7 @@ def lsdv_fit(
     blocks.append(sub)
     colnames.extend(names)
 
-    entities = np.asarray([panel.entities[i] for i in ent_idx], dtype=object)
-    periods = np.asarray([panel.periods[j] for j in per_idx])
+    entities, periods = panel.cell_labels(ent_idx, per_idx)
     clusters = entities if cluster == "entity" else periods
     design = DesignMatrix(
         response=y,

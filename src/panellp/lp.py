@@ -317,8 +317,7 @@ def _finish_design(
     raw_ss = np.einsum("ij,ij->j", raw[:, 1:], raw[:, 1:])
     within_ss = np.einsum("ij,ij->j", demeaned[:, 1:], demeaned[:, 1:])
     demeaned[:, 1:][:, within_ss <= PIVOT_RTOL**2 * raw_ss] = 0.0
-    entities = np.asarray([work.entities[i] for i in ent_idx], dtype=object)
-    periods = np.asarray([work.periods[j] for j in per_idx])
+    entities, periods = work.cell_labels(ent_idx, per_idx)
     clusters = entities if spec.cluster == "entity" else periods
     per_var_missing = dict(missing)
     for n in needed:

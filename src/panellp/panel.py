@@ -143,6 +143,17 @@ class Panel:
             raise PanelLPError(f"period {period} outside {self._periods[0]}..{self._periods[-1]}")
         return off
 
+    def cell_labels(
+        self, ent_idx: np.ndarray, per_idx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Entity and period label arrays for cells given by grid position.
+
+        One vectorised gather per axis: a ``<U`` string array and an
+        integer array, which sort in C rather than as Python objects.
+        """
+        entities = np.asarray(self._entities)[ent_idx]
+        return entities, np.asarray(self._periods)[per_idx]
+
     def missing_count(self, name: str) -> int:
         return int(np.isnan(self.column(name)).sum())
 

@@ -170,14 +170,14 @@ def within_fit(
     names = [response] + regressors
     dm = two_way_demean(panel, names, entity_fe=entity_fe, time_fe=time_fe)
     mask = dm.present_mask(names)
-    ent_idx, per_idx = np.nonzero(mask)
+    entities, periods = panel.cell_labels(*np.nonzero(mask))
     design = DesignMatrix(
         response=dm.column(response)[mask],
         matrix=np.column_stack([dm.column(r)[mask] for r in regressors]),
         columns=tuple(regressors),
-        entities=np.asarray([panel.entities[i] for i in ent_idx], dtype=object),
-        periods=np.asarray([panel.periods[j] for j in per_idx]),
-        clusters=np.asarray([panel.entities[i] for i in ent_idx], dtype=object),
+        entities=entities,
+        periods=periods,
+        clusters=entities,
     )
     return fit_with_covariance(design)
 

@@ -281,10 +281,29 @@ def test_stars_strict_thresholds():
     assert significance_stars(0.9) == ""
 
 
-def test_interval_frozen_t_pvalue(rng):
-    # a t-statistic of exactly 1 with 99 inference df has the textbook
-    # two-sided p-value 0.31974847413930174
-    n, G = 300, 100
+def oracle_pvalue(tstat, dist, df):
+    if dist == "t":
+        return 2.0 * float(stats.t.sf(abs(tstat), df))
+    return 2.0 * float(stats.norm.sf(abs(tstat)))
+
+
+def oracle_crit(level, dist, df):
+    if dist == "t":
+        return float(stats.t.ppf(0.5 + level / 2.0, df))
+    return float(stats.norm.ppf(0.5 + level / 2.0))
+
+
+# two-sided p-values at |t| = 1: Cauchy, 1 - 1/sqrt(3), textbook tables
+T_P_AT_ONE = {1: 0.5, 2: 1.0 - 1.0 / np.sqrt(3.0), 99: 0.31974847413930174}
+NORMAL_P_AT_ONE = 0.31731050786291415
+
+
+@pytest.mark.parametrize("df", [1, 2, 99])
+@pytest.mark.parametrize("dist", ["t", "normal"])
+def test_interval_frozen_t_pvalue(rng, dist, df):
+    # df + 1 clusters of 3 rows give df inference degrees of freedom
+    G = df + 1
+    n = 3 * G
     X = rng.normal(size=(n, 1))
     y = rng.normal(size=n)
     d = DesignMatrix(
@@ -296,28 +315,38 @@ def test_interval_frozen_t_pvalue(rng):
         clusters=np.repeat(np.arange(G), 3),
     )
     fit = fit_with_covariance(d)
-    iv = coefficient_interval(fit, "x")
-    # rescale to pin the t-stat at 1: p depends only on |t| and df
+    iv = coefficient_interval(fit, "x", dist=dist)
+    # p depends only on |t| and df; the oracle must give the frozen
+    # textbook value at |t| = 1 before it judges the production p-value
     tstat = iv.estimate / iv.se
-    p_at_one = 2.0 * float(stats.t.sf(1.0, fit.df_inference))
-    assert fit.df_inference == 99
-    assert abs(p_at_one - 0.31974847413930174) < 1e-15
+    assert fit.df_inference == df
+    frozen = T_P_AT_ONE[df] if dist == "t" else NORMAL_P_AT_ONE
+    assert abs(oracle_pvalue(1.0, dist, df) - frozen) < 1e-15
     np.testing.assert_allclose(
-        iv.p_value, 2.0 * float(stats.t.sf(abs(tstat), 99)), atol=1e-15
+        iv.p_value, oracle_pvalue(tstat, dist, df), rtol=0, atol=1e-15
     )
 
 
-def test_interval_brackets_and_level(rng):
-    d = make_design(rng)
+@pytest.mark.parametrize("df", [1, 2, 99])
+@pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+@pytest.mark.parametrize("dist", ["t", "normal"])
+def test_interval_brackets_and_level(rng, dist, level, df):
+    d = make_design(rng, n=max(60, 10 * (df + 1)), n_clusters=df + 1)
     fit = fit_with_covariance(d)
-    iv95 = coefficient_interval(fit, "x1", level=0.95)
-    iv90 = coefficient_interval(fit, "x1", level=0.90)
-    assert iv95.ci_low <= iv95.estimate <= iv95.ci_high
-    assert iv90.ci_high - iv90.ci_low < iv95.ci_high - iv95.ci_low
-    crit = float(stats.t.ppf(0.975, fit.df_inference))
+    assert fit.df_inference == df
+    iv = coefficient_interval(fit, "x1", level=level, dist=dist)
+    wider = coefficient_interval(fit, "x1", level=(1.0 + level) / 2.0, dist=dist)
+    assert iv.ci_low <= iv.estimate <= iv.ci_high
+    assert iv.ci_high - iv.ci_low < wider.ci_high - wider.ci_low
+    crit = oracle_crit(level, dist, df)
     np.testing.assert_allclose(
-        iv95.ci_high - iv95.estimate, crit * iv95.se, atol=1e-12
+        [iv.ci_low, iv.ci_high],
+        [iv.estimate - crit * iv.se, iv.estimate + crit * iv.se],
+        rtol=0,
+        atol=1e-15,
     )
+    p = oracle_pvalue(iv.estimate / iv.se, dist, df)
+    np.testing.assert_allclose(iv.p_value, p, rtol=0, atol=1e-15)
 
 
 def test_interval_normal_reference_is_tighter(rng):

@@ -25,6 +25,8 @@ from panellp.lp import (
 from panellp.panel import Panel, VariableSpec, scale_column
 from panellp.simgen import DGPSpec, generate
 
+from test_estimator import brute_force_cr1
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -209,6 +211,27 @@ def test_baseline_demeaned_design_is_group_centered():
         for per in np.unique(d.periods):
             sel = d.periods == per
             assert abs(vals[sel].mean()) < 1e-8
+
+
+def test_period_clustered_design_labels_and_covariance():
+    panel, events, _ = sim_case()
+    spec = spec_y(cluster="period", horizons=2)
+    irf = estimate_irf(panel, events, spec)
+    for h in irf.horizons:
+        d = build_baseline_design(panel, events, spec, h.horizon)
+        np.testing.assert_array_equal(d.clusters, d.periods)
+        # the balanced sample keeps every entity from the fourth period up
+        # to the last one the horizon-k lead reaches, entity by entity
+        kept = panel.periods[3 : panel.n_periods - h.horizon]
+        np.testing.assert_array_equal(
+            d.entities, np.repeat(panel.entities, len(kept))
+        )
+        np.testing.assert_array_equal(d.periods, np.tile(kept, panel.n_entities))
+        fit = h.result
+        assert fit.n_clusters == len(kept)
+        X = d.matrix[:, [d.columns.index(c) for c in fit.columns]]
+        ref = brute_force_cr1(X, fit.residuals, d.periods)
+        np.testing.assert_allclose(fit.covariance, ref, rtol=0, atol=1e-12)
 
 
 def test_horizon_zero_response_is_identically_zero():

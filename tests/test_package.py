@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import panellp
@@ -26,3 +31,18 @@ def test_error_types_build_from_one_message(cls):
     # estimate_irf re-raises a horizon's failure as type(exc)(message)
     exc = cls("horizon 3: boom")
     assert "horizon 3: boom" in str(exc)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is the one heavy import in reach; intervals use
+    # scipy.special, so every CLI start-up skips it
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, panellp.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
