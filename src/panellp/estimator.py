@@ -1,11 +1,11 @@
 """Least-squares fitting and cluster-robust inference.
 
-The solver QR-factorizes the design with column pivoting and drops columns
-whose pivot falls below a relative tolerance, so rank-deficient designs
-(absorbed group dummies, duplicated regressors) degrade gracefully: the
-dropped names are reported instead of blowing up or silently returning a
-pseudo-inverse fit.  Normal equations are never used here — they exist only
-as an independent oracle in the test suite.
+The solver factors each design once, by a column-pivoted QR of the columns
+scaled to unit norm, and drops columns whose pivot falls below a relative
+tolerance, so rank-deficient designs (absorbed group dummies, duplicated
+regressors) degrade gracefully: the dropped names are reported instead of
+blowing up or silently returning a pseudo-inverse fit.  Normal equations
+are never used here — they exist only as an independent oracle in tests.
 
 Covariances are the one-way cluster sandwich with the finite-sample scaling
 ``G/(G-1) * (N-1)/(N-K)``; confidence intervals and p-values use a
@@ -171,14 +171,14 @@ def significance_stars(p_value: float) -> str:
 
 
 def ols_fit(design: DesignMatrix) -> RegressionResult:
-    """Least squares via column-pivoted QR with relative rank filtering.
+    """Least squares via one column-pivoted QR with relative rank filtering.
 
     Columns whose pivot magnitude in the unit-norm-scaled design falls
     below ``PIVOT_RTOL`` times the leading pivot (all-zero columns among
-    them) are dropped and reported in ``dropped_columns``; the fit is then
-    re-run on the unscaled retained set, whose coefficient order follows
-    the original design.  R-squared is ``1 - RSS/TSS`` with TSS taken about the
-    response mean (the within R-squared when the design was demeaned).
+    them) are dropped and reported in ``dropped_columns``.  The same factors
+    give the kept coefficients, unscaled and in the original design order.
+    R-squared is ``1 - RSS/TSS`` with TSS taken about the response mean
+    (the within R-squared when the design was demeaned).
     """
     if design.n_rows == 0:
         raise EmptySampleError("no rows in design")
@@ -189,9 +189,10 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
         raise DegenerateDesignError("design has no columns")
 
     norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+    norms[norms == 0.0] = 1.0
     # a private column-major copy, so LAPACK factors it in place
-    scaled = np.asfortranarray(X) / np.where(norms > 0.0, norms, 1.0)
-    _, R, piv = sla.qr(scaled, mode="economic", pivoting=True, overwrite_a=True)
+    scaled = np.asfortranarray(X) / norms
+    Q, R, piv = sla.qr(scaled, mode="economic", pivoting=True, overwrite_a=True)
     diag = np.abs(np.diag(R))
     lead = diag[0] if diag.size else 0.0
     if lead <= 0.0:
@@ -199,35 +200,36 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
             "design has no usable columns (all pivots are zero)"
         )
     rank = int((diag > PIVOT_RTOL * lead).sum())
-    keep = np.sort(piv[:rank])
+    kept = piv[:rank]
+    Qr = Q[:, :rank]
+    qty = Qr.T @ y
+    # scaled-column coefficients in pivot order, unscaled and put in design order
+    beta = (sla.solve_triangular(R[:rank, :rank], qty) / norms[kept])[np.argsort(kept)]
+    keep = np.sort(kept)
     dropped = tuple(design.columns[j] for j in sorted(piv[rank:]))
-
-    Xk = X[:, keep]
-    Q2, R2 = np.linalg.qr(Xk)
-    beta = sla.solve_triangular(R2, Q2.T @ y)
-    resid = y - Xk @ beta
+    resid = y - Qr @ qty
 
     rss = float(resid @ resid)
     dev = y - y.mean()
     tss = float(dev @ dev)
     r2 = 0.0 if tss == 0.0 else 1.0 - rss / tss
+    n_entities = len(np.unique(design.entities))
+    n_periods = len(np.unique(design.periods))
+    # under entity or period clustering ``clusters`` is that same label array
+    shared = {id(design.entities): n_entities, id(design.periods): n_periods}
+    n_clusters = shared.get(id(design.clusters)) or len(np.unique(design.clusters))
 
     return RegressionResult(
         columns=tuple(design.columns[j] for j in keep),
         coefficients=beta,
         residuals=resid,
         n_obs=n,
-        n_clusters=len(np.unique(design.clusters)),
-        n_entities=len(np.unique(design.entities)),
-        n_periods=len(np.unique(design.periods)),
+        n_clusters=n_clusters,
+        n_entities=n_entities,
+        n_periods=n_periods,
         r_squared=r2,
         dropped_columns=dropped,
     )
-
-
-def _retained_matrix(result: RegressionResult, design: DesignMatrix) -> np.ndarray:
-    idx = [design.columns.index(name) for name in result.columns]
-    return design.matrix[:, idx]
 
 
 def cluster_covariance(
@@ -246,7 +248,7 @@ def cluster_covariance(
         raise InsufficientClustersError(
             f"cluster-robust inference needs >= 2 clusters, got {G}"
         )
-    X = _retained_matrix(result, design)
+    X = design.matrix[:, [design.columns.index(c) for c in result.columns]]
     n, k = X.shape
     u = result.residuals
     # score sums per cluster: S[g] = X_g' u_g

@@ -219,45 +219,32 @@ def build_dummies(
     cell with different classes the more severe one wins, keeping the
     high/medium/low split an exact partition of the dummy.
     """
-    shape = (panel.n_entities, panel.n_periods)
-    dummy = np.zeros(shape)
-    rank = np.full(shape, -1, dtype=int)  # severity rank per hit cell
-    unresolved: list[tuple[str, str]] = []
-    out_of_range: list[tuple[str, int]] = []
-    fallback = 0
-
-    if events.mortality is not None:
-        severity = severity_terciles(events, rule=rule)
-        classes = severity.classes
-        unclassifiable = severity.unclassifiable_events
-    else:
-        classes = {}
-        unclassifiable = ()
-
     pmin, pmax = panel.periods[0], panel.periods[-1]
+    out_of_range, keys, cols = [], [], []
     for ev in events.events:
-        if ev.year < pmin or ev.year > pmax:
+        if pmin <= ev.year <= pmax:
+            keys += [(ev.name, ent) for ent in ev.entities]
+            cols += [ev.year - pmin] * len(ev.entities)
+        else:
             out_of_range.append((ev.name, ev.year))
-            continue
-        j = ev.year - pmin
-        for ent in ev.entities:
-            try:
-                i = panel.entity_row(ent)
-            except Exception:
-                unresolved.append((ev.name, ent))
-                continue
-            dummy[i, j] = 1.0
-            label = classes.get((ev.name, ent))
-            if label is None:
-                label = "medium"
-                fallback += 1
-            elif (
-                events.mortality is not None
-                and (ev.name, ent) not in events.mortality
-            ):
-                fallback += 1
-            rank[i, j] = max(rank[i, j], _SEVERITY_RANK[label])
+    rows = panel.entity_rows([ent for _, ent in keys])
+    found = rows >= 0
+    unresolved = [key for key, ok in zip(keys, found.tolist()) if not ok]
+    if events.mortality is None:
+        # every hit is medium by fallback
+        fallback, ranks, unclassifiable = int(found.sum()), _SEVERITY_RANK["medium"], ()
+    else:
+        severity = severity_terciles(events, rule=rule)
+        hits = [key for key, ok in zip(keys, found.tolist()) if ok]
+        fallback = sum(key not in events.mortality for key in hits)
+        ranks = [_SEVERITY_RANK[severity.classes[key]] for key in hits]
+        unclassifiable = severity.unclassifiable_events
 
+    cells = (rows[found], np.asarray(cols, dtype=np.intp)[found])
+    dummy = np.zeros((panel.n_entities, panel.n_periods))
+    dummy[cells] = 1.0
+    rank = np.full(dummy.shape, -1)  # severity rank per hit cell
+    np.maximum.at(rank, cells, np.asarray(ranks, dtype=rank.dtype))
     high = (rank == 2).astype(float)
     medium = (rank == 1).astype(float)
     low = (rank == 0).astype(float)
@@ -271,5 +258,5 @@ def build_dummies(
         unresolved_entities=tuple(unresolved),
         out_of_range_years=tuple(out_of_range),
         fallback_medium_cells=fallback,
-        unclassifiable_events=tuple(unclassifiable),
+        unclassifiable_events=unclassifiable,
     )

@@ -506,7 +506,9 @@ def estimate_irf(
         try:
             return _estimate_one(panel, events, spec, k, group, state)
         except PanelLPError as exc:
-            raise type(exc)(f"horizon {k}: {exc}") from exc
+            # prefix in place, so the class and its attributes survive
+            exc.args = (f"horizon {k}: {exc}",)
+            raise
 
     if jobs > 1 and len(ks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -137,6 +137,11 @@ class Panel:
         except KeyError:
             raise MissingVariableError(f"no entity named {entity!r}") from None
 
+    def entity_rows(self, entities: Sequence[str]) -> np.ndarray:
+        """Grid rows of ``entities``; -1 marks a label the panel lacks."""
+        rows = [self._entity_index.get(e, -1) for e in entities]
+        return np.array(rows, dtype=np.intp)
+
     def period_col(self, period: int) -> int:
         off = int(period) - self._periods[0]
         if off < 0 or off >= len(self._periods):

@@ -500,6 +500,7 @@ SUITES = {
     "cluster-oracle": cluster_oracle_suite,
     "irf-recovery": irf_recovery_suite,
     "size-control": size_control_suite,
+    "transition-separation": transition_separation_suite,
 }
 
 

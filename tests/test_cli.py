@@ -217,6 +217,13 @@ def test_validate_pass_line(capsys):
     assert "max_covariance_gap" in out and "bound=" in out
 
 
+def test_validate_transition_separation(capsys):
+    rc = main(["validate", "--suite", "transition-separation", "--reps", "5"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.strip().endswith("suite=transition-separation PASS")
+
+
 def test_validate_unknown_suite(capsys):
     rc = main(["validate", "--suite", "nonsense"])
     err = capsys.readouterr().err

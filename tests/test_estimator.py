@@ -133,25 +133,40 @@ def test_ols_zero_tss_reports_zero_r2(rng):
     assert ols_fit(d).r_squared == 0.0
 
 
-def test_ols_drops_duplicated_column(rng):
-    X = rng.normal(size=(40, 2))
-    X = np.column_stack([X, X[:, 0]])  # exact copy of column 0
-    y = X[:, 0] - X[:, 1] + rng.normal(size=40)
+@pytest.mark.parametrize("scale", [1.0, 1e8], ids=["unit", "1e8"])
+@pytest.mark.parametrize("pos", [0, 2, 3], ids=["first", "middle", "last"])
+def test_ols_drops_duplicated_column(rng, pos, scale):
+    # ``c`` leans on ``a``, so the pivoting takes ``b`` before it and the kept
+    # columns leave the QR out of design order; ``b`` is in units of ``scale``
+    base = rng.normal(size=(40, 3))
+    y = base[:, 0] - base[:, 1] + rng.normal(size=40)
+    names = ["a", "c", "b"]
+    cols = [base[:, 0], base[:, 0] + 0.3 * base[:, 2], base[:, 1] * scale]
+    names.insert(pos, "a_copy")
+    cols.insert(pos, base[:, 0])
+    X = np.column_stack(cols)
     d = DesignMatrix(
         response=y,
         matrix=X,
-        columns=("a", "b", "a_copy"),
+        columns=tuple(names),
         entities=np.arange(40) % 5,
         periods=np.arange(40),
         clusters=np.arange(40) % 5,
     )
     fit = ols_fit(d)
-    assert fit.dropped_columns == ("a_copy",)
-    assert fit.columns == ("a", "b")
-    ref = normal_equations(X[:, :2], y)
-    np.testing.assert_allclose(fit.coefficients, ref, atol=1e-9)
+    # The twins have equal unit norms, so which one the pivoting keeps
+    # depends on the column swaps; with the copy last it is always the copy.
+    assert fit.dropped_columns in (("a",), ("a_copy",))
+    if pos == 3:
+        assert fit.dropped_columns == ("a_copy",)
+    kept = [j for j, name in enumerate(names) if name not in fit.dropped_columns]
+    assert fit.columns == tuple(names[j] for j in kept)
+    ref = normal_equations(X[:, kept], y)
+    # compare in each column's own units, so b's tolerance scales with it
+    units = np.array([scale if names[j] == "b" else 1.0 for j in kept])
+    np.testing.assert_allclose(fit.coefficients * units, ref * units, atol=1e-9)
     with pytest.raises(PanelLPError, match="collinear"):
-        fit.coefficient("a_copy")
+        fit.coefficient(fit.dropped_columns[0])
 
 
 def test_ols_scaling_invariance(rng):

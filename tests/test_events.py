@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from panellp.errors import EventError
+from panellp.errors import EventError, MissingVariableError
 from panellp.events import (
     EventList,
     PandemicEvent,
@@ -207,3 +209,105 @@ def test_eventset_column_names():
     np.testing.assert_array_equal(es.column("medium"), es.medium)
     with pytest.raises(EventError, match="unknown shock dummy"):
         es.column("extreme")
+
+
+# ---------------------------------------------------------------------------
+# property: the vectorised layout equals a per-cell reference loop
+# ---------------------------------------------------------------------------
+
+_RANK = {"high": 2, "medium": 1, "low": 0}
+
+
+def reference_dummies(events, panel, rule="linear"):
+    """The per-cell loop that ``build_dummies`` replaced, kept as an oracle."""
+    shape = (panel.n_entities, panel.n_periods)
+    dummy = np.zeros(shape)
+    rank = np.full(shape, -1, dtype=int)
+    unresolved, out_of_range, fallback = [], [], 0
+    if events.mortality is not None:
+        severity = severity_terciles(events, rule=rule)
+        classes, unclassifiable = severity.classes, severity.unclassifiable_events
+    else:
+        classes, unclassifiable = {}, ()
+    pmin, pmax = panel.periods[0], panel.periods[-1]
+    for ev in events.events:
+        if ev.year < pmin or ev.year > pmax:
+            out_of_range.append((ev.name, ev.year))
+            continue
+        j = ev.year - pmin
+        for ent in ev.entities:
+            try:
+                i = panel.entity_row(ent)
+            except MissingVariableError:
+                unresolved.append((ev.name, ent))
+                continue
+            dummy[i, j] = 1.0
+            label = classes.get((ev.name, ent))
+            if label is None:
+                label = "medium"
+                fallback += 1
+            elif (
+                events.mortality is not None
+                and (ev.name, ent) not in events.mortality
+            ):
+                fallback += 1
+            rank[i, j] = max(rank[i, j], _RANK[label])
+    return dict(
+        dummy=dummy,
+        high=(rank == 2).astype(float),
+        medium=(rank == 1).astype(float),
+        low=(rank == 0).astype(float),
+        unresolved_entities=tuple(unresolved),
+        out_of_range_years=tuple(out_of_range),
+        fallback_medium_cells=fallback,
+        unclassifiable_events=tuple(unclassifiable),
+    )
+
+
+_LABELS = ("AAA", "BBB", "CCC", "DDD", "EEE", "FFF", "GGG")
+
+
+@st.composite
+def panels_and_events(draw):
+    """A small panel, and events that overlap in cells, name countries the
+    panel lacks, fall outside its years, and carry partial mortality."""
+    labels = st.sampled_from(_LABELS)
+    ents = draw(st.lists(labels, min_size=1, max_size=5, unique=True))
+    start = draw(st.integers(2000, 2002))
+    years = list(range(start, start + draw(st.integers(1, 4))))
+    panel = grid_panel(ents, years)
+    n_events = draw(st.integers(1, 5))
+    events = tuple(
+        PandemicEvent(
+            f"ev{e}",
+            draw(st.integers(1998, 2007)),
+            tuple(draw(st.lists(labels, min_size=1, max_size=6, unique=True))),
+        )
+        for e in range(n_events)
+    )
+    mortality = None
+    if draw(st.booleans()):
+        pairs = [(ev.name, ent) for ev in events for ent in ev.entities]
+        kept = draw(st.lists(st.sampled_from(pairs), unique=True))
+        # few distinct values, so cutoffs tie with observations
+        values = st.sampled_from((0.0, 1.0, 2.5, 4.0, 9.0))
+        mortality = {key: draw(values) for key in kept}
+    rule = draw(st.sampled_from(("linear", "nearest_rank")))
+    return EventList(events, mortality), panel, rule
+
+
+@settings(max_examples=60, deadline=None)
+@given(panels_and_events())
+def test_build_dummies_matches_per_cell_reference(case):
+    events, panel, rule = case
+    got = build_dummies(events, panel, rule=rule)
+    want = reference_dummies(events, panel, rule=rule)
+    for name in ("dummy", "high", "medium", "low"):
+        np.testing.assert_array_equal(getattr(got, name), want[name], err_msg=name)
+    for name in (
+        "unresolved_entities",
+        "out_of_range_years",
+        "fallback_medium_cells",
+        "unclassifiable_events",
+    ):
+        assert getattr(got, name) == want[name], name

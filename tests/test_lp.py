@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from panellp.cli import _spec_from_config
-from panellp.errors import EmptySampleError, PanelLPError
+from panellp import lp
+from panellp.errors import DataError, EmptySampleError, PanelLPError
 from panellp.events import EventList, PandemicEvent
 from panellp.ingest import load_config, read_event_list, read_panel
 from panellp.lp import (
@@ -271,6 +272,25 @@ def test_thread_pool_matches_serial_bitwise():
         assert a.estimate == b.estimate
         assert a.se == b.se
         assert a.ci_low == b.ci_low and a.ci_high == b.ci_high
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_horizon_failure_keeps_the_exception_and_its_attributes(monkeypatch, jobs):
+    real = lp._estimate_one
+
+    def fail_at_two(panel, events, spec, k, group, state):
+        if k == 2:
+            raise DataError("bad", path="p.csv", line=3)
+        return real(panel, events, spec, k, group, state)
+
+    monkeypatch.setattr(lp, "_estimate_one", fail_at_two)
+    panel, events, _ = sim_case()
+    with pytest.raises(DataError) as info:
+        estimate_irf(panel, events, spec_y(horizons=3), jobs=jobs)
+    exc = info.value
+    assert type(exc) is DataError
+    assert exc.path == "p.csv" and exc.line == 3
+    assert str(exc) == "horizon 2: p.csv:3: bad"
 
 
 def test_irf_diagnostics_and_series_access():
