@@ -5,12 +5,15 @@ scaled to unit norm, and drops columns whose pivot falls below a relative
 tolerance, so rank-deficient designs (absorbed group dummies, duplicated
 regressors) degrade gracefully: the dropped names are reported instead of
 blowing up or silently returning a pseudo-inverse fit.  Normal equations
-are never used here — they exist only as an independent oracle in tests.
+are never formed or inverted here — they exist only as an independent
+oracle in tests and in :mod:`panellp.validation`.
 
 Covariances are the one-way cluster sandwich with the finite-sample scaling
-``G/(G-1) * (N-1)/(N-K)``; confidence intervals and p-values use a
-Student-t reference with ``G - 1`` degrees of freedom (a normal reference is
-available as a switch).
+``G/(G-1) * (N-1)/(N-K)``.  Its bread ``(X'X)^-1`` comes from the same QR
+factor as the coefficients, and its meat groups the scores by the integer
+cluster codes the design carries, so no label array is sorted per fit.
+Confidence intervals and p-values use a Student-t reference with ``G - 1``
+degrees of freedom (a normal reference is available as a switch).
 """
 
 from __future__ import annotations
@@ -63,6 +66,13 @@ class DesignMatrix:
     can be formed.
     ``demean_sweeps`` counts the group-mean passes of the fixed-effect
     projection: 1 with any fixed effect, 0 without.
+
+    ``entity_codes``/``period_codes``/``cluster_codes`` are non-negative
+    integer codes per row, equal for equal labels; the fit counts and
+    groups by them.  They may have gaps: the projection passes the panel
+    grid positions, where an entity without a row at some horizon leaves
+    its code unused.  A design built from labels alone gets dense codes
+    from one ``np.unique`` per label array.
     """
 
     response: np.ndarray
@@ -74,6 +84,9 @@ class DesignMatrix:
     raw_response: np.ndarray | None = None
     demean_sweeps: int = 0
     missing_counts: Mapping[str, int] = field(default_factory=dict)
+    entity_codes: np.ndarray | None = None
+    period_codes: np.ndarray | None = None
+    cluster_codes: np.ndarray | None = None
 
     def __post_init__(self):
         y = np.asarray(self.response, dtype=float)
@@ -90,9 +103,24 @@ class DesignMatrix:
         for part, label in ((y, "response"), (X, "matrix")):
             if not np.isfinite(part).all():
                 raise PanelLPError(f"design {label} contains NaN/inf")
-        for attr in ("entities", "periods", "clusters"):
+        for attr, code_attr in (
+            ("entities", "entity_codes"),
+            ("periods", "period_codes"),
+            ("clusters", "cluster_codes"),
+        ):
             if len(getattr(self, attr)) != n:
                 raise PanelLPError(f"{attr} length does not match {n} rows")
+            codes = getattr(self, code_attr)
+            if codes is None:
+                codes = np.unique(getattr(self, attr), return_inverse=True)[1]
+            codes = np.asarray(codes)
+            if (
+                codes.shape != (n,)
+                or codes.dtype.kind not in "iu"
+                or (n and codes.min() < 0)
+            ):
+                raise PanelLPError(f"{code_attr} must be {n} non-negative integer codes")
+            object.__setattr__(self, code_attr, codes.astype(np.intp, copy=False))
 
     @property
     def n_rows(self) -> int:
@@ -105,8 +133,9 @@ class RegressionResult:
 
     ``columns`` lists the retained regressors in their original design
     order; ``dropped_columns`` the ones removed by rank filtering.
-    ``covariance`` is filled by :func:`cluster_covariance` (the plain fit
-    leaves it ``None``).
+    ``bread`` is ``(X'X)^-1`` over the retained columns, in that order, as
+    :func:`ols_fit` builds it from its R factor.  ``covariance`` is filled
+    by :func:`cluster_covariance` (the plain fit leaves it ``None``).
     """
 
     columns: tuple[str, ...]
@@ -118,6 +147,7 @@ class RegressionResult:
     n_periods: int
     r_squared: float
     dropped_columns: tuple[str, ...] = ()
+    bread: np.ndarray | None = None
     covariance: np.ndarray | None = None
 
     def coefficient(self, name: str) -> float:
@@ -170,15 +200,24 @@ def significance_stars(p_value: float) -> str:
     return ""
 
 
+def _count_codes(codes: np.ndarray) -> int:
+    """Distinct values among non-negative integer codes, gaps allowed."""
+    return int(np.count_nonzero(np.bincount(codes)))
+
+
 def ols_fit(design: DesignMatrix) -> RegressionResult:
     """Least squares via one column-pivoted QR with relative rank filtering.
 
     Columns whose pivot magnitude in the unit-norm-scaled design falls
     below ``PIVOT_RTOL`` times the leading pivot (all-zero columns among
     them) are dropped and reported in ``dropped_columns``.  The same factors
-    give the kept coefficients, unscaled and in the original design order.
-    R-squared is ``1 - RSS/TSS`` with TSS taken about the response mean
-    (the within R-squared when the design was demeaned).
+    give the kept coefficients, unscaled and in the original design order,
+    and their bread ``(X'X)^-1 = D^-1 R^-1 R^-T D^-1`` (``R`` the kept
+    block of the factor, ``D`` the kept norms in pivot order); the result
+    keeps that k-by-k bread, never the n-row ``Q``.  Entity, period and
+    cluster counts are the distinct row codes.  R-squared is
+    ``1 - RSS/TSS`` with TSS taken about the response mean (the within
+    R-squared when the design was demeaned).
     """
     if design.n_rows == 0:
         raise EmptySampleError("no rows in design")
@@ -201,11 +240,14 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
         )
     rank = int((diag > PIVOT_RTOL * lead).sum())
     kept = piv[:rank]
+    order = np.argsort(kept)
+    Rr = R[:rank, :rank]
     Qr = Q[:, :rank]
     qty = Qr.T @ y
     # scaled-column coefficients in pivot order, unscaled and put in design order
-    beta = (sla.solve_triangular(R[:rank, :rank], qty) / norms[kept])[np.argsort(kept)]
-    keep = np.sort(kept)
+    beta = (sla.solve_triangular(Rr, qty) / norms[kept])[order]
+    # rows of D^-1 R^-1 in design order; the bread is W W'
+    W = (sla.solve_triangular(Rr, np.eye(rank)) / norms[kept][:, None])[order]
     dropped = tuple(design.columns[j] for j in sorted(piv[rank:]))
     resid = y - Qr @ qty
 
@@ -213,22 +255,18 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
     dev = y - y.mean()
     tss = float(dev @ dev)
     r2 = 0.0 if tss == 0.0 else 1.0 - rss / tss
-    n_entities = len(np.unique(design.entities))
-    n_periods = len(np.unique(design.periods))
-    # under entity or period clustering ``clusters`` is that same label array
-    shared = {id(design.entities): n_entities, id(design.periods): n_periods}
-    n_clusters = shared.get(id(design.clusters)) or len(np.unique(design.clusters))
 
     return RegressionResult(
-        columns=tuple(design.columns[j] for j in keep),
+        columns=tuple(design.columns[j] for j in kept[order]),
         coefficients=beta,
         residuals=resid,
         n_obs=n,
-        n_clusters=n_clusters,
-        n_entities=n_entities,
-        n_periods=n_periods,
+        n_clusters=_count_codes(design.cluster_codes),
+        n_entities=_count_codes(design.entity_codes),
+        n_periods=_count_codes(design.period_codes),
         r_squared=r2,
         dropped_columns=dropped,
+        bread=W @ W.T,
     )
 
 
@@ -237,30 +275,35 @@ def cluster_covariance(
 ) -> np.ndarray:
     """One-way cluster-robust (CR1) covariance of the retained coefficients.
 
-    ``(X'X)^-1 (sum_g X_g' e_g e_g' X_g) (X'X)^-1`` scaled by
-    ``G/(G-1) * (N-1)/(N-K)``.  With every cluster a singleton this equals
-    the HC1 heteroskedasticity-robust matrix.  Requires at least two
-    clusters.
+    ``B (sum_g X_g' e_g e_g' X_g) B`` scaled by ``G/(G-1) * (N-1)/(N-K)``,
+    where ``B = (X'X)^-1`` is the bread :func:`ols_fit` built from its R
+    factor and the score sums ``X_g' e_g`` are grouped by the design's
+    integer cluster codes.  With every cluster a singleton this equals the
+    HC1 heteroskedasticity-robust matrix.  Requires at least two clusters
+    and more rows than retained columns.
     """
-    codes, inverse = np.unique(design.clusters, return_inverse=True)
-    G = len(codes)
+    G = result.n_clusters
     if G < 2:
         raise InsufficientClustersError(
             f"cluster-robust inference needs >= 2 clusters, got {G}"
         )
-    X = design.matrix[:, [design.columns.index(c) for c in result.columns]]
+    X = design.matrix
+    if result.dropped_columns:
+        X = X[:, [design.columns.index(c) for c in result.columns]]
     n, k = X.shape
-    u = result.residuals
-    # score sums per cluster: S[g] = X_g' u_g
-    S = np.empty((G, k))
-    Xu = X * u[:, None]
-    for c in range(k):
-        S[:, c] = np.bincount(inverse, weights=Xu[:, c], minlength=G)
-    meat = S.T @ S
-    xtx_inv = np.linalg.inv(X.T @ X)
+    if n <= k:
+        raise DegenerateDesignError(
+            f"no residual degrees of freedom ({n} rows, {k} retained columns)"
+        )
+    codes = design.cluster_codes
+    Xu = X * result.residuals[:, None]
+    # score sums per cluster code: S[g] = X_g' u_g (unused codes stay zero)
+    S = np.column_stack([np.bincount(codes, weights=Xu[:, c]) for c in range(k)])
+    # per-cluster influence terms B S_g; the sandwich is their cross product,
+    # which numpy forms by a symmetric rank-k update, so V is exactly symmetric
+    M = S @ result.bread
     scale = (G / (G - 1.0)) * ((n - 1.0) / (n - k))
-    V = scale * xtx_inv @ meat @ xtx_inv
-    return (V + V.T) / 2.0
+    return scale * (M.T @ M)
 
 
 def fit_with_covariance(design: DesignMatrix) -> RegressionResult:
@@ -430,14 +473,17 @@ def lsdv_fit(
     colnames.extend(names)
 
     entities, periods = panel.cell_labels(ent_idx, per_idx)
-    clusters = entities if cluster == "entity" else periods
+    by_entity = cluster == "entity"
     design = DesignMatrix(
         response=y,
         matrix=np.column_stack(blocks),
         columns=tuple(colnames),
         entities=entities,
         periods=periods,
-        clusters=clusters,
+        clusters=entities if by_entity else periods,
+        entity_codes=ent_idx,
+        period_codes=per_idx,
+        cluster_codes=ent_idx if by_entity else per_idx,
     )
     full = fit_with_covariance(design)
     # restrict to the substantive regressors
@@ -448,6 +494,7 @@ def lsdv_fit(
         full,
         columns=tuple(full.columns[i] for i in keep),
         coefficients=full.coefficients[sel],
+        bread=full.bread[np.ix_(sel, sel)],
         covariance=V,
         dropped_columns=tuple(c for c in full.dropped_columns if c in names),
     )

@@ -318,7 +318,7 @@ def _finish_design(
     within_ss = np.einsum("ij,ij->j", demeaned[:, 1:], demeaned[:, 1:])
     demeaned[:, 1:][:, within_ss <= PIVOT_RTOL**2 * raw_ss] = 0.0
     entities, periods = work.cell_labels(ent_idx, per_idx)
-    clusters = entities if spec.cluster == "entity" else periods
+    by_entity = spec.cluster == "entity"
     per_var_missing = dict(missing)
     for n in needed:
         c = work.missing_count(n)
@@ -330,10 +330,13 @@ def _finish_design(
         columns=tuple(names),
         entities=entities,
         periods=periods,
-        clusters=clusters,
+        clusters=entities if by_entity else periods,
         raw_response=raw[:, 0],
         demean_sweeps=sweeps,
         missing_counts=per_var_missing,
+        entity_codes=ent_idx,
+        period_codes=per_idx,
+        cluster_codes=ent_idx if by_entity else per_idx,
     )
 
 

@@ -153,8 +153,8 @@ class Panel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Entity and period label arrays for cells given by grid position.
 
-        One vectorised gather per axis: a ``<U`` string array and an
-        integer array, which sort in C rather than as Python objects.
+        One vectorised gather per axis.  The labels are for reporting only:
+        fits count and group rows by the grid positions themselves.
         """
         entities = np.asarray(self._entities)[ent_idx]
         return entities, np.asarray(self._periods)[per_idx]

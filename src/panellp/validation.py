@@ -170,7 +170,8 @@ def within_fit(
     names = [response] + regressors
     dm = two_way_demean(panel, names, entity_fe=entity_fe, time_fe=time_fe)
     mask = dm.present_mask(names)
-    entities, periods = panel.cell_labels(*np.nonzero(mask))
+    ent_idx, per_idx = np.nonzero(mask)
+    entities, periods = panel.cell_labels(ent_idx, per_idx)
     design = DesignMatrix(
         response=dm.column(response)[mask],
         matrix=np.column_stack([dm.column(r)[mask] for r in regressors]),
@@ -178,6 +179,9 @@ def within_fit(
         entities=entities,
         periods=periods,
         clusters=entities,
+        entity_codes=ent_idx,
+        period_codes=per_idx,
+        cluster_codes=ent_idx,
     )
     return fit_with_covariance(design)
 

@@ -204,6 +204,35 @@ def test_estimate_population_level_control_exits_0(tmp_path, capsys):
     assert [r["horizon"] for r in irf_rows] == [0, 1, 2, 3, 4, 5]
 
 
+def test_estimate_without_residual_dof_exits_1(tmp_path, capsys):
+    # no event matches a panel entity and there are no fixed effects, so
+    # two outcome-growth lags are fit on the two rows of the last year
+    rows = ["entity,year,co2"]
+    for ent, values in (("AAA", (1.0, 1.5, 1.2, 1.9)), ("BBB", (2.0, 2.4, 2.2, 2.9))):
+        rows += [f"{ent},{2000 + t},{v}" for t, v in enumerate(values)]
+    write_lines(tmp_path / "panel.csv", rows)
+    write_lines(tmp_path / "events.csv", ["event_name,year,iso3", "Flu,2001,ZZZ"])
+    cfg = tmp_path / "run.cfg"
+    write_lines(
+        cfg,
+        [
+            f"input.panel = {tmp_path / 'panel.csv'}",
+            f"input.events = {tmp_path / 'events.csv'}",
+            f"output.dir = {tmp_path / 'out'}",
+            "spec.dependent = co2",
+            "spec.horizons = 0",
+            "spec.lag_order = 2",
+            "spec.dummy_lags = 0",
+            "spec.entity_fe = false",
+            "spec.time_fe = false",
+        ],
+    )
+    rc = main(["estimate", "--config", str(cfg)])
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert rc == 1
+    assert len(errors) == 1 and errors[0].startswith("error: degenerate-design:")
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------

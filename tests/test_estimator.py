@@ -133,26 +133,35 @@ def test_ols_zero_tss_reports_zero_r2(rng):
     assert ols_fit(d).r_squared == 0.0
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e8], ids=["unit", "1e8"])
-@pytest.mark.parametrize("pos", [0, 2, 3], ids=["first", "middle", "last"])
-def test_ols_drops_duplicated_column(rng, pos, scale):
-    # ``c`` leans on ``a``, so the pivoting takes ``b`` before it and the kept
-    # columns leave the QR out of design order; ``b`` is in units of ``scale``
+def twin_design(rng, pos, scale):
+    """Columns ``a``, ``c``, ``b`` plus ``a_copy``, a twin of ``a``, at ``pos``.
+
+    ``c`` leans on ``a``, so the pivoting takes ``b`` before it and the kept
+    columns leave the QR out of design order; ``b`` is in units of ``scale``.
+    Returns the design and the column names.
+    """
     base = rng.normal(size=(40, 3))
     y = base[:, 0] - base[:, 1] + rng.normal(size=40)
     names = ["a", "c", "b"]
     cols = [base[:, 0], base[:, 0] + 0.3 * base[:, 2], base[:, 1] * scale]
     names.insert(pos, "a_copy")
     cols.insert(pos, base[:, 0])
-    X = np.column_stack(cols)
     d = DesignMatrix(
         response=y,
-        matrix=X,
+        matrix=np.column_stack(cols),
         columns=tuple(names),
-        entities=np.arange(40) % 5,
+        entities=np.arange(40) % 8,
         periods=np.arange(40),
-        clusters=np.arange(40) % 5,
+        clusters=np.arange(40) % 8,
     )
+    return d, names
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8], ids=["unit", "1e8"])
+@pytest.mark.parametrize("pos", [0, 2, 3], ids=["first", "middle", "last"])
+def test_ols_drops_duplicated_column(rng, pos, scale):
+    d, names = twin_design(rng, pos, scale)
+    X, y = d.matrix, d.response
     fit = ols_fit(d)
     # The twins have equal unit norms, so which one the pivoting keeps
     # depends on the column swaps; with the copy last it is always the copy.
@@ -265,20 +274,55 @@ def test_cr1_needs_two_clusters(rng):
         cluster_covariance(fit, d)
 
 
-def test_cr1_covers_only_retained_columns(rng):
-    X = rng.normal(size=(40, 2))
-    X = np.column_stack([X, X[:, 1]])
-    y = rng.normal(size=40)
-    d = DesignMatrix(
-        response=y,
-        matrix=X,
-        columns=("a", "b", "twin"),
-        entities=np.arange(40) % 8,
-        periods=np.arange(40),
-        clusters=np.arange(40) % 8,
-    )
+@pytest.mark.parametrize("scale", [1.0, 1e8], ids=["unit", "1e8"])
+@pytest.mark.parametrize("pos", [0, 2, 3], ids=["first", "middle", "last"])
+def test_cr1_covers_only_retained_columns(rng, pos, scale):
+    # the bread comes from the pivoted, unit-scaled R factor, so it has to be
+    # unscaled by the kept norms in pivot order and put back in design order
+    d, names = twin_design(rng, pos, scale)
     full = fit_with_covariance(d)
-    assert full.covariance.shape == (2, 2)
+    kept = [names.index(c) for c in full.columns]
+    assert len(kept) == 3
+    ref = brute_force_cr1(d.matrix[:, kept], full.residuals, d.clusters)
+    # compare in each column's own units, so b's entries are not dwarfed
+    units = np.array([scale if names[j] == "b" else 1.0 for j in kept])
+    to_units = np.outer(units, units)
+    np.testing.assert_allclose(
+        full.covariance * to_units, ref * to_units, rtol=0, atol=1e-12
+    )
+
+
+def test_cr1_needs_residual_degrees_of_freedom(rng):
+    # as many rows as retained columns: the N - K scale would divide by zero
+    d = DesignMatrix(
+        response=rng.normal(size=3),
+        matrix=rng.normal(size=(3, 3)),
+        columns=("a", "b", "c"),
+        entities=np.arange(3),
+        periods=np.arange(3),
+        clusters=np.arange(3),
+    )
+    fit = ols_fit(d)
+    with pytest.raises(DegenerateDesignError, match="no residual degrees of freedom"):
+        cluster_covariance(fit, d)
+
+
+@pytest.mark.parametrize(
+    "codes",
+    [np.arange(5), np.arange(6) - 1, np.arange(6.0)],
+    ids=["short", "negative", "float"],
+)
+def test_design_rejects_bad_codes(rng, codes):
+    with pytest.raises(PanelLPError, match="cluster_codes"):
+        DesignMatrix(
+            response=rng.normal(size=6),
+            matrix=rng.normal(size=(6, 1)),
+            columns=("x",),
+            entities=np.arange(6),
+            periods=np.arange(6),
+            clusters=np.arange(6),
+            cluster_codes=codes,
+        )
 
 
 # ---------------------------------------------------------------------------

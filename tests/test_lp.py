@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from panellp.cli import _spec_from_config
 from panellp import lp
 from panellp.errors import DataError, EmptySampleError, PanelLPError
+from panellp.estimator import fit_with_covariance
 from panellp.events import EventList, PandemicEvent
 from panellp.ingest import load_config, read_event_list, read_panel
 from panellp.lp import (
@@ -235,6 +237,44 @@ def test_period_clustered_design_labels_and_covariance():
         np.testing.assert_allclose(fit.covariance, ref, rtol=0, atol=1e-12)
 
 
+def wipe(panel, entity=None, period=None):
+    """Blank every variable of one entity's row or of one period's column."""
+    for name in panel.variables:
+        grid = panel.column(name).copy()
+        if entity is not None:
+            grid[entity, :] = np.nan
+        if period is not None:
+            grid[:, period] = np.nan
+        panel = panel.replace_column(name, grid)
+    return panel
+
+
+@pytest.mark.parametrize("cluster", ["entity", "period"])
+@pytest.mark.parametrize("gap", ["entity", "period"])
+def test_row_codes_with_gaps_count_and_cluster_like_labels(gap, cluster):
+    panel, events, _ = sim_case()
+    panel = wipe(panel, **{gap: 10})
+    d = build_baseline_design(panel, events, spec_y(cluster=cluster), k=2)
+    codes = d.entity_codes if gap == "entity" else d.period_codes
+    # the wiped grid position leaves a gap between codes in use
+    assert 10 not in codes and codes.min() < 10 < codes.max()
+    fit = fit_with_covariance(d)
+    counts = (fit.n_entities, fit.n_periods, fit.n_clusters)
+    labels = (d.entities, d.periods, d.clusters)
+    assert counts == tuple(len(np.unique(x)) for x in labels)
+    X = d.matrix[:, [d.columns.index(c) for c in fit.columns]]
+    ref = brute_force_cr1(X, fit.residuals, d.clusters)
+    np.testing.assert_allclose(fit.covariance, ref, rtol=0, atol=1e-12)
+
+    # the same design from labels alone gets dense codes and the same fit
+    dense = replace(d, entity_codes=None, period_codes=None, cluster_codes=None)
+    assert set(dense.cluster_codes) == set(range(fit.n_clusters))
+    refit = fit_with_covariance(dense)
+    np.testing.assert_array_equal(refit.coefficients, fit.coefficients)
+    assert (refit.n_entities, refit.n_periods, refit.n_clusters) == counts
+    np.testing.assert_allclose(refit.covariance, fit.covariance, rtol=0, atol=1e-12)
+
+
 def test_horizon_zero_response_is_identically_zero():
     panel, events, _ = sim_case()
     irf = estimate_irf(panel, events, spec_y(horizons=2))
@@ -291,6 +331,23 @@ def test_horizon_failure_keeps_the_exception_and_its_attributes(monkeypatch, job
     assert type(exc) is DataError
     assert exc.path == "p.csv" and exc.line == 3
     assert str(exc) == "horizon 2: p.csv:3: bad"
+
+
+@pytest.mark.parametrize("kind", ["baseline", "transition"])
+def test_horizon_fits_sort_no_labels(monkeypatch, kind):
+    # the fits count and group by the grid codes the designs carry
+    calls = []
+    real = np.unique
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    panel, events, _ = sim_case()
+    spec = spec_y(kind=kind, growth="growth" if kind == "transition" else None)
+    monkeypatch.setattr(np, "unique", counting)
+    estimate_irf(panel, events, spec)
+    assert calls == []
 
 
 def test_irf_diagnostics_and_series_access():
