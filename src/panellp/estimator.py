@@ -1,29 +1,32 @@
 """Least-squares fitting and cluster-robust inference.
 
-The solver factors each design once, by a column-pivoted QR of the columns
-scaled to unit norm, and drops columns whose pivot falls below a relative
-tolerance, so rank-deficient designs (absorbed group dummies, duplicated
-regressors) degrade gracefully: the dropped names are reported instead of
-blowing up or silently returning a pseudo-inverse fit.  Normal equations
-are never formed or inverted here — they exist only as an independent
-oracle in tests and in :mod:`panellp.validation`.
+The solver factors each design once, by an R-only QR of the columns
+scaled to unit norm with the response appended, and drops, in design
+order, every column within a relative tolerance of the span of the kept
+columns before it.  So rank-deficient designs (absorbed group dummies,
+duplicated regressors) degrade gracefully: the dropped names are reported
+instead of blowing up or silently returning a pseudo-inverse fit.  Normal
+equations are never formed or inverted here — they exist only as an
+independent oracle in tests and in :mod:`panellp.validation`.
 
 Covariances are the one-way cluster sandwich with the finite-sample scaling
-``G/(G-1) * (N-1)/(N-K)``.  Its bread ``(X'X)^-1`` comes from the same QR
+``G/(G-1) * (N-1)/(N-K)``.  Its bread ``(X'X)^-1`` comes from the same R
 factor as the coefficients, and its meat groups the scores by the integer
 cluster codes the design carries, so no label array is sorted per fit.
 Confidence intervals and p-values use a Student-t reference with ``G - 1``
-degrees of freedom (a normal reference is available as a switch).
+degrees of freedom (a normal reference is available as a switch), both
+evaluated here with numpy and the standard library alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from statistics import NormalDist
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import special
 
 from .errors import (
     DegenerateDesignError,
@@ -46,10 +49,11 @@ __all__ = [
     "PIVOT_RTOL",
 ]
 
-# Relative pivot threshold for rank detection: a column is dropped when its
-# QR pivot magnitude falls below PIVOT_RTOL times the largest pivot.  Pivots
-# come from the columns scaled to unit 2-norm, so a regressor in large units
-# (population, GDP in currency) cannot make the others look collinear.
+# Rank threshold: a column is dropped when its distance from the span of the
+# kept columns before it, the magnitude of its R diagonal entry, is at most
+# PIVOT_RTOL.  Columns are scaled to unit 2-norm first, so a regressor in
+# large units (population, GDP in currency) cannot make the others look
+# collinear.
 PIVOT_RTOL = 1e-10
 
 
@@ -205,19 +209,50 @@ def _count_codes(codes: np.ndarray) -> int:
     return int(np.count_nonzero(np.bincount(codes)))
 
 
-def ols_fit(design: DesignMatrix) -> RegressionResult:
-    """Least squares via one column-pivoted QR with relative rank filtering.
+def _rank_filtered_triangle(
+    R: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the columns of ``[X | y]``'s triangle that fail the rank rule.
 
-    Columns whose pivot magnitude in the unit-norm-scaled design falls
-    below ``PIVOT_RTOL`` times the leading pivot (all-zero columns among
-    them) are dropped and reported in ``dropped_columns``.  The same factors
-    give the kept coefficients, unscaled and in the original design order,
-    and their bread ``(X'X)^-1 = D^-1 R^-1 R^-T D^-1`` (``R`` the kept
-    block of the factor, ``D`` the kept norms in pivot order); the result
-    keeps that k-by-k bread, never the n-row ``Q``.  Entity, period and
-    cluster counts are the distinct row codes.  R-squared is
-    ``1 - RSS/TSS`` with TSS taken about the response mean (the within
-    R-squared when the design was demeaned).
+    ``R`` is the R factor of the ``k`` unit-norm design columns followed by
+    the response.  A design column is kept when its distance from the span
+    of the kept columns before it, the magnitude of its diagonal entry once
+    the columns dropped before it are gone, exceeds ``PIVOT_RTOL``.  Each
+    drop re-triangularises the small triangle without that column, never
+    the n rows.  Columns past the last row of a wide design lie in the span
+    of those before them.  Returns the triangle of the kept columns and the
+    response, and the kept column indices in design order.
+    """
+    kept = np.arange(k)
+    while True:
+        diag = np.abs(np.diagonal(R))[: kept.size]
+        low = np.flatnonzero(diag <= PIVOT_RTOL)
+        if not low.size:
+            break
+        kept = np.delete(kept, low[0])
+        R = np.linalg.qr(np.delete(R, low[0], axis=1), mode="r")
+    if kept.size > R.shape[0]:
+        kept = kept[: R.shape[0]]
+        R = np.delete(R, np.s_[kept.size : -1], axis=1)
+    return R, kept
+
+
+def ols_fit(design: DesignMatrix) -> RegressionResult:
+    """Least squares via one R-only QR of ``[X / ||X|| | y]``.
+
+    The unit-norm design columns and the response are factored together
+    by LAPACK ``geqrf`` (``np.linalg.qr(mode="r")``); no n-row ``Q`` is
+    formed.  The rank rule runs in design order, as R's ``lm`` does: a
+    column is dropped when its unit-norm distance from the span of the
+    kept columns before it is at most ``PIVOT_RTOL`` (all-zero columns
+    among them), so of two collinear columns the later one is dropped and
+    reported in ``dropped_columns``.  The kept block ``R`` of the triangle
+    and its last column ``Q'y`` give the coefficients, unscaled by the
+    norms ``D``, and the bread ``(X'X)^-1 = D^-1 R^-1 R^-T D^-1``; the
+    residuals are ``y - X beta``.  Entity, period and cluster counts are
+    the distinct row codes.  R-squared is ``1 - RSS/TSS`` with TSS taken
+    about the response mean (the within R-squared when the design was
+    demeaned).
     """
     if design.n_rows == 0:
         raise EmptySampleError("no rows in design")
@@ -227,29 +262,28 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
     if k == 0:
         raise DegenerateDesignError("design has no columns")
 
-    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+    # one column-major block [X / ||X|| | y] whatever the layout of X, so
+    # LAPACK reads contiguous columns and every sum runs in the same order
+    block = np.empty((n, k + 1), order="F")
+    block[:, :k] = X
+    block[:, k] = y
+    norms = np.sqrt(np.einsum("ij,ij->j", block[:, :k], block[:, :k]))
     norms[norms == 0.0] = 1.0
-    # a private column-major copy, so LAPACK factors it in place
-    scaled = np.asfortranarray(X) / norms
-    Q, R, piv = sla.qr(scaled, mode="economic", pivoting=True, overwrite_a=True)
-    diag = np.abs(np.diag(R))
-    lead = diag[0] if diag.size else 0.0
-    if lead <= 0.0:
+    block[:, :k] /= norms
+    R, kept = _rank_filtered_triangle(np.linalg.qr(block, mode="r"), k)
+    rank = kept.size
+    if rank == 0:
         raise DegenerateDesignError(
-            "design has no usable columns (all pivots are zero)"
+            "design has no usable columns (every column is zero)"
         )
-    rank = int((diag > PIVOT_RTOL * lead).sum())
-    kept = piv[:rank]
-    order = np.argsort(kept)
     Rr = R[:rank, :rank]
-    Qr = Q[:, :rank]
-    qty = Qr.T @ y
-    # scaled-column coefficients in pivot order, unscaled and put in design order
-    beta = (sla.solve_triangular(Rr, qty) / norms[kept])[order]
-    # rows of D^-1 R^-1 in design order; the bread is W W'
-    W = (sla.solve_triangular(Rr, np.eye(rank)) / norms[kept][:, None])[order]
-    dropped = tuple(design.columns[j] for j in sorted(piv[rank:]))
-    resid = y - Qr @ qty
+    # coefficients of the scaled columns, zero on the dropped ones
+    scaled = np.zeros(k)
+    scaled[kept] = np.linalg.solve(Rr, R[:rank, rank])
+    resid = block[:, k] - block[:, :k] @ scaled
+    # rows of D^-1 R^-1; the bread is W W'
+    W = np.linalg.solve(Rr, np.eye(rank)) / norms[kept][:, None]
+    dropped = tuple(design.columns[j] for j in np.setdiff1d(np.arange(k), kept))
 
     rss = float(resid @ resid)
     dev = y - y.mean()
@@ -257,8 +291,8 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
     r2 = 0.0 if tss == 0.0 else 1.0 - rss / tss
 
     return RegressionResult(
-        columns=tuple(design.columns[j] for j in kept[order]),
-        coefficients=beta,
+        columns=tuple(design.columns[j] for j in kept),
+        coefficients=scaled[kept] / norms[kept],
         residuals=resid,
         n_obs=n,
         n_clusters=_count_codes(design.cluster_codes),
@@ -288,17 +322,18 @@ def cluster_covariance(
             f"cluster-robust inference needs >= 2 clusters, got {G}"
         )
     X = design.matrix
-    if result.dropped_columns:
-        X = X[:, [design.columns.index(c) for c in result.columns]]
-    n, k = X.shape
+    kept = [design.columns.index(c) for c in result.columns]
+    n, k = X.shape[0], len(kept)
     if n <= k:
         raise DegenerateDesignError(
             f"no residual degrees of freedom ({n} rows, {k} retained columns)"
         )
-    codes = design.cluster_codes
-    Xu = X * result.residuals[:, None]
-    # score sums per cluster code: S[g] = X_g' u_g (unused codes stay zero)
-    S = np.column_stack([np.bincount(codes, weights=Xu[:, c]) for c in range(k)])
+    u = result.residuals
+    # score sums per cluster code, S[g] = X_g' u_g (unused codes stay zero),
+    # a column at a time, so no temporary is wider than one column
+    S = np.column_stack(
+        [np.bincount(design.cluster_codes, weights=X[:, j] * u) for j in kept]
+    )
     # per-cluster influence terms B S_g; the sandwich is their cross product,
     # which numpy forms by a symmetric rank-k update, so V is exactly symmetric
     M = S @ result.bread
@@ -313,6 +348,154 @@ def fit_with_covariance(design: DesignMatrix) -> RegressionResult:
     return replace(result, covariance=V)
 
 
+# ---------------------------------------------------------------------------
+# reference distributions
+# ---------------------------------------------------------------------------
+
+_STD_NORMAL = NormalDist()
+_SQRT_HALF = math.sqrt(0.5)
+
+
+@lru_cache(maxsize=64)
+def _t_constants(df: int) -> tuple[float, np.ndarray]:
+    """Density constant and finite-series coefficients of Student's t.
+
+    The constant is ``Γ((df+1)/2) / (√π Γ(df/2))`` (the density is that
+    over ``√df`` times ``(1 + t²/df)^-(df+1)/2``).  The ``df // 2``
+    coefficients are those of Abramowitz & Stegun 26.7.3-4 for
+    ``P(|T| < t)``: ``C(2m, m) / 4^m`` for even df and
+    ``4^m / ((2m+1) C(2m, m))`` for odd df.  Each is one correctly rounded
+    ratio of exact integers, so none carries the drift of a running
+    product.
+    """
+    half = df // 2
+    central = 1  # C(2m, m), exact
+    coef = np.empty(half)
+    for m in range(half):
+        coef[m] = central / 4**m if df % 2 == 0 else 4**m / ((2 * m + 1) * central)
+        central = central * (2 * m + 1) * (2 * m + 2) // (m + 1) ** 2
+    if df % 2 == 0:
+        const = half * central / 4**half
+    else:
+        const = 4**half / central / math.pi
+    coef.flags.writeable = False
+    return const, coef
+
+
+def _t_tail_fraction(a: float, z: float) -> float:
+    """The continued fraction ``1 / (1 + a1 / (1 + a2 / ...))`` of cephes
+    ``incbd`` for ``I_x(a, 1/2)``, taken in ``z = x / (1 - x)``.
+
+    For the t tail ``z = df / t²`` is known to full precision, where
+    ``x = df / (df + t²)`` near one would lose the digits of ``1 - x``.
+    A forward modified-Lentz pass finds the depth at which the fraction
+    has converged; it is then evaluated from the bottom up, which damps
+    rounding errors because every partial numerator is positive.
+    """
+    nums = []
+    c, d = 1.0, 0.0
+    for n in range(10_000):
+        for num in (
+            z * (a + n) * (n + 0.5) / ((a + 2 * n) * (a + 2 * n + 1.0)),
+            z * (n + 1.0) * (a + n + 0.5) / ((a + 2 * n + 1.0) * (a + 2 * n + 2.0)),
+        ):
+            nums.append(num)
+            d = 1.0 / (1.0 + num * d)
+            c = 1.0 + num / c
+        if abs(c * d - 1.0) <= 2.0**-52:
+            break
+    value = 1.0
+    for num in reversed(nums):
+        value = 1.0 + num / value
+    return 1.0 / value
+
+
+def _t_tail(x: float, df: int) -> float:
+    """``P(|T| >= x)`` for ``x > 0`` and df >= 3, as ``I_y(df/2, 1/2)`` at
+    ``y = df / (df + x²)``: its prefactor times :func:`_t_tail_fraction`.
+    Both keep their accuracy relative to the tail, however small.
+    """
+    const, _ = _t_constants(df)
+    a = 0.5 * df
+    u = x * x
+    front = math.exp(-a * math.log1p(u / df)) * math.sqrt(df + u) / x
+    return front * const / a * _t_tail_fraction(a, df / u)
+
+
+def _t_pvalue(tstat: float, df: int) -> float:
+    """Two-sided p-value ``P(|T| >= |tstat|)`` of Student's t, integer df.
+
+    df 1 and 2 have closed forms.  Past ``|t| = 3`` it is :func:`_t_tail`.
+    Up to 3 it is one minus the finite series of :func:`_t_constants`
+    (Abramowitz & Stegun 26.7.3-4, cephes ``stdtr``), whose absolute error
+    of a few 1e-16 stays below 1e-12 of any p-value there (at least 0.002).
+    """
+    x = abs(tstat)
+    if x == 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    if df == 1:
+        return math.atan2(1.0, x) * (2.0 / math.pi)
+    if df == 2:
+        s = math.sqrt(2.0 + x * x)
+        return 2.0 / (s * (s + x))
+    if x > 3.0:
+        return _t_tail(x, df)
+    _, coef = _t_constants(df)
+    u = x * x
+    # log cos²θ is rounded once and every factor is taken from it, so that
+    # rounding acts as a shift of t, not as errors that fail to cancel; the
+    # powers exp(m log cos²θ) carry no running-product drift
+    log_cos2 = math.log1p(-u / (df + u))
+    sin = math.sqrt(-math.expm1(log_cos2))
+    series = math.fsum((coef * np.exp(np.arange(coef.size) * log_cos2)).tolist())
+    if df % 2 == 0:
+        central = sin * series
+    else:
+        cos = math.exp(0.5 * log_cos2)
+        central = (math.atan2(sin, cos) + sin * cos * series) * (2.0 / math.pi)
+    return 1.0 - central
+
+
+@lru_cache(maxsize=256)
+def _t_quantile(df: int, p: float) -> float:
+    """The ``p`` quantile of Student's t with integer df, for ``1/2 <= p < 1``.
+
+    df 1 and 2 have closed forms in the upper tail ``q = 1 - p``, which is
+    exact for such ``p``.  Otherwise Newton steps on the log two-sided
+    tail against ``log t`` start from a Cornish-Fisher guess and stop once
+    a step moves ``t`` by an ulp.  From ``t = 1`` on the tail comes from
+    :func:`_t_tail`, so the quantile is not limited by the absolute
+    rounding of ``1 - P(|T| < t)``.
+    """
+    q = 1.0 - p
+    if q == 0.5:
+        return 0.0
+    if df == 1:
+        return 1.0 / math.tan(math.pi * q)
+    if df == 2:
+        return (1.0 - 2.0 * q) / math.sqrt(2.0 * q * p)
+    const, _ = _t_constants(df)
+    scale = const / math.sqrt(df)
+    z = _STD_NORMAL.inv_cdf(p)
+    t = z + (z**3 + z) / (4.0 * df) + (5 * z**5 + 16 * z**3 + 3 * z) / (96.0 * df**2)
+    log_target = math.log(2.0 * q)
+    for _ in range(100):
+        tail = _t_tail(t, df) if t >= 1.0 else _t_pvalue(t, df)
+        density = scale * math.exp(-0.5 * (df + 1) * math.log1p(t * t / df))
+        step = (math.log(tail) - log_target) * tail / (2.0 * t * density)
+        t *= math.exp(step)
+        if abs(step) <= 2.0**-52:
+            break
+    return t
+
+
+def _normal_pvalue(tstat: float) -> float:
+    """Two-sided standard-normal p-value ``erfc(|t| / √2)``."""
+    return math.erfc(abs(tstat) * _SQRT_HALF)
+
+
 def _interval(
     name: str,
     estimate: float,
@@ -321,6 +504,8 @@ def _interval(
     level: float,
     dist: str,
 ) -> CoefficientInterval:
+    if not 0.0 < level < 1.0:
+        raise PanelLPError(f"confidence level must be in (0, 1), got {level}")
     if variance < 0.0:
         # numerical dust on a PSD matrix diagonal
         variance = 0.0
@@ -343,11 +528,11 @@ def _interval(
             raise InsufficientClustersError(
                 f"t reference needs >= 2 clusters (df = {df})"
             )
-        p = 2.0 * float(special.stdtr(df, -abs(tstat)))
-        crit = float(special.stdtrit(df, 0.5 + level / 2.0))
+        p = _t_pvalue(tstat, df)
+        crit = _t_quantile(df, 0.5 + level / 2.0)
     elif dist == "normal":
-        p = 2.0 * float(special.ndtr(-abs(tstat)))
-        crit = float(special.ndtri(0.5 + level / 2.0))
+        p = _normal_pvalue(tstat)
+        crit = _STD_NORMAL.inv_cdf(0.5 + level / 2.0)
     else:
         raise PanelLPError(f"unknown reference distribution {dist!r}")
     return CoefficientInterval(
@@ -381,8 +566,6 @@ def coefficient_interval(
     Uses a t reference with ``n_clusters - 1`` degrees of freedom by
     default; pass ``dist="normal"`` for standard-normal critical values.
     """
-    if not 0.0 < level < 1.0:
-        raise PanelLPError(f"confidence level must be in (0, 1), got {level}")
     V = _require_covariance(result)
     j = result.columns.index(name) if name in result.columns else None
     if j is None:
@@ -446,7 +629,7 @@ def lsdv_fit(
 
     This is the slow transparent route kept as a cross-check for the
     demeaning path: an intercept plus drop-first entity and period dummy
-    blocks, fit by the same pivoted-QR solver.  The returned coefficients
+    blocks, fit by the same QR solver.  The returned coefficients
     and covariance cover only the substantive regressors, so results are
     directly comparable with the demeaned fit.
     """

@@ -20,12 +20,12 @@ thread pool; results are deterministic under any schedule.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import EmptySampleError, MissingVariableError, PanelLPError
 from .estimator import (
@@ -110,8 +110,7 @@ class LPSpec:
             raise PanelLPError("dummy_lags must be >= 0")
         if not 0.0 < self.conf_level < 1.0:
             raise PanelLPError("conf_level must be in (0, 1)")
-        if self.sigma <= 0.0:
-            raise PanelLPError("sigma must be > 0")
+        _check_sigma(self.sigma)
         if self.cluster not in ("entity", "period"):
             raise PanelLPError("cluster must be 'entity' or 'period'")
         if self.z_scope not in ("pooled", "entity"):
@@ -161,17 +160,24 @@ class TransitionState:
     sigma: float
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise PanelLPError(f"sigma must be a finite number > 0, got {sigma}")
+
+
 def smooth_transition(z, sigma: float):
     """Logistic recession weight ``exp(-sigma z) / (1 + exp(-sigma z))``.
 
-    Evaluated as ``expit(-sigma * z)`` so it is stable for ``|sigma * z|``
-    well past 700; strictly decreasing in ``z``; ``F(0) = 0.5`` exactly.
-    Accepts scalars or arrays (missing cells pass through as NaN).
+    Evaluated in two branches on ``e = exp(-sigma |z|)``, ``1 / (1 + e)``
+    for ``z <= 0`` and ``e / (1 + e)`` above, so nothing overflows however
+    large ``|sigma * z|`` is; strictly decreasing in ``z``; ``F(0) = 0.5``
+    exactly.  ``sigma`` must be finite and positive.  Accepts scalars or
+    arrays (missing cells pass through as NaN).
     """
-    if sigma <= 0.0:
-        raise PanelLPError("sigma must be > 0")
+    _check_sigma(sigma)
     z = np.asarray(z, dtype=float)
-    out = expit(-sigma * z)
+    e = np.exp(-sigma * np.abs(z))
+    out = np.where(z <= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out
@@ -302,9 +308,15 @@ def _finish_design(
         raise EmptySampleError(
             f"no complete rows at horizon {k}; missing cells per variable: {counts}"
         )
-    raw = np.column_stack([work.column(n)[mask] for n in needed])
+    # one column-major block [response | regressors], demeaned in place, so
+    # the fit reads contiguous columns
+    block = np.empty((ent_idx.size, len(needed)), order="F")
+    for j, n in enumerate(needed):
+        block[:, j] = work.column(n)[mask]
+    raw_response = block[:, 0].copy()
+    raw_ss = np.einsum("ij,ij->j", block[:, 1:], block[:, 1:])
     demeaned, sweeps = _fe_residualize(
-        raw,
+        block,
         ent_idx,
         per_idx,
         work.n_entities,
@@ -313,8 +325,7 @@ def _finish_design(
         spec.time_fe,
     )
     # A regressor the fixed effects absorb leaves rounding noise that the
-    # unit-scaled rank filter would keep as a column; zeroed, it is dropped.
-    raw_ss = np.einsum("ij,ij->j", raw[:, 1:], raw[:, 1:])
+    # unit-norm rank filter would keep as a column; zeroed, it is dropped.
     within_ss = np.einsum("ij,ij->j", demeaned[:, 1:], demeaned[:, 1:])
     demeaned[:, 1:][:, within_ss <= PIVOT_RTOL**2 * raw_ss] = 0.0
     entities, periods = work.cell_labels(ent_idx, per_idx)
@@ -331,7 +342,7 @@ def _finish_design(
         entities=entities,
         periods=periods,
         clusters=entities if by_entity else periods,
-        raw_response=raw[:, 0],
+        raw_response=raw_response,
         demean_sweeps=sweeps,
         missing_counts=per_var_missing,
         entity_codes=ent_idx,

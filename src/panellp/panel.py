@@ -476,6 +476,16 @@ def _group_sums(codes: np.ndarray, v: np.ndarray, n_groups: int) -> np.ndarray:
     return out
 
 
+def _subtract_group_effects(
+    values: np.ndarray, effects: np.ndarray, codes: np.ndarray
+) -> None:
+    """``values -= effects[codes]``, one column at a time, so that every
+    temporary is a single column and a column-major ``values`` is written
+    contiguously."""
+    for c in range(values.shape[1]):
+        values[:, c] -= effects[:, c].take(codes)
+
+
 def _fe_residualize(
     values: np.ndarray,
     ent_codes: np.ndarray,
@@ -485,8 +495,10 @@ def _fe_residualize(
     entity_fe: bool,
     time_fe: bool,
 ) -> tuple[np.ndarray, int]:
-    """Exact residuals of the ``(n_rows, n_vars)`` matrix ``values`` after
-    projecting out the fixed effects; rows are grouped by the code arrays.
+    """Exact residuals of the float ``(n_rows, n_vars)`` matrix ``values``
+    after projecting out the fixed effects; rows are grouped by the code
+    arrays.  The effects are subtracted from ``values`` in place, so a
+    column-major block stays column-major for the fit.
 
     With both effects the period effects ``g`` solve
     ``(diag(n_t) - N' diag(1/n_i) N) g = b``, where ``N`` is the entity x
@@ -495,20 +507,22 @@ def _fe_residualize(
     less those of ``g``.  That matrix, the Laplacian of the period graph, is
     singular once per connected set, so the first observed period of each
     set is held at zero and periods without rows are skipped (Abowd, Creecy
-    and Kramarz 2002).  Returns ``(residuals, passes)``: one group-mean pass
+    and Kramarz 2002).  Returns ``(values, passes)``: one group-mean pass
     with any fixed effect, none without.
     """
     if not entity_fe and not time_fe:
-        return np.array(values, dtype=float, copy=True), 0
+        return values, 0
     cnt_p = np.bincount(per_codes, minlength=n_per).astype(float)
     if not entity_fe:
         div_p = np.maximum(cnt_p, 1.0)[:, None]
         per_means = _group_sums(per_codes, values, n_per) / div_p
-        return values - np.take(per_means, per_codes, axis=0), 1
+        _subtract_group_effects(values, per_means, per_codes)
+        return values, 1
     div_e = np.maximum(np.bincount(ent_codes, minlength=n_ent), 1.0)[:, None]
     ent_means = _group_sums(ent_codes, values, n_ent) / div_e
     if not time_fe:
-        return values - np.take(ent_means, ent_codes, axis=0), 1
+        _subtract_group_effects(values, ent_means, ent_codes)
+        return values, 1
     N = np.bincount(
         ent_codes * n_per + per_codes, minlength=n_ent * n_per
     ).reshape(n_ent, n_per).astype(float)
@@ -526,8 +540,9 @@ def _fe_residualize(
     if free.size:
         per_fe[free] = np.linalg.solve(schur[np.ix_(free, free)], rhs[free])
     ent_fe = ent_means - N @ per_fe / div_e
-    resid = values - np.take(ent_fe, ent_codes, axis=0)
-    return resid - np.take(per_fe, per_codes, axis=0), 1
+    _subtract_group_effects(values, ent_fe, ent_codes)
+    _subtract_group_effects(values, per_fe, per_codes)
+    return values, 1
 
 
 def two_way_demean(
@@ -548,7 +563,9 @@ def two_way_demean(
     ent_idx, per_idx = np.nonzero(mask)
     if ent_idx.size == 0:
         raise PanelLPError("no cell has all the requested variables observed")
-    mat = np.column_stack([panel.column(n)[mask] for n in names])
+    mat = np.empty((ent_idx.size, len(names)), order="F")
+    for c, name in enumerate(names):
+        mat[:, c] = panel.column(name)[mask]
     out, _ = _fe_residualize(
         mat,
         ent_idx,

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import PanelLPError
 from .events import EventList, PandemicEvent
+from .lp import _check_sigma, smooth_transition
 from .panel import Panel
 
 __all__ = ["DGPSpec", "SimTruth", "generate"]
@@ -84,8 +84,7 @@ class DGPSpec:
             )
         if all(state) and len(self.theta_recession) != len(self.theta_expansion):
             raise PanelLPError("state-dependent paths must have equal length")
-        if self.sigma <= 0:
-            raise PanelLPError("sigma must be > 0")
+        _check_sigma(self.sigma)
 
     @property
     def state_dependent(self) -> bool:
@@ -182,7 +181,7 @@ def generate(dgp: DGPSpec) -> tuple[Panel, EventList, SimTruth]:
                 if hit.size == 0:
                     continue
                 z = (g_real_t[hit] - mean) / sd
-                F = expit(-dgp.sigma * z)
+                F = smooth_transition(z, dgp.sigma)
                 paths = (
                     F[:, None] * thL[None, :]
                     + (1.0 - F[:, None]) * thH[None, :]

@@ -233,6 +233,26 @@ def test_estimate_without_residual_dof_exits_1(tmp_path, capsys):
     assert len(errors) == 1 and errors[0].startswith("error: degenerate-design:")
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_estimate_non_finite_sigma_exits_1(tmp_path, sim_dir, capsys, sigma):
+    # nan once passed the sigma > 0 check and surfaced as an empty sample;
+    # inf turned every cell with z = 0 into NaN and dropped it silently
+    cfg = estimate_config(
+        tmp_path,
+        sim_dir,
+        extra=[
+            "spec.kind = transition",
+            "spec.growth = growth",
+            f"spec.sigma = {sigma}",
+        ],
+    )
+    rc = main(["estimate", "--config", str(cfg)])
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert rc == 1
+    assert len(errors) == 1 and "sigma" in errors[0]
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------

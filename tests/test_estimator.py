@@ -136,9 +136,8 @@ def test_ols_zero_tss_reports_zero_r2(rng):
 def twin_design(rng, pos, scale):
     """Columns ``a``, ``c``, ``b`` plus ``a_copy``, a twin of ``a``, at ``pos``.
 
-    ``c`` leans on ``a``, so the pivoting takes ``b`` before it and the kept
-    columns leave the QR out of design order; ``b`` is in units of ``scale``.
-    Returns the design and the column names.
+    ``c`` leans on ``a``; ``b`` is in units of ``scale``.  Returns the
+    design and the column names.
     """
     base = rng.normal(size=(40, 3))
     y = base[:, 0] - base[:, 1] + rng.normal(size=40)
@@ -163,11 +162,8 @@ def test_ols_drops_duplicated_column(rng, pos, scale):
     d, names = twin_design(rng, pos, scale)
     X, y = d.matrix, d.response
     fit = ols_fit(d)
-    # The twins have equal unit norms, so which one the pivoting keeps
-    # depends on the column swaps; with the copy last it is always the copy.
-    assert fit.dropped_columns in (("a",), ("a_copy",))
-    if pos == 3:
-        assert fit.dropped_columns == ("a_copy",)
+    # the rank rule runs in design order, so the later twin is dropped
+    assert fit.dropped_columns == (("a",) if pos == 0 else ("a_copy",))
     kept = [j for j, name in enumerate(names) if name not in fit.dropped_columns]
     assert fit.columns == tuple(names[j] for j in kept)
     ref = normal_equations(X[:, kept], y)
@@ -176,6 +172,60 @@ def test_ols_drops_duplicated_column(rng, pos, scale):
     np.testing.assert_allclose(fit.coefficients * units, ref * units, atol=1e-9)
     with pytest.raises(PanelLPError, match="collinear"):
         fit.coefficient(fit.dropped_columns[0])
+
+
+def test_ols_wide_design_drops_every_column_past_the_rank(rng):
+    # 4 rows span R^4, so of 7 generic columns the last 3 lie in the span
+    # of those before them
+    names = tuple(f"x{j}" for j in range(7))
+    d = DesignMatrix(
+        response=rng.normal(size=4),
+        matrix=rng.normal(size=(4, 7)),
+        columns=names,
+        entities=np.arange(4),
+        periods=np.arange(4),
+        clusters=np.arange(4),
+    )
+    fit = ols_fit(d)
+    assert fit.columns == names[:4]
+    assert fit.dropped_columns == names[4:]
+    assert fit.bread.shape == (4, 4)
+    # a square nonsingular system is solved exactly
+    np.testing.assert_allclose(
+        d.matrix[:, :4] @ fit.coefficients, d.response, atol=1e-12
+    )
+
+
+def test_ols_fit_is_independent_of_the_matrix_layout(rng):
+    # the fit copies the design into its own column-major block, so a
+    # C-order array, an F-order array and a strided view give the same bits
+    wide = rng.normal(size=(50, 8))
+    views = {
+        "C": np.ascontiguousarray(wide[:, ::2]),
+        "F": np.asfortranarray(wide[:, ::2]),
+        "strided": wide[:, ::2],
+    }
+    assert not views["strided"].flags.c_contiguous
+    assert not views["strided"].flags.f_contiguous
+    y = rng.normal(size=50)
+    fits = {
+        name: ols_fit(
+            DesignMatrix(
+                response=y,
+                matrix=X,
+                columns=("a", "b", "c", "d"),
+                entities=np.arange(50) % 5,
+                periods=np.arange(50),
+                clusters=np.arange(50) % 5,
+            )
+        )
+        for name, X in views.items()
+    }
+    for name in ("F", "strided"):
+        for attr in ("coefficients", "bread", "residuals"):
+            np.testing.assert_array_equal(
+                getattr(fits[name], attr), getattr(fits["C"], attr)
+            )
 
 
 def test_ols_scaling_invariance(rng):
@@ -277,8 +327,8 @@ def test_cr1_needs_two_clusters(rng):
 @pytest.mark.parametrize("scale", [1.0, 1e8], ids=["unit", "1e8"])
 @pytest.mark.parametrize("pos", [0, 2, 3], ids=["first", "middle", "last"])
 def test_cr1_covers_only_retained_columns(rng, pos, scale):
-    # the bread comes from the pivoted, unit-scaled R factor, so it has to be
-    # unscaled by the kept norms in pivot order and put back in design order
+    # the bread comes from the unit-scaled R factor of the kept columns, so
+    # it has to be unscaled by their norms
     d, names = twin_design(rng, pos, scale)
     full = fit_with_covariance(d)
     kept = [names.index(c) for c in full.columns]
@@ -476,6 +526,8 @@ def test_linear_combination_rejects_dropped_and_unknown(rng):
         linear_combination(fit, {"a": 1.0, "ghost": 1.0})
     with pytest.raises(PanelLPError):
         linear_combination(fit, {})
+    with pytest.raises(PanelLPError, match="level"):
+        linear_combination(fit, {"a": 1.0}, level=1.0)
 
 
 def test_single_column_combination_equals_interval(rng):

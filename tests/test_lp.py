@@ -137,6 +137,18 @@ def test_spec_validation():
     assert LPSpec(dependent=dep, lag_order=0, dummy_lags=0).lag_order == 0
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+def test_sigma_must_be_finite(sigma):
+    # nan <= 0 is False, so a bare sign check let nan and inf through
+    dep = VariableSpec("y")
+    with pytest.raises(PanelLPError, match="sigma"):
+        LPSpec(dependent=dep, kind="transition", growth="g", sigma=sigma)
+    with pytest.raises(PanelLPError, match="sigma"):
+        DGPSpec(sigma=sigma)
+    with pytest.raises(PanelLPError, match="sigma"):
+        smooth_transition(0.0, sigma)
+
+
 def test_group_spec():
     with pytest.raises(PanelLPError):
         GroupSpec("oecd", frozenset())

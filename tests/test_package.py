@@ -34,8 +34,8 @@ def test_error_types_build_from_one_message(cls):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is the one heavy import in reach; intervals use
-    # scipy.special, so every CLI start-up skips it
+    # the package needs no scipy at all (see the test below); this keeps
+    # the heaviest scipy module out of every CLI start-up on its own
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     code = "import sys, panellp.cli; print('scipy.stats' in sys.modules)"
     proc = subprocess.run(
@@ -46,3 +46,31 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_estimate_run_loads_no_scipy(tmp_path):
+    # importing the package and running a whole estimate must not pull in
+    # any scipy module: the fit, the intervals and the weights are numpy
+    # and standard library only
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = (root / "configs" / "sample_baseline.cfg").read_text()
+    for key in ("input.panel", "input.events", "input.mortality"):
+        cfg = cfg.replace(f"{key} = ", f"{key} = {root}/")
+    out = tmp_path / "out"
+    cfg = cfg.replace("output.dir = out/sample_baseline", f"output.dir = {out}")
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(cfg)
+    code = (
+        "import sys, panellp, panellp.cli\n"
+        f"rc = panellp.cli.main(['estimate', '--config', {str(run_cfg)!r}])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
+    assert (out / "irf.csv").exists()
