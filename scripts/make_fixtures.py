@@ -8,11 +8,13 @@ bit.  The mortality file in particular is a stub: it exists so severity
 classification can be exercised end to end, not because the numbers mean
 anything.
 
-Run from anywhere:  python3 scripts/make_fixtures.py
+Run from anywhere:  python3 scripts/make_fixtures.py [--out DIR]
+(``DIR`` defaults to the repository's ``data/``).
 """
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 
 import numpy as np
@@ -89,17 +91,17 @@ PANEL_YEARS = range(1980, 2020)
 DEMO_PATH = (0.0, -0.02, -0.025, -0.01, 0.0, 0.0)
 
 
-def write_events() -> None:
+def write_events(out: pathlib.Path) -> None:
     rows = ["event_name,year,iso3"]
     for (name, year), isos in EVENTS.items():
         assert len(isos) == len(set(isos)), name
         assert len(isos) == _EXPECTED_COUNTS[name], name
         rows.extend(f"{name},{year},{iso}" for iso in isos)
     assert len(rows) - 1 == 294, len(rows) - 1
-    (DATA / "pandemic_events.csv").write_text("\n".join(rows) + "\n")
+    (out / "pandemic_events.csv").write_text("\n".join(rows) + "\n")
 
 
-def write_mortality_stub() -> None:
+def write_mortality_stub(out: pathlib.Path) -> None:
     rng = np.random.default_rng(20260501)
     rows = ["event_name,iso3,mortality"]
     for (name, _year), isos in EVENTS.items():
@@ -108,10 +110,10 @@ def write_mortality_stub() -> None:
         rows.extend(
             f"{name},{iso},{round(float(d), 3)}" for iso, d in zip(isos, draws)
         )
-    (DATA / "pandemic_mortality_stub.csv").write_text("\n".join(rows) + "\n")
+    (out / "pandemic_mortality_stub.csv").write_text("\n".join(rows) + "\n")
 
 
-def write_sample_panel() -> None:
+def write_sample_panel(out: pathlib.Path) -> None:
     rng = np.random.default_rng(20260502)
     n, T = len(PANEL_COUNTRIES), len(PANEL_YEARS)
     years = np.asarray(list(PANEL_YEARS))
@@ -158,15 +160,20 @@ def write_sample_panel() -> None:
                 if (iso, int(year), col) in holes:
                     cells[col] = ""
             rows.append(f"{iso},{year}," + ",".join(cells.values()))
-    (DATA / "sample_panel.csv").write_text("\n".join(rows) + "\n")
+    (out / "sample_panel.csv").write_text("\n".join(rows) + "\n")
 
 
 def main() -> None:
-    DATA.mkdir(exist_ok=True)
-    write_events()
-    write_mortality_stub()
-    write_sample_panel()
-    print(f"wrote fixtures to {DATA}")
+    parser = argparse.ArgumentParser(description="Regenerate the CSV fixtures.")
+    parser.add_argument(
+        "--out", type=pathlib.Path, default=DATA, help="output directory (default: data/)"
+    )
+    out = parser.parse_args().out
+    out.mkdir(parents=True, exist_ok=True)
+    write_events(out)
+    write_mortality_stub(out)
+    write_sample_panel(out)
+    print(f"wrote fixtures to {out}")
 
 
 if __name__ == "__main__":

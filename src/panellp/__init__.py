@@ -74,7 +74,6 @@ from .panel import (
     standardize,
     two_way_demean,
 )
-from .simgen import DGPSpec, SimTruth, generate
 
 __all__ = [
     "__version__",
@@ -148,3 +147,13 @@ __all__ = [
     "SimTruth",
     "generate",
 ]
+
+
+def __getattr__(name: str):
+    # the simulator loads on first use, so importing the package for an
+    # estimate run does not pay for it
+    if name in ("DGPSpec", "SimTruth", "generate"):
+        from . import simgen
+
+        return getattr(simgen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

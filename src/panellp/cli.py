@@ -5,6 +5,8 @@ problem (bad config, malformed CSV, failing validation suite), 2 on an
 internal error.  Failures print exactly one machine-parsable line to
 stderr, ``error: <kind>: <detail>``, and remove any partially written
 output files so a crashed run never leaves a half-valid result directory.
+The simulator and the validation suites are imported by their own
+subcommands, so an ``estimate`` run never loads them.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ConfigError, PanelLPError
@@ -30,9 +33,10 @@ from .ingest import (
     write_regression_table,
 )
 from .lp import LPSpec, estimate_irf
-from .panel import Panel, VariableSpec
-from .simgen import DGPSpec, SimTruth, generate
-from .validation import SUITES, run_suite
+from .panel import VariableSpec
+
+if TYPE_CHECKING:
+    from .simgen import DGPSpec, SimTruth
 
 __all__ = ["main"]
 
@@ -64,7 +68,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--seed", type=int, default=None, help="override dgp.seed")
 
     val = sub.add_parser("validate", help="run a numerical validation suite")
-    val.add_argument("--suite", required=True, help="|".join(sorted(SUITES)))
+    val.add_argument("--suite", required=True, help="validation suite name")
     val.add_argument("--reps", type=int, default=None, help="override replication count")
     val.add_argument("--seed", type=int, default=None, help="override the suite seed")
     val.add_argument("--jobs", type=int, default=1, help="horizon thread pool size")
@@ -318,6 +322,8 @@ def _theta_tuple(raw: str, key: str) -> tuple[float, ...]:
 
 
 def _dgp_from_config(cfg: dict[str, str]) -> DGPSpec:
+    from .simgen import DGPSpec
+
     kwargs = {}
     for key, value in cfg.items():
         if key in _DGP_KEYS:
@@ -374,6 +380,8 @@ def _write_events_csv(events: EventList, path: str) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    from .simgen import generate
+
     cfg = load_config(args.config)
     dgp = _dgp_from_config(cfg)
     if args.seed is not None:
@@ -410,6 +418,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .validation import run_suite
+
     report = run_suite(args.suite, reps=args.reps, seed=args.seed, jobs=args.jobs)
     for line in report.lines:
         print(line)
@@ -436,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except PanelLPError as exc:
         stem = type(exc).__name__.removesuffix("Error") or "data"
-        kind = re.sub(r"(?<!^)(?=[A-Z])", "-", stem).lower()
+        kind = re.sub(r"(?<=[a-z])(?=[A-Z])", "-", stem).lower()
         print(f"error: {kind}: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the contract demands exit 2

@@ -283,7 +283,9 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
     resid = block[:, k] - block[:, :k] @ scaled
     # rows of D^-1 R^-1; the bread is W W'
     W = np.linalg.solve(Rr, np.eye(rank)) / norms[kept][:, None]
-    dropped = tuple(design.columns[j] for j in np.setdiff1d(np.arange(k), kept))
+    keep = np.zeros(k, dtype=bool)
+    keep[kept] = True
+    dropped = tuple(design.columns[j] for j in np.flatnonzero(~keep))
 
     rss = float(resid @ resid)
     dev = y - y.mean()

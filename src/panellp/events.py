@@ -102,7 +102,15 @@ class SeverityClasses:
 
 def _percentile(values: np.ndarray, q: float, rule: str) -> float:
     if rule == "linear":
-        return float(np.percentile(values, q))
+        # np.percentile's default (Hyndman & Fan type 7) in the same float
+        # operations, so the cutoffs match it bit for bit; np.percentile
+        # itself loads numpy.ma and numpy.random on its first call
+        ordered = np.sort(values)
+        h = (ordered.size - 1) * (q / 100.0)
+        lo = int(h)
+        a, b = float(ordered[lo]), float(ordered[min(lo + 1, ordered.size - 1)])
+        g = h - lo
+        return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
     if rule == "nearest_rank":
         # classical nearest-rank: the ceil(q/100 * n)-th order statistic
         n = values.size

@@ -21,13 +21,12 @@ thread pool; results are deterministic under any schedule.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptySampleError, MissingVariableError, PanelLPError
+from .errors import ConfigError, EmptySampleError, MissingVariableError, PanelLPError
 from .estimator import (
     PIVOT_RTOL,
     CoefficientInterval,
@@ -101,26 +100,38 @@ class LPSpec:
 
     def __post_init__(self):
         if self.kind not in ("baseline", "interaction", "transition"):
-            raise PanelLPError(f"unknown projection kind {self.kind!r}")
+            raise ConfigError(f"unknown projection kind {self.kind!r}")
         if self.horizons < 0:
-            raise PanelLPError("horizons must be >= 0")
+            raise ConfigError("horizons must be >= 0")
         if self.lag_order < 0:
-            raise PanelLPError("lag_order must be >= 0")
+            raise ConfigError("lag_order must be >= 0")
         if self.dummy_lags < 0:
-            raise PanelLPError("dummy_lags must be >= 0")
+            raise ConfigError("dummy_lags must be >= 0")
         if not 0.0 < self.conf_level < 1.0:
-            raise PanelLPError("conf_level must be in (0, 1)")
+            raise ConfigError(f"conf_level must be in (0, 1), got {self.conf_level}")
         _check_sigma(self.sigma)
         if self.cluster not in ("entity", "period"):
-            raise PanelLPError("cluster must be 'entity' or 'period'")
+            raise ConfigError("cluster must be 'entity' or 'period'")
         if self.z_scope not in ("pooled", "entity"):
-            raise PanelLPError("z_scope must be 'pooled' or 'entity'")
+            raise ConfigError("z_scope must be 'pooled' or 'entity'")
         if self.group_handling not in ("design", "report_only"):
-            raise PanelLPError("group_handling must be 'design' or 'report_only'")
+            raise ConfigError("group_handling must be 'design' or 'report_only'")
         if self.r2_mode not in ("within", "overall"):
-            raise PanelLPError("r2_mode must be 'within' or 'overall'")
+            raise ConfigError("r2_mode must be 'within' or 'overall'")
+        if self.shock_dummy not in ("all", "high", "medium", "low"):
+            raise ConfigError(
+                f"unknown shock dummy {self.shock_dummy!r}; "
+                "pick one of all, high, medium, low"
+            )
+        if self.percentile_rule not in ("linear", "nearest_rank"):
+            raise ConfigError(
+                f"percentile_rule must be 'linear' or 'nearest_rank', "
+                f"got {self.percentile_rule!r}"
+            )
+        if self.ci_dist not in ("t", "normal"):
+            raise ConfigError(f"ci_dist must be 't' or 'normal', got {self.ci_dist!r}")
         if self.kind == "transition" and not self.growth:
-            raise PanelLPError("transition design needs a growth variable")
+            raise ConfigError("transition design needs a growth variable")
 
 
 @dataclass(frozen=True)
@@ -162,7 +173,7 @@ class TransitionState:
 
 def _check_sigma(sigma: float) -> None:
     if not (math.isfinite(sigma) and sigma > 0.0):
-        raise PanelLPError(f"sigma must be a finite number > 0, got {sigma}")
+        raise ConfigError(f"sigma must be a finite number > 0, got {sigma}")
 
 
 def smooth_transition(z, sigma: float):
@@ -525,6 +536,9 @@ def estimate_irf(
             raise
 
     if jobs > 1 and len(ks) > 1:
+        # imported only here, so a serial run never loads concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             horizons = tuple(pool.map(run, ks))
     else:

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import PanelLPError
+from .errors import ConfigError, PanelLPError
 from .events import EventList, PandemicEvent
 from .lp import _check_sigma, smooth_transition
 from .panel import Panel
@@ -63,27 +63,34 @@ class DGPSpec:
 
     def __post_init__(self):
         if self.n_entities < 2:
-            raise PanelLPError("need at least 2 entities")
+            raise ConfigError("need at least 2 entities")
         if self.n_periods < 3:
-            raise PanelLPError("need at least 3 periods")
+            raise ConfigError("need at least 3 periods")
         for name in ("entity_sd", "time_sd", "noise_sd"):
             if getattr(self, name) < 0:
-                raise PanelLPError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0")
         if not abs(self.error_rho) < 1:
-            raise PanelLPError("error_rho must lie in (-1, 1)")
+            raise ConfigError("error_rho must lie in (-1, 1)")
         if not abs(self.ar_coef) < 1:
-            raise PanelLPError("ar_coef must lie in (-1, 1)")
+            raise ConfigError("ar_coef must lie in (-1, 1)")
         if not 0.0 <= self.shock_prob <= 1.0:
-            raise PanelLPError("shock_prob must lie in [0, 1]")
+            raise ConfigError("shock_prob must lie in [0, 1]")
         if not self.theta:
-            raise PanelLPError("theta path is empty")
+            raise ConfigError("theta path is empty")
         state = (self.theta_recession is not None, self.theta_expansion is not None)
         if any(state) and not all(state):
-            raise PanelLPError(
+            raise ConfigError(
                 "state dependence needs both theta_recession and theta_expansion"
             )
         if all(state) and len(self.theta_recession) != len(self.theta_expansion):
-            raise PanelLPError("state-dependent paths must have equal length")
+            raise ConfigError("state-dependent paths must have equal length")
+        if all(state) and not (
+            self.theta_recession and self.theta_recession[0] == 0.0 == self.theta_expansion[0]
+        ):
+            raise ConfigError(
+                "state-dependent paths must have zero impact at horizon 0 "
+                "(the weight is read off growth in the shock year itself)"
+            )
         _check_sigma(self.sigma)
 
     @property
@@ -165,11 +172,6 @@ def generate(dgp: DGPSpec) -> tuple[Panel, EventList, SimTruth]:
         # standardizing the realized growth series will compute.
         thL = np.asarray(dgp.theta_recession)
         thH = np.asarray(dgp.theta_expansion)
-        if thL[0] != 0.0 or thH[0] != 0.0:
-            raise PanelLPError(
-                "state-dependent paths must have zero impact at horizon 0 "
-                "(the weight is read off growth in the shock year itself)"
-            )
         K = len(thL)
 
         def _inject(mean: float, sd: float):

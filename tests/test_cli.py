@@ -12,7 +12,14 @@ import sys
 import numpy as np
 import pytest
 
+import panellp.cli
 from panellp.cli import main
+from panellp.errors import (
+    DataError,
+    DegenerateDesignError,
+    InsufficientClustersError,
+    PanelLPError,
+)
 from panellp.ingest import read_event_list, read_irf, read_panel
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -250,7 +257,50 @@ def test_estimate_non_finite_sigma_exits_1(tmp_path, sim_dir, capsys, sigma):
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert rc == 1
     assert len(errors) == 1 and "sigma" in errors[0]
+    assert errors[0].startswith("error: config:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "spec.percentile_rule = bogus",
+        "spec.ci_dist = bogus",
+        "spec.shock = bogus",
+        "spec.conf_level = 1.5",
+    ],
+)
+def test_estimate_bad_spec_value_is_a_config_error(tmp_path, sim_dir, capsys, line):
+    # rejected when the spec is built: a bad percentile rule used to be
+    # ignored without mortality data, the others failed only mid-run
+    cfg = estimate_config(tmp_path, sim_dir, extra=[line])
+    rc = main(["estimate", "--config", str(cfg)])
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert rc == 1
+    assert len(errors) == 1 and errors[0].startswith("error: config:")
+    assert line.split(" = ")[1] in errors[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "exc, kind",
+    [
+        (PanelLPError, "panel-lp"),
+        (DataError, "data"),
+        (DegenerateDesignError, "degenerate-design"),
+        (InsufficientClustersError, "insufficient-clusters"),
+    ],
+)
+def test_error_kind_is_the_class_name_in_kebab_case(
+    tmp_path, sim_dir, capsys, monkeypatch, exc, kind
+):
+    def fail(*args, **kwargs):
+        raise exc("boom")
+
+    monkeypatch.setattr(panellp.cli, "estimate_irf", fail)
+    rc = main(["estimate", "--config", str(estimate_config(tmp_path, sim_dir))])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {kind}: boom\n"
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from panellp.errors import EventError, MissingVariableError
 from panellp.events import (
     EventList,
     PandemicEvent,
+    _percentile,
     build_dummies,
     severity_terciles,
 )
@@ -61,6 +62,29 @@ def test_tercile_cutoffs_frozen_values():
     # and on three points 0, 1, 2: P30 = 0.6, P70 = 1.4
     assert float(np.percentile(np.arange(3.0), 30)) == pytest.approx(0.6)
     assert float(np.percentile(np.arange(3.0), 70)) == pytest.approx(1.4)
+
+
+# mortality-like magnitudes, some log-uniform, with ties drawn from a pool
+_magnitudes = st.one_of(
+    st.just(0.0),
+    st.floats(1e-5, 1e5),
+    st.floats(-5.0, 5.0).map(lambda e: 10.0**e),
+)
+_samples = st.one_of(
+    st.lists(_magnitudes, min_size=1, max_size=60),
+    st.lists(_magnitudes, min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60)
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_samples, st.sampled_from([30.0, 70.0]))
+def test_linear_percentile_matches_numpy_exactly(values, q):
+    # the in-house linear rule must reproduce np.percentile bit for bit,
+    # or a country on a cutoff could change severity class
+    arr = np.asarray(values)
+    assert _percentile(arr, q, "linear") == float(np.percentile(arr, q))
 
 
 def test_terciles_classify_strictly():

@@ -347,17 +347,22 @@ def test_horizon_failure_keeps_the_exception_and_its_attributes(monkeypatch, job
 
 @pytest.mark.parametrize("kind", ["baseline", "transition"])
 def test_horizon_fits_sort_no_labels(monkeypatch, kind):
-    # the fits count and group by the grid codes the designs carry
+    # the fits count and group by the grid codes the designs carry; the set
+    # routines sort through numpy's module-level unique, which the np.unique
+    # patch alone cannot see
     calls = []
-    real = np.unique
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
 
     panel, events, _ = sim_case()
     spec = spec_y(kind=kind, growth="growth" if kind == "transition" else None)
-    monkeypatch.setattr(np, "unique", counting)
+    for name in ("unique", "setdiff1d", "intersect1d", "isin"):
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
     estimate_irf(panel, events, spec)
     assert calls == []
 

@@ -48,14 +48,16 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_estimate_run_loads_no_scipy(tmp_path):
-    # importing the package and running a whole estimate must not pull in
-    # any scipy module: the fit, the intervals and the weights are numpy
-    # and standard library only
-    root = pathlib.Path(__file__).resolve().parents[1]
-    cfg = (root / "configs" / "sample_baseline.cfg").read_text()
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _run_sample_estimate(tmp_path, report: str) -> str:
+    """Run ``estimate`` on the sample config in a fresh interpreter and
+    return the last stdout line, ``<exit code> <report>``, where ``report``
+    is an expression evaluated after the run."""
+    cfg = (ROOT / "configs" / "sample_baseline.cfg").read_text()
     for key in ("input.panel", "input.events", "input.mortality"):
-        cfg = cfg.replace(f"{key} = ", f"{key} = {root}/")
+        cfg = cfg.replace(f"{key} = ", f"{key} = {ROOT}/")
     out = tmp_path / "out"
     cfg = cfg.replace("output.dir = out/sample_baseline", f"output.dir = {out}")
     run_cfg = tmp_path / "run.cfg"
@@ -63,14 +65,58 @@ def test_estimate_run_loads_no_scipy(tmp_path):
     code = (
         "import sys, panellp, panellp.cli\n"
         f"rc = panellp.cli.main(['estimate', '--config', {str(run_cfg)!r}])\n"
-        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"print(rc, {report})\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "0 []"
     assert (out / "irf.csv").exists()
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_estimate_run_loads_no_scipy(tmp_path):
+    # importing the package and running a whole estimate must not pull in
+    # any scipy module: the fit, the intervals and the weights are numpy
+    # and standard library only
+    report = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    assert _run_sample_estimate(tmp_path, report) == "0 []"
+
+
+def test_estimate_run_loads_only_the_estimate_path(tmp_path):
+    # every estimate run is a fresh process, so each module it loads but
+    # never uses is start-up time paid on every run
+    unused = (
+        "numpy.ma",
+        "numpy.random",
+        "panellp.simgen",
+        "panellp.validation",
+        "concurrent.futures",
+    )
+    report = f"[m for m in {unused!r} if m in sys.modules]"
+    assert _run_sample_estimate(tmp_path, report) == "0 []"
+
+
+def test_simulator_names_load_on_first_use():
+    code = (
+        "import sys, panellp\n"
+        "before = 'panellp.simgen' in sys.modules\n"
+        "gen = panellp.generate\n"
+        "from panellp import *\n"
+        "from panellp import simgen\n"
+        "print(before, gen is generate is simgen.generate,\n"
+        "      DGPSpec is simgen.DGPSpec, SimTruth is simgen.SimTruth)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True", "True"]
+    with pytest.raises(AttributeError, match="no attribute 'ghost'"):
+        panellp.ghost
