@@ -1,13 +1,16 @@
 """Least-squares fitting and cluster-robust inference.
 
-The solver factors each design once, by an R-only QR of the columns
-scaled to unit norm with the response appended, and drops, in design
-order, every column within a relative tolerance of the span of the kept
-columns before it.  So rank-deficient designs (absorbed group dummies,
-duplicated regressors) degrade gracefully: the dropped names are reported
-instead of blowing up or silently returning a pseudo-inverse fit.  Normal
-equations are never formed or inverted here — they exist only as an
-independent oracle in tests and in :mod:`panellp.validation`.
+The solver factors each design once: it builds the R factor of the
+columns scaled to unit norm, with the response appended, a panel of rows
+at a time (TSQR: each panel is reduced to its triangle and the stacked
+triangles are factored once more), so a fit never copies its n-row
+design.  It then drops, in design order, every column within a relative
+tolerance of the span of the kept columns before it.  So rank-deficient
+designs (absorbed group dummies, duplicated regressors) degrade
+gracefully: the dropped names are reported instead of blowing up or
+silently returning a pseudo-inverse fit.  Normal equations are never
+formed or inverted here — they exist only as an independent oracle in
+tests and in :mod:`panellp.validation`.
 
 Covariances are the one-way cluster sandwich with the finite-sample scaling
 ``G/(G-1) * (N-1)/(N-K)``.  Its bread ``(X'X)^-1`` comes from the same R
@@ -55,6 +58,11 @@ __all__ = [
 # large units (population, GDP in currency) cannot make the others look
 # collinear.
 PIVOT_RTOL = 1e-10
+
+# Rows per panel of the blocked factorisation in ols_fit.  A panel is
+# reduced to k + 1 rows, so the height grows with k to at least four times
+# that, and a wide dummy-variable design still shrinks fourfold per panel.
+_PANEL_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -214,14 +222,17 @@ def _rank_filtered_triangle(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drop the columns of ``[X | y]``'s triangle that fail the rank rule.
 
-    ``R`` is the R factor of the ``k`` unit-norm design columns followed by
-    the response.  A design column is kept when its distance from the span
-    of the kept columns before it, the magnitude of its diagonal entry once
-    the columns dropped before it are gone, exceeds ``PIVOT_RTOL``.  Each
-    drop re-triangularises the small triangle without that column, never
-    the n rows.  Columns past the last row of a wide design lie in the span
-    of those before them.  Returns the triangle of the kept columns and the
-    response, and the kept column indices in design order.
+    ``R`` is an R factor of the ``k`` unit-norm design columns followed by
+    the response, with at most ``k + 1`` rows: from one QR of all rows or
+    from :func:`ols_fit`'s panel by panel.  The rule depends on it only
+    through ``R'R``, which every such factor shares.  A design column is
+    kept when its distance from the span of the kept columns before it,
+    the magnitude of its diagonal entry once the columns dropped before it
+    are gone, exceeds ``PIVOT_RTOL``.  Each drop re-triangularises the
+    small triangle without that column, never the n rows.  Columns past
+    the last row of a wide design lie in the span of those before them.
+    Returns the triangle of the kept columns and the response, and the
+    kept column indices in design order.
     """
     kept = np.arange(k)
     while True:
@@ -238,18 +249,25 @@ def _rank_filtered_triangle(
 
 
 def ols_fit(design: DesignMatrix) -> RegressionResult:
-    """Least squares via one R-only QR of ``[X / ||X|| | y]``.
+    """Least squares via the R factor of ``[X / ||X|| | y]``, panel by panel.
 
     The unit-norm design columns and the response are factored together
-    by LAPACK ``geqrf`` (``np.linalg.qr(mode="r")``); no n-row ``Q`` is
-    formed.  The rank rule runs in design order, as R's ``lm`` does: a
-    column is dropped when its unit-norm distance from the span of the
-    kept columns before it is at most ``PIVOT_RTOL`` (all-zero columns
-    among them), so of two collinear columns the later one is dropped and
-    reported in ``dropped_columns``.  The kept block ``R`` of the triangle
-    and its last column ``Q'y`` give the coefficients, unscaled by the
-    norms ``D``, and the bread ``(X'X)^-1 = D^-1 R^-1 R^-T D^-1``; the
-    residuals are ``y - X beta``.  Entity, period and cluster counts are
+    by TSQR (Demmel, Grigori, Hoemmen & Langou 2012): each panel of about
+    ``_PANEL_ROWS`` rows is scaled into one reused column-major buffer and
+    reduced by an R-only LAPACK ``geqrf`` (``np.linalg.qr(mode="r")``),
+    and one more R-only QR of the stacked panel triangles gives the R
+    factor of the whole design.  Each row enters one panel factorisation;
+    no n-row ``Q`` and no n-row copy of the design is formed (a design
+    that is not column-major is copied once to column-major).
+
+    The rank rule runs in design order, as R's ``lm`` does: a column is
+    dropped when its unit-norm distance from the span of the kept columns
+    before it is at most ``PIVOT_RTOL`` (all-zero columns among them), so
+    of two collinear columns the later one is dropped and reported in
+    ``dropped_columns``.  The kept block ``R`` of the triangle and its last
+    column ``Q'y`` give the coefficients, unscaled by the norms ``D``, and
+    the bread ``(X'X)^-1 = D^-1 R^-1 R^-T D^-1``; the residuals are
+    ``y - X beta``.  Entity, period and cluster counts are
     the distinct row codes.  R-squared is ``1 - RSS/TSS`` with TSS taken
     about the response mean (the within R-squared when the design was
     demeaned).
@@ -257,30 +275,35 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
     if design.n_rows == 0:
         raise EmptySampleError("no rows in design")
     y = design.response
-    X = design.matrix
+    X = np.asfortranarray(design.matrix)
     n, k = X.shape
     if k == 0:
         raise DegenerateDesignError("design has no columns")
 
-    # one column-major block [X / ||X|| | y] whatever the layout of X, so
-    # LAPACK reads contiguous columns and every sum runs in the same order
-    block = np.empty((n, k + 1), order="F")
-    block[:, :k] = X
-    block[:, k] = y
-    norms = np.sqrt(np.einsum("ij,ij->j", block[:, :k], block[:, :k]))
+    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
     norms[norms == 0.0] = 1.0
-    block[:, :k] /= norms
-    R, kept = _rank_filtered_triangle(np.linalg.qr(block, mode="r"), k)
+    # R of [X / ||X|| | y], one panel of rows at a time
+    rows = min(n, max(_PANEL_ROWS, 4 * (k + 1)))
+    panel = np.empty((rows, k + 1), order="F")
+    triangles = []
+    for start in range(0, n, rows):
+        part = panel[: min(rows, n - start)]
+        np.divide(X[start : start + rows], norms, out=part[:, :k])
+        part[:, k] = y[start : start + rows]
+        triangles.append(np.linalg.qr(part, mode="r"))
+    if len(triangles) > 1:
+        triangles = [np.linalg.qr(np.vstack(triangles), mode="r")]
+    R, kept = _rank_filtered_triangle(triangles[0], k)
     rank = kept.size
     if rank == 0:
         raise DegenerateDesignError(
             "design has no usable columns (every column is zero)"
         )
     Rr = R[:rank, :rank]
-    # coefficients of the scaled columns, zero on the dropped ones
-    scaled = np.zeros(k)
-    scaled[kept] = np.linalg.solve(Rr, R[:rank, rank])
-    resid = block[:, k] - block[:, :k] @ scaled
+    # coefficients in the design's units, zero on the dropped columns
+    beta = np.zeros(k)
+    beta[kept] = np.linalg.solve(Rr, R[:rank, rank]) / norms[kept]
+    resid = y - X @ beta
     # rows of D^-1 R^-1; the bread is W W'
     W = np.linalg.solve(Rr, np.eye(rank)) / norms[kept][:, None]
     keep = np.zeros(k, dtype=bool)
@@ -294,7 +317,7 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
 
     return RegressionResult(
         columns=tuple(design.columns[j] for j in kept),
-        coefficients=scaled[kept] / norms[kept],
+        coefficients=beta[kept],
         residuals=resid,
         n_obs=n,
         n_clusters=_count_codes(design.cluster_codes),

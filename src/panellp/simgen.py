@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, PanelLPError
+from .errors import ConfigError
 from .events import EventList, PandemicEvent
 from .lp import _check_sigma, smooth_transition
 from .panel import Panel
@@ -152,7 +152,7 @@ def generate(dgp: DGPSpec) -> tuple[Panel, EventList, SimTruth]:
     else:
         D = (rng.random((E, T)) < dgp.shock_prob).astype(float)
     if D.sum() == 0:
-        raise PanelLPError(
+        raise ConfigError(
             "the draw produced no shocks; raise shock_prob or fix a schedule"
         )
 

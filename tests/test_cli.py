@@ -105,6 +105,16 @@ def test_simulate_unknown_dgp_key(tmp_path, capsys):
     assert "error: config:" in capsys.readouterr().err
 
 
+def test_simulate_without_shocks_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "noshock.cfg"
+    write_lines(cfg, ["dgp.entities = 5", "dgp.periods = 6", "dgp.shock_prob = 0"])
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert "error: config: the draw produced no shocks" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------

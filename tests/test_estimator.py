@@ -7,6 +7,8 @@ per-cluster loop for the sandwich, and frozen distribution constants.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -18,6 +20,7 @@ from panellp.errors import (
     PanelLPError,
 )
 from panellp.estimator import (
+    _PANEL_ROWS,
     CoefficientInterval,
     DesignMatrix,
     RegressionResult,
@@ -110,6 +113,44 @@ def test_ols_matches_normal_equations(rng):
         assert np.abs(d.matrix.T @ fit.residuals).max() < 1e-8
 
 
+@pytest.mark.parametrize(
+    "n",
+    [_PANEL_ROWS - 1, _PANEL_ROWS, _PANEL_ROWS + 1, 3 * _PANEL_ROWS + 7],
+    ids=["P-1", "P", "P+1", "3P+7"],
+)
+def test_ols_matches_normal_equations_across_panels(rng, n):
+    # designs that end just short of, on, and past a panel boundary, and
+    # one that spans several panels with a ragged last one
+    d = make_design(rng, n=n, k=4)
+    fit = ols_fit(d)
+    ref = normal_equations(d.matrix, d.response)
+    np.testing.assert_allclose(fit.coefficients, ref, rtol=0, atol=1e-12)
+    assert np.abs(d.matrix.T @ fit.residuals).max() < 1e-8
+
+
+def test_ols_drops_a_twin_whose_rows_lie_past_the_first_panel(rng):
+    # ``a`` and its twin are zero on every row of the first panel, so only
+    # the factorisation of the stacked panel triangles can see them collide
+    n = 2 * _PANEL_ROWS + 5
+    a = rng.normal(size=n)
+    a[:_PANEL_ROWS] = 0.0
+    X = np.column_stack([rng.normal(size=n), a, rng.normal(size=n), a])
+    y = X[:, :3] @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=n)
+    d = DesignMatrix(
+        response=y,
+        matrix=X,
+        columns=("x", "a", "b", "a_copy"),
+        entities=np.arange(n) % 9,
+        periods=np.arange(n),
+        clusters=np.arange(n) % 9,
+    )
+    fit = ols_fit(d)
+    assert fit.columns == ("x", "a", "b")
+    assert fit.dropped_columns == ("a_copy",)
+    ref = normal_equations(X[:, :3], y)
+    np.testing.assert_allclose(fit.coefficients, ref, rtol=0, atol=1e-12)
+
+
 def test_ols_r_squared_definition(rng):
     d = make_design(rng)
     fit = ols_fit(d)
@@ -175,57 +216,93 @@ def test_ols_drops_duplicated_column(rng, pos, scale):
 
 
 def test_ols_wide_design_drops_every_column_past_the_rank(rng):
-    # 4 rows span R^4, so of 7 generic columns the last 3 lie in the span
-    # of those before them
-    names = tuple(f"x{j}" for j in range(7))
-    d = DesignMatrix(
-        response=rng.normal(size=4),
-        matrix=rng.normal(size=(4, 7)),
-        columns=names,
-        entities=np.arange(4),
-        periods=np.arange(4),
-        clusters=np.arange(4),
-    )
+    # n rows span R^n, so of k > n generic columns the last k - n lie in
+    # the span of those before them
+    for n, k in ((4, 7), (300, 400)):
+        names = tuple(f"x{j}" for j in range(k))
+        d = DesignMatrix(
+            response=rng.normal(size=n),
+            matrix=rng.normal(size=(n, k)),
+            columns=names,
+            entities=np.arange(n),
+            periods=np.arange(n),
+            clusters=np.arange(n),
+        )
+        fit = ols_fit(d)
+        assert fit.columns == names[:n]
+        assert fit.dropped_columns == names[n:]
+        assert fit.bread.shape == (n, n)
+        # a square nonsingular system is solved exactly
+        np.testing.assert_allclose(
+            d.matrix[:, :n] @ fit.coefficients, d.response, atol=1e-12
+        )
+
+
+def test_ols_wide_design_spanning_several_panels(rng):
+    # with this many columns a panel holds more than _PANEL_ROWS rows, and
+    # the design still spans three of them
+    n, k = 3 * 4 * 301, 300
+    d = make_design(rng, n=n, k=k)
     fit = ols_fit(d)
-    assert fit.columns == names[:4]
-    assert fit.dropped_columns == names[4:]
-    assert fit.bread.shape == (4, 4)
-    # a square nonsingular system is solved exactly
-    np.testing.assert_allclose(
-        d.matrix[:, :4] @ fit.coefficients, d.response, atol=1e-12
-    )
+    assert fit.dropped_columns == ()
+    ref = np.linalg.lstsq(d.matrix, d.response, rcond=None)[0]
+    np.testing.assert_allclose(fit.coefficients, ref, rtol=0, atol=1e-10)
 
 
 def test_ols_fit_is_independent_of_the_matrix_layout(rng):
-    # the fit copies the design into its own column-major block, so a
-    # C-order array, an F-order array and a strided view give the same bits
-    wide = rng.normal(size=(50, 8))
-    views = {
-        "C": np.ascontiguousarray(wide[:, ::2]),
-        "F": np.asfortranarray(wide[:, ::2]),
-        "strided": wide[:, ::2],
-    }
-    assert not views["strided"].flags.c_contiguous
-    assert not views["strided"].flags.f_contiguous
-    y = rng.normal(size=50)
-    fits = {
-        name: ols_fit(
-            DesignMatrix(
-                response=y,
-                matrix=X,
-                columns=("a", "b", "c", "d"),
-                entities=np.arange(50) % 5,
-                periods=np.arange(50),
-                clusters=np.arange(50) % 5,
+    # the fit reads the design column-major, copying it when it is not, so
+    # a C-order array, an F-order array and a strided view give the same
+    # bits, with one panel of rows or several
+    for n in (50, 3 * _PANEL_ROWS + 7):
+        wide = rng.normal(size=(n, 8))
+        views = {
+            "C": np.ascontiguousarray(wide[:, ::2]),
+            "F": np.asfortranarray(wide[:, ::2]),
+            "strided": wide[:, ::2],
+        }
+        assert not views["strided"].flags.c_contiguous
+        assert not views["strided"].flags.f_contiguous
+        y = rng.normal(size=n)
+        fits = {
+            name: ols_fit(
+                DesignMatrix(
+                    response=y,
+                    matrix=X,
+                    columns=("a", "b", "c", "d"),
+                    entities=np.arange(n) % 5,
+                    periods=np.arange(n),
+                    clusters=np.arange(n) % 5,
+                )
             )
-        )
-        for name, X in views.items()
-    }
-    for name in ("F", "strided"):
-        for attr in ("coefficients", "bread", "residuals"):
-            np.testing.assert_array_equal(
-                getattr(fits[name], attr), getattr(fits["C"], attr)
-            )
+            for name, X in views.items()
+        }
+        for name in ("F", "strided"):
+            for attr in ("coefficients", "bread", "residuals"):
+                np.testing.assert_array_equal(
+                    getattr(fits[name], attr), getattr(fits["C"], attr)
+                )
+
+
+def test_ols_fit_holds_no_copy_of_a_tall_design(rng):
+    # the factorisation works on one panel of rows at a time, so a fit
+    # needs fewer than four n-vectors, its residuals among them; one
+    # n x (k+1) copy of this column-major design would take eleven
+    n = 40_000
+    d = DesignMatrix(
+        response=rng.normal(size=n),
+        matrix=np.asfortranarray(rng.normal(size=(n, 10))),
+        columns=tuple(f"x{j}" for j in range(10)),
+        entities=np.arange(n) % 200,
+        periods=np.arange(n) // 200,
+        clusters=np.arange(n) % 200,
+    )
+    tracemalloc.start()
+    try:
+        ols_fit(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * 8
 
 
 def test_ols_scaling_invariance(rng):

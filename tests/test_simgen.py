@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from panellp.errors import PanelLPError
+from panellp.errors import ConfigError, PanelLPError
 from panellp.lp import smooth_transition
 from panellp.simgen import DGPSpec, generate
 
@@ -75,7 +75,7 @@ def test_schedule_overrides_random_draws():
 
 
 def test_zero_shock_draw_is_an_error():
-    with pytest.raises(PanelLPError, match="no shocks"):
+    with pytest.raises(ConfigError, match="no shocks"):
         generate(DGPSpec(n_entities=2, n_periods=3, shock_prob=0.0))
 
 
