@@ -3,6 +3,7 @@ horizon, and cluster-robust impulse-response bands."""
 
 __version__ = "0.1.0"
 
+from ._heap import hold_freed_heap
 from .errors import (
     ConfigError,
     DataError,
@@ -74,6 +75,10 @@ from .panel import (
     standardize,
     two_way_demean,
 )
+
+# every horizon frees and rebuilds a few MiB of arrays; keep that memory
+# mapped, so a run's speed does not depend on what it happened to free first
+hold_freed_heap()
 
 __all__ = [
     "__version__",

@@ -120,3 +120,63 @@ def test_simulator_names_load_on_first_use():
     assert proc.stdout.split() == ["False", "True", "True", "True"]
     with pytest.raises(AttributeError, match="no attribute 'ghost'"):
         panellp.ghost
+
+
+def _glibc() -> bool:
+    import ctypes
+
+    try:
+        return sys.platform.startswith("linux") and bool(ctypes.CDLL(None).mallopt)
+    except (OSError, AttributeError):
+        return False
+
+
+def _untuned_env() -> dict[str, str]:
+    return {
+        k: v
+        for k, v in os.environ.items()
+        if k != "GLIBC_TUNABLES" and not (k.startswith("MALLOC_") and k.endswith("_"))
+    }
+
+
+@pytest.mark.skipif(not _glibc(), reason="glibc heap thresholds")
+def test_import_keeps_a_freed_block_mapped():
+    # a horizon's few MiB of arrays are freed and built again by the next
+    # horizon; with glibc's default thresholds the second 3 MiB block
+    # lands on fresh pages and faults in about 700 of its 768
+    code = (
+        "import resource, numpy as np, panellp\n"
+        "def faults():\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    block = np.full(3 << 17, 1.0)\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "faults()\n"
+        "print(faults())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**_untuned_env(), "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 64
+
+
+@pytest.mark.skipif(not _glibc(), reason="glibc heap thresholds")
+@pytest.mark.parametrize(
+    "var, value",
+    [
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+    ],
+)
+def test_heap_tuned_by_the_environment_is_left_alone(monkeypatch, var, value):
+    from panellp._heap import hold_freed_heap
+
+    for name in set(os.environ) - set(_untuned_env()):
+        monkeypatch.delenv(name)
+    assert hold_freed_heap()
+    monkeypatch.setenv(var, value)
+    assert not hold_freed_heap()
