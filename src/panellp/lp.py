@@ -14,19 +14,22 @@ clustered by country.  Three designs are supported:
   function of standardized output growth, separating responses in weak
   and strong states of the cycle.
 
-Horizon regressions are independent of one another, so they may run in a
-thread pool; results are deterministic under any schedule.
+Every horizon shares one right-hand side, so a study builds its regressors
+once; each horizon adds only its response, drops the rows that lack it,
+projects out the fixed effects and fits.  Horizons are independent of one
+another, so they may run in a thread pool; results are deterministic under
+any schedule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, EmptySampleError, MissingVariableError, PanelLPError
+from .errors import ConfigError, EmptySampleError, PanelLPError
 from .estimator import (
     PIVOT_RTOL,
     CoefficientInterval,
@@ -36,7 +39,7 @@ from .estimator import (
     fit_with_covariance,
     linear_combination,
 )
-from .events import EventList, EventSet, build_dummies
+from .events import EventList, build_dummies
 from .panel import (
     Panel,
     VariableSpec,
@@ -148,11 +151,8 @@ class GroupSpec:
             raise PanelLPError(f"group {self.name!r} has no members")
 
     def indicator(self, panel: Panel) -> np.ndarray:
-        col = np.zeros((panel.n_entities, panel.n_periods))
-        for i, ent in enumerate(panel.entities):
-            if ent in self.members:
-                col[i, :] = 1.0
-        return col
+        member = np.array([e in self.members for e in panel.entities], dtype=float)
+        return np.repeat(member[:, None], panel.n_periods, axis=1)
 
 
 @dataclass(frozen=True)
@@ -268,18 +268,40 @@ _GROUP = "group"
 _GROUP_SHOCK = "shock_x_group"
 
 
-def _prepare_common(
-    panel: Panel, events: EventList, spec: LPSpec
-) -> tuple[Panel, list[str], dict[str, int], EventSet]:
-    """Shared columns: transformed outcome, shock dummies + lags, controls,
-    lagged outcome growth.  Returns the augmented panel, the regressor name
-    list in reporting order (shock block first), and log-loss diagnostics.
+@dataclass(frozen=True)
+class _Study:
+    """What every horizon of one study shares: the transformed outcome and
+    the regressors (``work``), the cells where every regressor is present
+    (``mask``), and each reported series with its coefficient weights
+    (``None``: the coefficient of that name).
     """
-    missing: dict[str, int] = {}
+
+    work: Panel
+    columns: tuple[str, ...]
+    mask: np.ndarray
+    missing_counts: Mapping[str, int]
+    series: tuple[tuple[str, Mapping[str, float] | None], ...]
+
+
+def _build_study(
+    panel: Panel,
+    events: EventList,
+    spec: LPSpec,
+    kind: str,
+    group: GroupSpec | None = None,
+    state: TransitionState | None = None,
+) -> _Study:
+    """The per-study step: every regressor of a ``kind`` design, once, in
+    reporting order (shock block first).  Missing cells are counted per
+    working column, holes and log losses together; the outcome's count
+    (that of the horizon-0 response) goes under the dependent's name.
+    """
+    if kind == "transition" and (
+        state.entities != panel.entities or state.periods != panel.periods
+    ):
+        raise PanelLPError("transition state was built for a different panel")
     dep = replace(spec.dependent, name=_DEP, source=spec.dependent.src)
-    work, bad = apply_variable_spec(panel, dep)
-    if bad:
-        missing[spec.dependent.name] = bad
+    work, _ = apply_variable_spec(panel, dep)
 
     eventset = build_dummies(events, work, rule=spec.percentile_rule)
     work = work.with_column(SHOCK, eventset.column(spec.shock_dummy))
@@ -289,40 +311,71 @@ def _prepare_common(
         work = add_lag(work, SHOCK, j)
         names.append(f"{SHOCK}_lag_{j}")
 
-    for ctrl in spec.controls:
-        work, bad = apply_variable_spec(work, ctrl)
-        if bad:
-            missing[ctrl.name] = bad
+    # the transition design replaces the level controls by its state block
+    for ctrl in spec.controls if kind != "transition" else ():
+        work, _ = apply_variable_spec(work, ctrl)
         names.append(ctrl.name)
 
     work = first_difference(work, _DEP, out="__dgrow")
     for j in range(1, spec.lag_order + 1):
         work = add_lag(work, "__dgrow", j, out=f"outcome_growth_lag_{j}")
         names.append(f"outcome_growth_lag_{j}")
-    return work, names, missing, eventset
+
+    series = ((SHOCK, None),)
+    if kind == "interaction":
+        gcol = group.indicator(work)
+        work = work.with_column(_GROUP_SHOCK, gcol * work.column(SHOCK))
+        terms = [_GROUP_SHOCK]
+        if spec.group_handling == "design":
+            work = work.with_column(_GROUP, gcol)
+            terms.append(_GROUP)
+        # product and membership terms sit right after the shock
+        names = names[:1] + terms + names[1:]
+        series = (
+            (f"effect_outside_{group.name}", {SHOCK: 1.0}),
+            (f"effect_in_{group.name}", {SHOCK: 1.0, _GROUP_SHOCK: 1.0}),
+        )
+    elif kind == "transition":
+        F = state.weight
+        shock = work.column(SHOCK)
+        work = work.with_column(SHOCK_RECESSION, F * shock)
+        work = work.with_column(SHOCK_EXPANSION, (1.0 - F) * shock)
+        work = work.with_column("__fz", F)
+        names = [SHOCK_RECESSION, SHOCK_EXPANSION] + names[1:]
+        for j in range(1, spec.dummy_lags + 1):
+            work = add_lag(work, spec.growth, j, out=f"growth_lag_{j}")
+            names.append(f"growth_lag_{j}")
+            work = add_lag(work, "__fz", j, out=f"recession_weight_lag_{j}")
+            names.append(f"recession_weight_lag_{j}")
+        series = ((SHOCK_RECESSION, None), (SHOCK_EXPANSION, None))
+
+    counts = {spec.dependent.name: work.missing_count(_DEP)}
+    counts.update((n, work.missing_count(n)) for n in names)
+    return _Study(
+        work=work.select([_DEP, *names]),
+        columns=tuple(names),
+        mask=work.present_mask(names),
+        missing_counts={n: c for n, c in counts.items() if c},
+        series=series,
+    )
 
 
-def _finish_design(
-    work: Panel,
-    spec: LPSpec,
-    k: int,
-    names: list[str],
-    missing: dict[str, int],
-) -> DesignMatrix:
-    """Listwise-delete, demean, and pack the horizon-k design."""
-    work = horizon_delta(work, _DEP, k, out="__resp")
-    needed = ["__resp"] + names
-    mask = work.present_mask(needed)
+def _horizon_design(study: _Study, spec: LPSpec, k: int) -> DesignMatrix:
+    """The per-horizon step: add the response, listwise-delete, demean and
+    pack the horizon-k design."""
+    work = horizon_delta(study.work, _DEP, k, out="__resp")
+    missing = np.isnan(work.column("__resp"))
+    mask = study.mask & ~missing
     ent_idx, per_idx = np.nonzero(mask)
     if ent_idx.size == 0:
-        counts = {n: work.missing_count(n) for n in needed}
+        counts = {"response": int(missing.sum()), **study.missing_counts}
         raise EmptySampleError(
             f"no complete rows at horizon {k}; missing cells per variable: {counts}"
         )
     # one column-major block [response | regressors], demeaned in place, so
     # the fit reads contiguous columns
-    block = np.empty((ent_idx.size, len(needed)), order="F")
-    for j, n in enumerate(needed):
+    block = np.empty((ent_idx.size, 1 + len(study.columns)), order="F")
+    for j, n in enumerate(("__resp", *study.columns)):
         block[:, j] = work.column(n)[mask]
     raw_response = block[:, 0].copy()
     raw_ss = np.einsum("ij,ij->j", block[:, 1:], block[:, 1:])
@@ -341,21 +394,16 @@ def _finish_design(
     demeaned[:, 1:][:, within_ss <= PIVOT_RTOL**2 * raw_ss] = 0.0
     entities, periods = work.cell_labels(ent_idx, per_idx)
     by_entity = spec.cluster == "entity"
-    per_var_missing = dict(missing)
-    for n in needed:
-        c = work.missing_count(n)
-        if c:
-            per_var_missing.setdefault(n, c)
     return DesignMatrix(
         response=demeaned[:, 0],
         matrix=demeaned[:, 1:],
-        columns=tuple(names),
+        columns=study.columns,
         entities=entities,
         periods=periods,
         clusters=entities if by_entity else periods,
         raw_response=raw_response,
         demean_sweeps=sweeps,
-        missing_counts=per_var_missing,
+        missing_counts=dict(study.missing_counts),
         entity_codes=ent_idx,
         period_codes=per_idx,
         cluster_codes=ent_idx if by_entity else per_idx,
@@ -371,9 +419,10 @@ def build_baseline_design(
     controls, and the lagged outcome growth terms.  The response is the
     k-period forward change of the transformed outcome.  Response and
     regressors are two-way demeaned on the listwise-complete sample.
+    Runs the per-study and the per-horizon step of :func:`estimate_irf`
+    for the one horizon.
     """
-    work, names, missing, _ = _prepare_common(panel, events, spec)
-    return _finish_design(work, spec, k, names, missing)
+    return _horizon_design(_build_study(panel, events, spec, "baseline"), spec, k)
 
 
 def build_interaction_design(
@@ -384,18 +433,11 @@ def build_interaction_design(
     The membership column is time-invariant, so with entity effects active
     it is absorbed; the solver's rank filter then reports it dropped.  Set
     ``spec.group_handling = "report_only"`` to leave the membership column
-    out of the design up front and keep only the product term.
+    out of the design up front and keep only the product term.  Runs the
+    same two steps as :func:`estimate_irf`, for the one horizon.
     """
-    work, names, missing, _ = _prepare_common(panel, events, spec)
-    gcol = group.indicator(work)
-    inter = gcol * work.column(SHOCK)
-    work = work.with_column(_GROUP_SHOCK, inter)
-    pos = 1  # product and membership terms sit right after the shock
-    names = names[:1] + [_GROUP_SHOCK] + names[1:]
-    if spec.group_handling == "design":
-        work = work.with_column(_GROUP, gcol)
-        names = names[: pos + 1] + [_GROUP] + names[pos + 1 :]
-    return _finish_design(work, spec, k, names, missing)
+    study = _build_study(panel, events, spec, "interaction", group=group)
+    return _horizon_design(study, spec, k)
 
 
 def build_transition_design(
@@ -412,26 +454,10 @@ def build_transition_design(
     ``1 - F``).  Controls are the lagged outcome growth terms plus lags of
     the shock, of raw growth, and of ``F`` itself — the contemporaneous
     level controls of the baseline are replaced by the cycle-state block.
+    Runs the same two steps as :func:`estimate_irf`, for the one horizon.
     """
-    if state.entities != panel.entities or state.periods != panel.periods:
-        raise PanelLPError("transition state was built for a different panel")
-    base = replace(spec, controls=())
-    work, names, missing, _ = _prepare_common(panel, events, base)
-    F = state.weight
-    shock = work.column(SHOCK)
-    work = work.with_column(SHOCK_RECESSION, F * shock)
-    work = work.with_column(SHOCK_EXPANSION, (1.0 - F) * shock)
-    work = work.with_column("__fz", F)
-    names = [SHOCK_RECESSION, SHOCK_EXPANSION] + [
-        n for n in names if n != SHOCK
-    ]
-    growth = spec.growth
-    for j in range(1, spec.dummy_lags + 1):
-        work = add_lag(work, growth, j, out=f"growth_lag_{j}")
-        names.append(f"growth_lag_{j}")
-        work = add_lag(work, "__fz", j, out=f"recession_weight_lag_{j}")
-        names.append(f"recession_weight_lag_{j}")
-    return _finish_design(work, spec, k, names, missing)
+    study = _build_study(panel, events, spec, "transition", state=state)
+    return _horizon_design(study, spec, k)
 
 
 # ---------------------------------------------------------------------------
@@ -441,51 +467,22 @@ def build_transition_design(
 
 def _overall_r2(result: RegressionResult, design: DesignMatrix) -> float:
     raw = design.raw_response
-    if raw is None:
-        return result.r_squared
     rss = float(result.residuals @ result.residuals)
     dev = raw - raw.mean()
     tss = float(dev @ dev)
     return 0.0 if tss == 0.0 else 1.0 - rss / tss
 
 
-def _estimate_one(
-    panel: Panel,
-    events: EventList,
-    spec: LPSpec,
-    k: int,
-    group: GroupSpec | None,
-    state: TransitionState | None,
-) -> HorizonEstimate:
-    if spec.kind == "baseline":
-        design = build_baseline_design(panel, events, spec, k)
-    elif spec.kind == "interaction":
-        design = build_interaction_design(panel, events, group, spec, k)
-    else:
-        design = build_transition_design(panel, events, state, spec, k)
-
+def _estimate_horizon(study: _Study, spec: LPSpec, k: int) -> HorizonEstimate:
+    design = _horizon_design(study, spec, k)
     result = fit_with_covariance(design)
     level, dist = spec.conf_level, spec.ci_dist
-    if spec.kind == "baseline":
-        intervals = (coefficient_interval(result, SHOCK, level, dist),)
-    elif spec.kind == "interaction":
-        base = linear_combination(
-            result, {SHOCK: 1.0}, name=f"effect_outside_{group.name}",
-            level=level, dist=dist,
-        )
-        member = linear_combination(
-            result,
-            {SHOCK: 1.0, _GROUP_SHOCK: 1.0},
-            name=f"effect_in_{group.name}",
-            level=level,
-            dist=dist,
-        )
-        intervals = (base, member)
-    else:
-        intervals = (
-            coefficient_interval(result, SHOCK_RECESSION, level, dist),
-            coefficient_interval(result, SHOCK_EXPANSION, level, dist),
-        )
+    intervals = tuple(
+        coefficient_interval(result, name, level, dist)
+        if weights is None
+        else linear_combination(result, weights, name=name, level=level, dist=dist)
+        for name, weights in study.series
+    )
     r2 = result.r_squared if spec.r2_mode == "within" else _overall_r2(result, design)
     return HorizonEstimate(
         horizon=k,
@@ -513,23 +510,25 @@ def estimate_irf(
 
     ``group`` is required for the interaction design.  For the transition
     design a ``state`` may be passed explicitly; otherwise it is built from
-    ``spec.growth``.  ``jobs > 1`` fans the horizons out over a thread
-    pool; every horizon is an independent pure computation, so the output
-    is identical under any schedule.  A failing horizon aborts the whole
-    run with the horizon identified.
+    ``spec.growth``.  The regressors, their sample mask and their missing
+    counts are built once per call; each horizon adds only its response,
+    then demeans and fits.  ``jobs > 1`` fans the horizons out over a
+    thread pool; the shared regressors are read-only and every horizon is
+    an independent pure computation, so the output is identical under any
+    schedule.  A failing horizon aborts the whole run with the horizon
+    identified.
     """
     if spec.kind == "interaction" and group is None:
         raise PanelLPError("interaction design needs a GroupSpec")
     if spec.kind == "transition" and state is None:
-        state = build_transition_state(
-            panel, spec.growth, spec.sigma, spec.z_scope
-        )
+        state = build_transition_state(panel, spec.growth, spec.sigma, spec.z_scope)
+    study = _build_study(panel, events, spec, spec.kind, group, state)
 
     ks = list(range(spec.horizons + 1))
 
     def run(k: int) -> HorizonEstimate:
         try:
-            return _estimate_one(panel, events, spec, k, group, state)
+            return _estimate_horizon(study, spec, k)
         except PanelLPError as exc:
             # prefix in place, so the class and its attributes survive
             exc.args = (f"horizon {k}: {exc}",)
@@ -544,25 +543,16 @@ def estimate_irf(
     else:
         horizons = tuple(run(k) for k in ks)
 
-    if spec.kind == "baseline":
-        series = (SHOCK,)
-    elif spec.kind == "interaction":
-        series = (f"effect_outside_{group.name}", f"effect_in_{group.name}")
-    else:
-        series = (SHOCK_RECESSION, SHOCK_EXPANSION)
-
     diag: dict[str, object] = {
         "dropped_columns": {
-            h.horizon: list(h.dropped_columns)
-            for h in horizons
-            if h.dropped_columns
+            h.horizon: list(h.dropped_columns) for h in horizons if h.dropped_columns
         },
         "demean_sweeps": {h.horizon: h.demean_sweeps for h in horizons},
-        "missing_counts": dict(horizons[0].missing_counts),
+        "missing_counts": dict(study.missing_counts),
     }
     return IRF(
         kind=spec.kind,
         horizons=horizons,
-        series_names=series,
+        series_names=tuple(name for name, _ in study.series),
         diagnostics=diag,
     )

@@ -221,6 +221,48 @@ def test_estimate_population_level_control_exits_0(tmp_path, capsys):
     assert [r["horizon"] for r in irf_rows] == [0, 1, 2, 3, 4, 5]
 
 
+def sample_manifest(tmp_path, edits=()):
+    """Run the sample config on a copy of the sample panel whose cells
+    ``(entity, year, column)`` are set to the given text; return the
+    manifest as a dict."""
+    tmp_path.mkdir(exist_ok=True)
+    lines = (REPO_ROOT / "data" / "sample_panel.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    for entity, year, column, text in edits:
+        (row,) = [r for r in rows if r[:2] == [entity, str(year)]]
+        row[header.index(column)] = text
+    write_lines(tmp_path / "panel.csv", [lines[0]] + [",".join(r) for r in rows])
+    cfg = (REPO_ROOT / "configs" / "sample_baseline.cfg").read_text()
+    cfg = cfg.replace("data/sample_panel.csv", str(tmp_path / "panel.csv"))
+    cfg = cfg.replace("= data/", f"= {REPO_ROOT / 'data'}/")
+    cfg = cfg.replace("out/sample_baseline", str(tmp_path / "out"))
+    (tmp_path / "run.cfg").write_text(cfg)
+    assert main(["estimate", "--config", str(tmp_path / "run.cfg")]) == 0
+    text = (tmp_path / "out" / "manifest.txt").read_text()
+    return dict(line.split(" = ", 1) for line in text.splitlines())
+
+
+def test_manifest_counts_log_control_holes_and_log_losses_together(tmp_path):
+    base = sample_manifest(tmp_path / "base")
+    edited = sample_manifest(
+        tmp_path / "edited",
+        [("AUS", 1990, "gdp_pc", ""), ("AUS", 1991, "gdp_pc", ""),
+         ("AUS", 1992, "gdp_pc", "0")],
+    )
+    assert "missing_cells.log_gdp_pc" not in base
+    assert edited["missing_cells.log_gdp_pc"] == "3"
+    for k in range(6):
+        n_obs = f"horizon_{k}.n_obs"
+        assert int(edited[n_obs]) == int(base[n_obs]) - 3
+
+
+def test_manifest_reports_an_outcome_hole_under_the_dependent_name(tmp_path):
+    manifest = sample_manifest(tmp_path, [("AUS", 1990, "co2_pc", "")])
+    assert manifest["missing_cells.log_co2_pc"] == "1"
+    assert not [key for key in manifest if key.startswith("missing_cells.__")]
+
+
 def test_estimate_without_residual_dof_exits_1(tmp_path, capsys):
     # no event matches a panel entity and there are no fixed effects, so
     # two outcome-growth lags are fit on the two rows of the last year

@@ -328,14 +328,14 @@ def test_thread_pool_matches_serial_bitwise():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_horizon_failure_keeps_the_exception_and_its_attributes(monkeypatch, jobs):
-    real = lp._estimate_one
+    real = lp._estimate_horizon
 
-    def fail_at_two(panel, events, spec, k, group, state):
+    def fail_at_two(study, spec, k):
         if k == 2:
             raise DataError("bad", path="p.csv", line=3)
-        return real(panel, events, spec, k, group, state)
+        return real(study, spec, k)
 
-    monkeypatch.setattr(lp, "_estimate_one", fail_at_two)
+    monkeypatch.setattr(lp, "_estimate_horizon", fail_at_two)
     panel, events, _ = sim_case()
     with pytest.raises(DataError) as info:
         estimate_irf(panel, events, spec_y(horizons=3), jobs=jobs)
@@ -365,6 +365,64 @@ def test_horizon_fits_sort_no_labels(monkeypatch, kind):
         monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
     estimate_irf(panel, events, spec)
     assert calls == []
+
+
+def kind_case(kind):
+    """A simulated panel with a few holes, and the arguments that run
+    ``kind`` through ``estimate_irf`` and through its ``build_*_design``."""
+    panel, events, _ = sim_case()
+    for name, cells in (("y", [(3, 7), (12, 15)]), ("growth", [(5, 9)])):
+        grid = panel.column(name).copy()
+        for cell in cells:
+            grid[cell] = np.nan
+        panel = panel.replace_column(name, grid)
+    spec = spec_y(kind=kind, growth="growth" if kind == "transition" else None)
+    group = GroupSpec("treated", frozenset(panel.entities[:15]))
+    if kind == "baseline":
+        return panel, events, spec, {}, lambda k: build_baseline_design(
+            panel, events, spec, k
+        )
+    if kind == "interaction":
+        return panel, events, spec, {"group": group}, lambda k: (
+            build_interaction_design(panel, events, group, spec, k)
+        )
+    state = build_transition_state(panel, "growth", spec.sigma, spec.z_scope)
+    return panel, events, spec, {}, lambda k: build_transition_design(
+        panel, events, state, spec, k
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kind", ["baseline", "interaction", "transition"])
+def test_dummies_are_built_once_per_irf(monkeypatch, kind, jobs):
+    calls = []
+    real = lp.build_dummies
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "build_dummies", counting)
+    panel, events, spec, extra, _ = kind_case(kind)
+    estimate_irf(panel, events, spec, jobs=jobs, **extra)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["baseline", "interaction", "transition"])
+def test_every_horizon_matches_its_build_design_bitwise(kind):
+    panel, events, spec, extra, design = kind_case(kind)
+    irf = estimate_irf(panel, events, spec, **extra)
+    assert irf.diagnostics["missing_counts"]["y"] == 2
+    for h in irf.horizons:
+        d = design(h.horizon)
+        fit = fit_with_covariance(d)
+        assert fit.coefficients.tobytes() == h.result.coefficients.tobytes()
+        assert fit.covariance.tobytes() == h.result.covariance.tobytes()
+        assert fit.dropped_columns == h.dropped_columns
+        assert fit.n_obs == h.n_obs == d.n_rows
+        assert dict(d.missing_counts) == h.missing_counts
+        assert h.missing_counts == irf.diagnostics["missing_counts"]
+        assert not [name for name in h.missing_counts if name.startswith("__")]
 
 
 def test_irf_diagnostics_and_series_access():
