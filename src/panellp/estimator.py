@@ -310,6 +310,16 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
     keep[kept] = True
     dropped = tuple(design.columns[j] for j in np.flatnonzero(~keep))
 
+    n_entities = _count_codes(design.entity_codes)
+    n_periods = _count_codes(design.period_codes)
+    # clustering by entity or period passes the same code array: count once
+    if design.cluster_codes is design.entity_codes:
+        n_clusters = n_entities
+    elif design.cluster_codes is design.period_codes:
+        n_clusters = n_periods
+    else:
+        n_clusters = _count_codes(design.cluster_codes)
+
     rss = float(resid @ resid)
     dev = y - y.mean()
     tss = float(dev @ dev)
@@ -320,9 +330,9 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
         coefficients=beta[kept],
         residuals=resid,
         n_obs=n,
-        n_clusters=_count_codes(design.cluster_codes),
-        n_entities=_count_codes(design.entity_codes),
-        n_periods=_count_codes(design.period_codes),
+        n_clusters=n_clusters,
+        n_entities=n_entities,
+        n_periods=n_periods,
         r_squared=r2,
         dropped_columns=dropped,
         bread=W @ W.T,
@@ -353,12 +363,12 @@ def cluster_covariance(
         raise DegenerateDesignError(
             f"no residual degrees of freedom ({n} rows, {k} retained columns)"
         )
-    u = result.residuals
-    # score sums per cluster code, S[g] = X_g' u_g (unused codes stay zero),
-    # a column at a time, so no temporary is wider than one column
-    S = np.column_stack(
-        [np.bincount(design.cluster_codes, weights=X[:, j] * u) for j in kept]
-    )
+    # the kept scores X_j u as rows, summed per cluster code:
+    # S[g] = X_g' u_g (unused codes stay zero)
+    scores = X.T[kept]
+    scores *= result.residuals
+    codes = design.cluster_codes
+    S = np.stack([np.bincount(codes, weights=row) for row in scores], axis=1)
     # per-cluster influence terms B S_g; the sandwich is their cross product,
     # which numpy forms by a symmetric rank-k update, so V is exactly symmetric
     M = S @ result.bread

@@ -87,9 +87,6 @@ class EventList:
     def names(self) -> tuple[str, ...]:
         return tuple(ev.name for ev in self.events)
 
-    def total_affected(self) -> int:
-        return sum(len(ev.entities) for ev in self.events)
-
 
 @dataclass(frozen=True)
 class SeverityClasses:

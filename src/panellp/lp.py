@@ -15,10 +15,14 @@ clustered by country.  Three designs are supported:
   and strong states of the cycle.
 
 Every horizon shares one right-hand side, so a study builds its regressors
-once; each horizon adds only its response, drops the rows that lack it,
-projects out the fixed effects and fits.  Horizons are independent of one
-another, so they may run in a thread pool; results are deterministic under
-any schedule.
+once, as one row-major ``(n_columns, n_entities * n_periods)`` stack of
+flattened grids.  Each horizon adds only its response and gathers the
+cells that have every column into one row-major ``(1 + n_columns, n_rows)``
+block, ``[response | regressors]`` by rows in entity-major cell order; it
+projects out the fixed effects in place and fits the block's transpose,
+which is the column-major design the solver reads.  Horizons are
+independent of one another, so they may run in a thread pool; results are
+deterministic under any schedule.
 """
 
 from __future__ import annotations
@@ -270,13 +274,16 @@ _GROUP_SHOCK = "shock_x_group"
 
 @dataclass(frozen=True)
 class _Study:
-    """What every horizon of one study shares: the transformed outcome and
-    the regressors (``work``), the cells where every regressor is present
-    (``mask``), and each reported series with its coefficient weights
-    (``None``: the coefficient of that name).
+    """What every horizon of one study shares: the transformed outcome
+    (``outcome``, one column), the regressors as one row-major
+    ``(n_columns, n_entities * n_periods)`` stack of flattened grids, the
+    cells where every regressor is present (``mask``), and each reported
+    series with its coefficient weights (``None``: the coefficient of that
+    name).
     """
 
-    work: Panel
+    outcome: Panel
+    regressors: np.ndarray
     columns: tuple[str, ...]
     mask: np.ndarray
     missing_counts: Mapping[str, int]
@@ -352,7 +359,8 @@ def _build_study(
     counts = {spec.dependent.name: work.missing_count(_DEP)}
     counts.update((n, work.missing_count(n)) for n in names)
     return _Study(
-        work=work.select([_DEP, *names]),
+        outcome=work.select([_DEP]),
+        regressors=np.stack([work.column(n).ravel() for n in names]),
         columns=tuple(names),
         mask=work.present_mask(names),
         missing_counts={n: c for n, c in counts.items() if c},
@@ -363,40 +371,34 @@ def _build_study(
 def _horizon_design(study: _Study, spec: LPSpec, k: int) -> DesignMatrix:
     """The per-horizon step: add the response, listwise-delete, demean and
     pack the horizon-k design."""
-    work = horizon_delta(study.work, _DEP, k, out="__resp")
-    missing = np.isnan(work.column("__resp"))
+    outcome = horizon_delta(study.outcome, _DEP, k, out="__resp")
+    response = outcome.column("__resp")
+    missing = np.isnan(response)
     mask = study.mask & ~missing
-    ent_idx, per_idx = np.nonzero(mask)
-    if ent_idx.size == 0:
+    flat = np.flatnonzero(mask)
+    if flat.size == 0:
         counts = {"response": int(missing.sum()), **study.missing_counts}
         raise EmptySampleError(
             f"no complete rows at horizon {k}; missing cells per variable: {counts}"
         )
-    # one column-major block [response | regressors], demeaned in place, so
-    # the fit reads contiguous columns
-    block = np.empty((ent_idx.size, 1 + len(study.columns)), order="F")
-    for j, n in enumerate(("__resp", *study.columns)):
-        block[:, j] = work.column(n)[mask]
-    raw_response = block[:, 0].copy()
-    raw_ss = np.einsum("ij,ij->j", block[:, 1:], block[:, 1:])
-    demeaned, sweeps = _fe_residualize(
-        block,
-        ent_idx,
-        per_idx,
-        work.n_entities,
-        work.n_periods,
-        spec.entity_fe,
-        spec.time_fe,
-    )
+    ent_idx, per_idx = np.divmod(flat, outcome.n_periods)
+    # one row-major block [response | regressors], demeaned in place; its
+    # transpose is the column-major design the fit reads
+    block = np.empty((1 + len(study.columns), flat.size))
+    response.take(flat, out=block[0], mode="clip")
+    study.regressors.take(flat, axis=1, out=block[1:], mode="clip")
+    raw_response = block[0].copy()
+    raw_ss = np.einsum("ij,ij->i", block[1:], block[1:])
+    sweeps = _fe_residualize(block, mask, per_idx, spec.entity_fe, spec.time_fe)
     # A regressor the fixed effects absorb leaves rounding noise that the
     # unit-norm rank filter would keep as a column; zeroed, it is dropped.
-    within_ss = np.einsum("ij,ij->j", demeaned[:, 1:], demeaned[:, 1:])
-    demeaned[:, 1:][:, within_ss <= PIVOT_RTOL**2 * raw_ss] = 0.0
-    entities, periods = work.cell_labels(ent_idx, per_idx)
+    within_ss = np.einsum("ij,ij->i", block[1:], block[1:])
+    block[1:][within_ss <= PIVOT_RTOL**2 * raw_ss] = 0.0
+    entities, periods = outcome.cell_labels(ent_idx, per_idx)
     by_entity = spec.cluster == "entity"
     return DesignMatrix(
-        response=demeaned[:, 0],
-        matrix=demeaned[:, 1:],
+        response=block[0],
+        matrix=block[1:].T,
         columns=study.columns,
         entities=entities,
         periods=periods,

@@ -7,6 +7,12 @@ internally); infinities are rejected at construction so they can never leak
 into downstream arithmetic.  All transforms are pure: they return a new
 ``Panel`` and never mutate their input.
 
+Grids are C-ordered, so cell ``(i, t)`` sits at flat offset
+``i * n_periods + t`` and a flattened grid lists cells entity by entity.
+The two-way demeaning works on row-major blocks, one row per variable
+and one column per sample cell in that order, so each entity's cells are
+one contiguous segment.
+
 Period arithmetic (lags, leads, differences) is done in units of the integer
 time index, never by positional shifting, so an entity observed for
 1990-1995 with 1993 absent gets a missing lag at 1994 rather than a silently
@@ -131,22 +137,10 @@ class Panel:
                 f"no variable named {name!r}; have {sorted(self._columns)}"
             ) from None
 
-    def entity_row(self, entity: str) -> int:
-        try:
-            return self._entity_index[entity]
-        except KeyError:
-            raise MissingVariableError(f"no entity named {entity!r}") from None
-
     def entity_rows(self, entities: Sequence[str]) -> np.ndarray:
         """Grid rows of ``entities``; -1 marks a label the panel lacks."""
         rows = [self._entity_index.get(e, -1) for e in entities]
         return np.array(rows, dtype=np.intp)
-
-    def period_col(self, period: int) -> int:
-        off = int(period) - self._periods[0]
-        if off < 0 or off >= len(self._periods):
-            raise PanelLPError(f"period {period} outside {self._periods[0]}..{self._periods[-1]}")
-        return off
 
     def cell_labels(
         self, ent_idx: np.ndarray, per_idx: np.ndarray
@@ -180,21 +174,6 @@ class Panel:
         for arr in self._columns.values():
             mask |= ~np.isnan(arr)
         return mask
-
-    def period_gaps(self) -> dict[str, tuple[int, ...]]:
-        """Interior periods with no data at all, recorded per entity."""
-        obs = self.observed_mask()
-        gaps: dict[str, tuple[int, ...]] = {}
-        pers = np.asarray(self._periods)
-        for i, ent in enumerate(self._entities):
-            seen = np.flatnonzero(obs[i])
-            if seen.size < 2:
-                continue
-            interior = np.arange(seen[0], seen[-1] + 1)
-            hole = interior[~obs[i, interior]]
-            if hole.size:
-                gaps[ent] = tuple(int(p) for p in pers[hole])
-        return gaps
 
     # -- derived panels ------------------------------------------------------
 
@@ -468,81 +447,82 @@ def apply_variable_spec(panel: Panel, spec: VariableSpec) -> tuple[Panel, int]:
 # ---------------------------------------------------------------------------
 
 
-def _group_sums(codes: np.ndarray, v: np.ndarray, n_groups: int) -> np.ndarray:
-    """``(n_groups, n_vars)`` column sums of ``v`` over rows sharing a code."""
-    out = np.empty((n_groups, v.shape[1]))
-    for c in range(v.shape[1]):
-        out[:, c] = np.bincount(codes, weights=v[:, c], minlength=n_groups)
-    return out
+def _pinned_periods(links: np.ndarray) -> np.ndarray:
+    """Boolean per period: True at the first period of each connected set.
 
-
-def _subtract_group_effects(
-    values: np.ndarray, effects: np.ndarray, codes: np.ndarray
-) -> None:
-    """``values -= effects[codes]``, one column at a time, so that every
-    temporary is a single column and a column-major ``values`` is written
-    contiguously."""
-    for c in range(values.shape[1]):
-        values[:, c] -= effects[:, c].take(codes)
+    ``links`` is the boolean period x period matrix ``N'N > 0`` of an
+    entity x period incidence ``N``: two periods are linked when an entity
+    has rows in both, and a period with rows is linked to itself.  Every
+    period starts with its own index as label and takes the lowest label
+    among its links until no label changes, which labels each connected
+    set by its first period.  Periods without rows are never pinned.
+    """
+    n_per = links.shape[0]
+    label = np.arange(n_per)
+    while True:
+        lowest = np.minimum(np.where(links, label, n_per).min(axis=1), label)
+        if np.array_equal(lowest, label):
+            return links.diagonal() & (label == np.arange(n_per))
+        label = lowest
 
 
 def _fe_residualize(
-    values: np.ndarray,
-    ent_codes: np.ndarray,
+    block: np.ndarray,
+    mask: np.ndarray,
     per_codes: np.ndarray,
-    n_ent: int,
-    n_per: int,
     entity_fe: bool,
     time_fe: bool,
-) -> tuple[np.ndarray, int]:
-    """Exact residuals of the float ``(n_rows, n_vars)`` matrix ``values``
-    after projecting out the fixed effects; rows are grouped by the code
-    arrays.  The effects are subtracted from ``values`` in place, so a
-    column-major block stays column-major for the fit.
+) -> int:
+    """Replace the row-major ``(n_vars, n_rows)`` float block, in place,
+    by its exact residuals after projecting out the fixed effects.
+
+    The block's columns are the ``True`` cells of the entity x period
+    ``mask`` in C order (entity-major), and ``per_codes`` their periods.
+    So each entity's rows are one contiguous segment: the entity sums come
+    from one ``np.add.reduceat`` over the entities that have rows (for an
+    empty segment it would return the next entity's first value), and the
+    period sums from one ``bincount`` per variable.  The effects are
+    removed by two gathers.
 
     With both effects the period effects ``g`` solve
     ``(diag(n_t) - N' diag(1/n_i) N) g = b``, where ``N`` is the entity x
-    period incidence and ``b`` the per-period sums of the entity-demeaned
-    columns; the entity effects are then the entity means of the columns
-    less those of ``g``.  That matrix, the Laplacian of the period graph, is
-    singular once per connected set, so the first observed period of each
-    set is held at zero and periods without rows are skipped (Abowd, Creecy
-    and Kramarz 2002).  Returns ``(values, passes)``: one group-mean pass
-    with any fixed effect, none without.
+    period incidence (the mask's rows with cells) and ``b`` the per-period
+    sums of the entity-demeaned block; the entity effects are then the
+    entity means of the block less those of ``g``.  That matrix, the
+    Laplacian of the period graph, is singular once per connected set, so
+    the first period of each set is held at zero and periods without rows
+    are skipped (Abowd, Creecy and Kramarz 2002).  Returns the number of
+    group-mean passes: one with any fixed effect, none without.
     """
     if not entity_fe and not time_fe:
-        return values, 0
-    cnt_p = np.bincount(per_codes, minlength=n_per).astype(float)
+        return 0
+    n_per = mask.shape[1]
+    if time_fe:
+        per_sums = np.stack(
+            [np.bincount(per_codes, weights=row, minlength=n_per) for row in block]
+        )
     if not entity_fe:
-        div_p = np.maximum(cnt_p, 1.0)[:, None]
-        per_means = _group_sums(per_codes, values, n_per) / div_p
-        _subtract_group_effects(values, per_means, per_codes)
-        return values, 1
-    div_e = np.maximum(np.bincount(ent_codes, minlength=n_ent), 1.0)[:, None]
-    ent_means = _group_sums(ent_codes, values, n_ent) / div_e
-    if not time_fe:
-        _subtract_group_effects(values, ent_means, ent_codes)
-        return values, 1
-    N = np.bincount(
-        ent_codes * n_per + per_codes, minlength=n_ent * n_per
-    ).reshape(n_ent, n_per).astype(float)
-    schur = np.diag(cnt_p) - (N / div_e).T @ N
-    rhs = _group_sums(per_codes, values, n_per) - N.T @ ent_means
-    # Link periods that share an entity; squaring the links bit_length(T)
-    # times joins each period to its whole connected set, whose lowest
-    # period is then the first link in its row.
-    reach = (N.T @ N > 0).astype(float)
-    for _ in range(int(n_per).bit_length()):
-        reach = (reach @ reach > 0).astype(float)
-    observed = np.flatnonzero(cnt_p > 0)
-    free = observed[reach[observed].argmax(axis=1) < observed]
-    per_fe = np.zeros_like(rhs)
-    if free.size:
-        per_fe[free] = np.linalg.solve(schur[np.ix_(free, free)], rhs[free])
-    ent_fe = ent_means - N @ per_fe / div_e
-    _subtract_group_effects(values, ent_fe, ent_codes)
-    _subtract_group_effects(values, per_fe, per_codes)
-    return values, 1
+        cnt_p = np.maximum(np.count_nonzero(mask, axis=0), 1)
+        block -= (per_sums / cnt_p).take(per_codes, axis=1)
+        return 1
+    cnt_e = np.count_nonzero(mask, axis=1)
+    seen = cnt_e > 0
+    cnt_e = cnt_e[seen]
+    ent_means = np.add.reduceat(block, np.cumsum(cnt_e) - cnt_e, axis=1) / cnt_e
+    if time_fe:
+        N = mask[seen].astype(float)
+        shared = (N.T / cnt_e) @ N  # N' diag(1/n_i) N, positive where N'N is
+        links = shared > 0.0
+        free = np.flatnonzero(links.diagonal() & ~_pinned_periods(links))
+        per_fe = np.zeros_like(per_sums)
+        if free.size:
+            schur = np.diag(N.sum(axis=0)[free]) - shared[np.ix_(free, free)]
+            rhs = per_sums[:, free] - ent_means @ N[:, free]
+            per_fe[:, free] = np.linalg.solve(schur, rhs.T).T
+        ent_means -= (per_fe @ N.T) / cnt_e
+        block -= per_fe.take(per_codes, axis=1)
+    block -= ent_means.take(np.repeat(np.arange(cnt_e.size), cnt_e), axis=1)
+    return 1
 
 
 def two_way_demean(
@@ -560,24 +540,14 @@ def two_way_demean(
     """
     names = [str(v) for v in variables]
     mask = panel.present_mask(names)
-    ent_idx, per_idx = np.nonzero(mask)
-    if ent_idx.size == 0:
+    flat = np.flatnonzero(mask)
+    if flat.size == 0:
         raise PanelLPError("no cell has all the requested variables observed")
-    mat = np.empty((ent_idx.size, len(names)), order="F")
-    for c, name in enumerate(names):
-        mat[:, c] = panel.column(name)[mask]
-    out, _ = _fe_residualize(
-        mat,
-        ent_idx,
-        per_idx,
-        panel.n_entities,
-        panel.n_periods,
-        entity_fe,
-        time_fe,
-    )
+    block = np.stack([panel.column(name).ravel().take(flat) for name in names])
+    _fe_residualize(block, mask, flat % panel.n_periods, entity_fe, time_fe)
     result = panel
-    for c, name in enumerate(names):
+    for name, values in zip(names, block):
         grid = np.full((panel.n_entities, panel.n_periods), np.nan)
-        grid[mask] = out[:, c]
+        grid[mask] = values
         result = result.replace_column(name, grid)
     return result

@@ -78,7 +78,7 @@ def test_simulate_writes_readable_outputs(sim_dir):
     panel = read_panel(str(sim_dir / "panel.csv"))
     assert panel.n_entities == 20 and panel.variables == ("y", "growth")
     events = read_event_list(str(sim_dir / "events.csv"))
-    assert events.total_affected() > 0
+    assert sum(len(ev.entities) for ev in events.events) > 0
     truth = (sim_dir / "truth.txt").read_text()
     assert "theta = 0.0,-0.02,-0.03,0.0" in truth
     assert "seed = 11" in truth

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panellp.errors import EventError, MissingVariableError
+from panellp.errors import EventError
 from panellp.events import (
     EventList,
     PandemicEvent,
@@ -47,7 +47,7 @@ def test_event_list_validation():
         EventList(events=(ev,), mortality={("flu", "USA"): -1.0})
     ok = EventList(events=(ev,), mortality={("flu", "USA"): 2.0})
     assert ok.names == ("flu",)
-    assert ok.total_affected() == 2
+    assert sum(len(ev.entities) for ev in ok.events) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +203,8 @@ def test_same_cell_overlap_takes_max_severity():
         mort[("x", e)] = float(i)        # C9 highest
         mort[("y", e)] = float(10 - i)   # C9 lowest
     es = build_dummies(EventList((high_for_c0, low_for_c0), mort), panel)
-    i = panel.entity_row("C9")
-    j = panel.period_col(2001)
+    i = panel.entity_rows(["C9"])[0]
+    j = 2001 - panel.periods[0]
     assert es.dummy[i, j] == 1.0
     assert es.high[i, j] == 1.0 and es.low[i, j] == 0.0
     # still a partition
@@ -260,9 +260,8 @@ def reference_dummies(events, panel, rule="linear"):
             continue
         j = ev.year - pmin
         for ent in ev.entities:
-            try:
-                i = panel.entity_row(ent)
-            except MissingVariableError:
+            i = panel.entity_rows([ent])[0]
+            if i < 0:
                 unresolved.append((ev.name, ent))
                 continue
             dummy[i, j] = 1.0

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from panellp.cli import _spec_from_config
-from panellp import lp
+from panellp import estimator, lp
 from panellp.errors import DataError, EmptySampleError, PanelLPError
-from panellp.estimator import fit_with_covariance
+from panellp.estimator import fit_with_covariance, lsdv_fit
 from panellp.events import EventList, PandemicEvent
 from panellp.ingest import load_config, read_event_list, read_panel
 from panellp.lp import (
@@ -25,7 +25,13 @@ from panellp.lp import (
     pp_conversion,
     smooth_transition,
 )
-from panellp.panel import Panel, VariableSpec, scale_column
+from panellp.panel import (
+    Panel,
+    VariableSpec,
+    horizon_delta,
+    scale_column,
+    two_way_demean,
+)
 from panellp.simgen import DGPSpec, generate
 
 from test_estimator import brute_force_cr1
@@ -200,8 +206,8 @@ def test_baseline_design_without_fe_exposes_raw_columns():
     # response equals the raw forward delta of y
     y = panel.column("y")
     for row in range(0, d.n_rows, 17):
-        i = panel.entity_row(d.entities[row])
-        j = panel.period_col(int(d.periods[row]))
+        i = panel.entity_rows([d.entities[row]])[0]
+        j = int(d.periods[row]) - panel.periods[0]
         assert d.response[row] == pytest.approx(y[i, j + 2] - y[i, j])
 
 
@@ -285,6 +291,72 @@ def test_row_codes_with_gaps_count_and_cluster_like_labels(gap, cluster):
     np.testing.assert_array_equal(refit.coefficients, fit.coefficients)
     assert (refit.n_entities, refit.n_periods, refit.n_clusters) == counts
     np.testing.assert_allclose(refit.covariance, fit.covariance, rtol=0, atol=1e-12)
+
+
+def test_horizon_with_empty_and_single_row_entities_matches_lsdv():
+    # At horizon 1 the first, a middle and the last entity have no rows,
+    # entity 4 has one row and period 6 has none: the entity segment sums
+    # must skip the empty entities (a reduceat segment of length zero
+    # would read the next row) and leave the singleton its own mean.
+    panel, events, _ = sim_case()
+    n_ent = panel.n_entities
+    y = panel.column("y").copy()
+    y[[0, n_ent // 2, n_ent - 1], :] = np.nan
+    y[4, :] = np.nan
+    y[4, 9:11] = panel.column("y")[4, 9:11]
+    growth = panel.column("growth").copy()
+    growth[:, 6] = np.nan
+    panel = panel.replace_column("y", y).replace_column("growth", growth)
+    spec = spec_y(lag_order=0, dummy_lags=0, controls=(VariableSpec("growth"),))
+    k = 1
+    fit = estimate_irf(panel, events, spec).horizons[k]
+
+    shock = lp.build_dummies(events, panel).dummy
+    work = horizon_delta(panel, "y", k, out="resp").with_column("shock", shock)
+    names = ["resp", "shock", "growth"]
+    mask = work.present_mask(names)
+    ent_rows = np.count_nonzero(mask, axis=1)
+    assert ent_rows[[0, n_ent // 2, n_ent - 1]].tolist() == [0, 0, 0]
+    assert ent_rows[4] == 1 and not mask[:, 6].any()
+    assert fit.n_obs == mask.sum() and fit.n_entities == n_ent - 3
+
+    ref = lsdv_fit(work, "resp", names[1:])
+    assert fit.result.columns == ref.columns
+    np.testing.assert_allclose(
+        fit.result.coefficients, ref.coefficients, rtol=0, atol=1e-10
+    )
+    demeaned = two_way_demean(work, names)
+    ent_idx, per_idx = np.nonzero(mask)
+    seen, per_cnt = ent_rows > 0, np.count_nonzero(mask, axis=0)
+    for name in names:
+        vals = demeaned.column(name)[mask]
+        ent_sums = np.bincount(ent_idx, weights=vals, minlength=n_ent)
+        per_sums = np.bincount(per_idx, weights=vals, minlength=panel.n_periods)
+        assert np.abs(ent_sums[seen] / ent_rows[seen]).max() < 1e-10
+        assert np.abs(per_sums[per_cnt > 0] / per_cnt[per_cnt > 0]).max() < 1e-10
+
+
+@pytest.mark.parametrize("built", ["entity", "period", "labels"])
+def test_cluster_count_reuses_a_shared_code_array(monkeypatch, built):
+    panel, events, _ = sim_case()
+    panel = wipe(panel, entity=10)
+    cluster = "period" if built == "period" else "entity"
+    d = build_baseline_design(panel, events, spec_y(cluster=cluster), k=2)
+    if built == "labels":
+        d = replace(d, entity_codes=None, period_codes=None, cluster_codes=None)
+    calls = []
+    real = estimator._count_codes
+    monkeypatch.setattr(
+        estimator, "_count_codes", lambda codes: calls.append(codes) or real(codes)
+    )
+    fit = estimator.ols_fit(d)
+    labels = (d.entities, d.periods, d.clusters)
+    assert (fit.n_entities, fit.n_periods, fit.n_clusters) == tuple(
+        len(np.unique(x)) for x in labels
+    )
+    # lp designs pass one code array for entities (or periods) and
+    # clusters, so it is counted once; label-built codes are three arrays
+    assert len(calls) == (3 if built == "labels" else 2)
 
 
 def test_horizon_zero_response_is_identically_zero():

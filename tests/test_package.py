@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -16,6 +18,20 @@ def test_every_export_resolves():
     # a name removed from a module must leave ``__all__`` with it
     for name in panellp.__all__:
         assert hasattr(panellp, name), name
+
+
+def test_benchmark_trace_patches_resolve():
+    # perfbench's --trace run swaps these module attributes by name and
+    # counts shock cells through EventSet.shock_count; a rename in the
+    # package must not leave a traced run failing on a missing name
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr, _, _ in tracing.LIBRARY_PATCHES + tracing.CLI_PATCHES:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+    assert callable(panellp.EventSet.shock_count)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panellp.errors import (
     DegenerateVariableError,
@@ -13,6 +16,7 @@ from panellp.errors import (
 from panellp.panel import (
     Panel,
     VariableSpec,
+    _pinned_periods,
     add_lag,
     apply_variable_spec,
     first_difference,
@@ -44,8 +48,8 @@ def test_construction_and_introspection():
     assert p.n_entities == 2 and p.n_periods == 3
     assert "y" in p and "z" not in p
     assert p.missing_count("y") == 1
-    assert p.entity_row("BBB") == 1
-    assert p.period_col(2002) == 2
+    assert p.entity_rows(["BBB", "CCC"]).tolist() == [1, -1]
+    assert p.periods.index(2002) == 2
 
 
 def test_construction_rejects_bad_shapes_and_values():
@@ -104,11 +108,15 @@ def test_from_records_spans_full_period_range():
     assert np.isnan(p.column("x")[0, 3])
 
 
-def test_period_gaps_reports_interior_holes_only():
+def test_observed_mask_marks_cells_with_any_variable():
     y = np.array([[1.0, np.nan, 3.0, np.nan], [np.nan, 2.0, 3.0, 4.0]])
-    p = Panel(["A", "B"], [2000, 2001, 2002, 2003], {"y": y})
-    gaps = p.period_gaps()
-    assert gaps == {"A": (2001,)}  # trailing/leading missing is not a gap
+    x = np.array([[np.nan, np.nan, np.nan, np.nan], [5.0, np.nan, np.nan, np.nan]])
+    p = Panel(["A", "B"], [2000, 2001, 2002, 2003], {"y": y, "x": x})
+    # A's interior hole and trailing cell stay unobserved; B's leading
+    # cell is observed through x alone
+    np.testing.assert_array_equal(
+        p.observed_mask(), [[True, False, True, False], [True, True, True, True]]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +336,40 @@ def test_demean_exactly_identified_connected_sets_absorb_every_cell():
     p = Panel([f"E{i}" for i in range(len(path))], range(2000, 2013), {"y": grid})
     q = two_way_demean(p, ["y"])
     np.testing.assert_allclose(q.column("y")[~np.isnan(grid)], 0.0, atol=1e-12)
+
+
+def _bfs_first_periods(mask):
+    """The first period of each connected set, by breadth-first search
+    over periods linked through shared entities."""
+    firsts, seen = [], set()
+    for start in range(mask.shape[1]):
+        if start in seen or not mask[:, start].any():
+            continue
+        firsts.append(start)
+        seen.add(start)
+        queue = [start]
+        while queue:
+            t = queue.pop(0)
+            for ent in np.flatnonzero(mask[:, t]):
+                for s in np.flatnonzero(mask[ent]):
+                    if s not in seen:
+                        seen.add(s)
+                        queue.append(s)
+    return firsts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        bool,
+        st.tuples(st.integers(1, 12), st.integers(1, 15)),
+        elements=st.sampled_from([False, False, False, True]),
+    )
+)
+def test_pinned_periods_match_breadth_first_search(mask):
+    incidence = mask.astype(float)
+    pinned = _pinned_periods(incidence.T @ incidence > 0)
+    assert np.flatnonzero(pinned).tolist() == _bfs_first_periods(mask)
 
 
 def test_demeaning_is_a_projection(rng):

@@ -133,8 +133,8 @@ def test_state_weights_follow_realized_growth():
     g = panel.column("growth")
     m, s = g.mean(), g.std(ddof=1)
     for (ent, year), val in w.items():
-        i = panel.entity_row(ent)
-        j = panel.period_col(year)
+        i = panel.entity_rows([ent])[0]
+        j = year - panel.periods[0]
         again = smooth_transition((g[i, j] - m) / s, dgp.sigma)
         assert val == pytest.approx(again, abs=0.02)
 
@@ -162,8 +162,8 @@ def test_state_injection_blends_the_two_paths():
     weights = []
     drops = []
     for (ent, year), F in truth.recession_weights.items():
-        i = panel.entity_row(ent)
-        j = panel.period_col(year)
+        i = panel.entity_rows([ent])[0]
+        j = year - panel.periods[0]
         injected = F * (-0.06) + (1 - F) * 0.03
         drop = y[i, j + 1] - y[i, j]
         resid.append(drop - injected)
