@@ -1,14 +1,13 @@
 """Least-squares fitting and cluster-robust inference.
 
 The solver factors each design once: it builds the R factor of the
-columns scaled to unit norm, with the response appended, a panel of rows
-at a time (TSQR: each panel is reduced to its triangle and the stacked
-triangles are factored once more), so a fit never copies its n-row
-design.  It then drops, in design order, every column within a relative
-tolerance of the span of the kept columns before it.  So rank-deficient
-designs (absorbed group dummies, duplicated regressors) degrade
-gracefully: the dropped names are reported instead of blowing up or
-silently returning a pseudo-inverse fit.  Normal equations are never
+columns with the response appended, a panel of rows at a time (TSQR), so
+a fit never copies its n-row design, and scales the triangle to the
+columns' unit norms.  It then drops, in design order, every column within
+a relative tolerance of the span of the kept columns before it.  So
+rank-deficient designs (absorbed group dummies, duplicated regressors)
+degrade gracefully: the dropped names are reported instead of blowing up
+or silently returning a pseudo-inverse fit.  Normal equations are never
 formed or inverted here — they exist only as an independent oracle in
 tests and in :mod:`panellp.validation`.
 
@@ -71,7 +70,7 @@ class DesignMatrix:
 
     Rows map one-to-one onto entity-period cells that survived listwise
     deletion; ``entities``/``periods`` carry that provenance as numpy
-    label arrays, gathered by grid position (:meth:`Panel.cell_labels`).
+    label arrays, gathered by grid position.
     ``clusters`` holds the cluster label per row (entity labels under the
     default clustering).  ``raw_response`` optionally keeps the
     pre-demeaning response so an overall (rather than within) R-squared
@@ -248,67 +247,81 @@ def _rank_filtered_triangle(
     return R, kept
 
 
+def _joined(X: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """``[X | y]`` as one ``(n, k + 1)`` view when ``y``'s base holds both,
+    as the transposed rows of the block :mod:`panellp.lp` packs; else None."""
+    Xy = getattr(y.base, "T", None)
+    if Xy is None or Xy.ndim != 2 or Xy.shape[1] < 2:
+        return None
+    views = zip((X, y), (Xy[:, :-1], Xy[:, -1]))
+    same = all(a.__array_interface__ == b.__array_interface__ for a, b in views)
+    return Xy if same else None
+
+
 def ols_fit(design: DesignMatrix) -> RegressionResult:
-    """Least squares via the R factor of ``[X / ||X|| | y]``, panel by panel.
+    """Least squares via the R factor of ``[X | y]``, panel by panel.
 
-    The unit-norm design columns and the response are factored together
-    by TSQR (Demmel, Grigori, Hoemmen & Langou 2012): each panel of about
-    ``_PANEL_ROWS`` rows is scaled into one reused column-major buffer and
-    reduced by an R-only LAPACK ``geqrf`` (``np.linalg.qr(mode="r")``),
-    and one more R-only QR of the stacked panel triangles gives the R
-    factor of the whole design.  Each row enters one panel factorisation;
-    no n-row ``Q`` and no n-row copy of the design is formed (a design
-    that is not column-major is copied once to column-major).
+    TSQR (Demmel, Grigori, Hoemmen & Langou 2012): each panel of about
+    ``_PANEL_ROWS`` rows is reduced by an R-only LAPACK ``geqrf``
+    (``np.linalg.qr(mode="r")``, which copies its input), and one more
+    R-only QR of the stacked panel triangles gives the R factor of the
+    whole design.  A panel is a view of the block :mod:`panellp.lp` packs,
+    or else a copy from a column-major ``X`` (a design that is not
+    column-major is copied once to column-major); no n-row ``Q`` is formed.
 
-    The rank rule runs in design order, as R's ``lm`` does: a column is
-    dropped when its unit-norm distance from the span of the kept columns
-    before it is at most ``PIVOT_RTOL`` (all-zero columns among them), so
-    of two collinear columns the later one is dropped and reported in
-    ``dropped_columns``.  The kept block ``R`` of the triangle and its last
-    column ``Q'y`` give the coefficients, unscaled by the norms ``D``, and
-    the bread ``(X'X)^-1 = D^-1 R^-1 R^-T D^-1``; the residuals are
-    ``y - X beta``.  Entity, period and cluster counts are
-    the distinct row codes.  R-squared is ``1 - RSS/TSS`` with TSS taken
-    about the response mean (the within R-squared when the design was
-    demeaned).
+    The column norms ``D`` are read off the triangle (``||R[:, j]|| =
+    ||X_j||``), which is scaled to ``R D^-1``, the R factor of the unit-norm
+    columns; Householder QR is columnwise backward stable (Higham 2002,
+    Thm 19.4).  The rank rule runs in design order, as R's ``lm`` does: a
+    column is dropped when its unit-norm distance from the span of the
+    kept columns before it is at most ``PIVOT_RTOL`` (all-zero columns
+    among them), so of two collinear columns the later one is dropped and
+    reported in ``dropped_columns``.  One solve with the kept block ``R``
+    gives ``R^-1 Q'y`` and ``R^-1``: the coefficients, unscaled by ``D``,
+    and the rows ``D^-1 R^-1`` of the bread ``(X'X)^-1``; the residuals
+    are ``y - X beta``.  Entity, period and cluster counts are the
+    distinct row codes.  R-squared is ``1 - RSS/TSS`` with TSS about the
+    response mean (the within R-squared when the design was demeaned).
     """
     if design.n_rows == 0:
         raise EmptySampleError("no rows in design")
-    y = design.response
-    X = np.asfortranarray(design.matrix)
+    y = np.asarray(design.response)
+    X = np.asarray(design.matrix)
     n, k = X.shape
     if k == 0:
         raise DegenerateDesignError("design has no columns")
 
-    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
-    norms[norms == 0.0] = 1.0
-    # R of [X / ||X|| | y], one panel of rows at a time
+    # R of [X | y], one panel of rows at a time
     rows = min(n, max(_PANEL_ROWS, 4 * (k + 1)))
-    panel = np.empty((rows, k + 1), order="F")
+    Xy = _joined(X, y)
+    if Xy is None:
+        X = np.asfortranarray(X)
     triangles = []
     for start in range(0, n, rows):
-        part = panel[: min(rows, n - start)]
-        np.divide(X[start : start + rows], norms, out=part[:, :k])
-        part[:, k] = y[start : start + rows]
+        if Xy is None:
+            part = np.column_stack((X[start : start + rows], y[start : start + rows]))
+        else:
+            part = Xy[start : start + rows]
         triangles.append(np.linalg.qr(part, mode="r"))
     if len(triangles) > 1:
         triangles = [np.linalg.qr(np.vstack(triangles), mode="r")]
-    R, kept = _rank_filtered_triangle(triangles[0], k)
+    R = triangles[0]
+    norms = np.sqrt(np.einsum("ij,ij->j", R[:, :k], R[:, :k]))
+    norms[norms == 0.0] = 1.0
+    R[:, :k] /= norms
+    R, kept = _rank_filtered_triangle(R, k)
     rank = kept.size
     if rank == 0:
         raise DegenerateDesignError(
             "design has no usable columns (every column is zero)"
         )
-    Rr = R[:rank, :rank]
-    # coefficients in the design's units, zero on the dropped columns
+    # D^-1 [R^-1 Q'y | R^-1] from one solve; the bread is W W', W = D^-1 R^-1
+    rhs = np.hstack([R[:rank, rank:], np.eye(rank)])
+    solved = np.linalg.solve(R[:rank, :rank], rhs) / norms[kept][:, None]
     beta = np.zeros(k)
-    beta[kept] = np.linalg.solve(Rr, R[:rank, rank]) / norms[kept]
+    beta[kept] = solved[:, 0]
     resid = y - X @ beta
-    # rows of D^-1 R^-1; the bread is W W'
-    W = np.linalg.solve(Rr, np.eye(rank)) / norms[kept][:, None]
-    keep = np.zeros(k, dtype=bool)
-    keep[kept] = True
-    dropped = tuple(design.columns[j] for j in np.flatnonzero(~keep))
+    dropped = tuple(np.delete(np.asarray(design.columns, dtype=object), kept))
 
     n_entities = _count_codes(design.entity_codes)
     n_periods = _count_codes(design.period_codes)
@@ -335,7 +348,7 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
         n_periods=n_periods,
         r_squared=r2,
         dropped_columns=dropped,
-        bread=W @ W.T,
+        bread=solved[:, 1:] @ solved[:, 1:].T,
     )
 
 
@@ -690,7 +703,8 @@ def lsdv_fit(
     blocks.append(sub)
     colnames.extend(names)
 
-    entities, periods = panel.cell_labels(ent_idx, per_idx)
+    entities = np.asarray(panel.entities)[ent_idx]
+    periods = np.asarray(panel.periods)[per_idx]
     by_entity = cluster == "entity"
     design = DesignMatrix(
         response=y,

@@ -15,21 +15,20 @@ clustered by country.  Three designs are supported:
   and strong states of the cycle.
 
 Every horizon shares one right-hand side, so a study builds its regressors
-once, as one row-major ``(n_columns, n_entities * n_periods)`` stack of
-flattened grids.  Each horizon adds only its response and gathers the
-cells that have every column into one row-major ``(1 + n_columns, n_rows)``
-block, ``[response | regressors]`` by rows in entity-major cell order; it
-projects out the fixed effects in place and fits the block's transpose,
-which is the column-major design the solver reads.  Horizons are
-independent of one another, so they may run in a thread pool; results are
-deterministic under any schedule.
+once, with every horizon's sample, and finds all horizons' fixed effects
+in one stacked pass.  A horizon then gathers its cells into one row-major
+``(n_columns + 1, n_rows)`` block, ``[regressors | response]`` by rows in
+entity-major cell order, subtracts its two effects and fits the block's
+transpose, the column-major ``[X | y]`` the solver factors panel by panel.
+Horizons are independent of one another, so they may run in a thread
+pool; results are deterministic under any schedule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +46,7 @@ from .events import EventList, build_dummies
 from .panel import (
     Panel,
     VariableSpec,
-    _fe_residualize,
+    _fe_effects,
     add_lag,
     apply_variable_spec,
     first_difference,
@@ -274,18 +273,22 @@ _GROUP_SHOCK = "shock_x_group"
 
 @dataclass(frozen=True)
 class _Study:
-    """What every horizon of one study shares: the transformed outcome
-    (``outcome``, one column), the regressors as one row-major
-    ``(n_columns, n_entities * n_periods)`` stack of flattened grids, the
-    cells where every regressor is present (``mask``), and each reported
-    series with its coefficient weights (``None``: the coefficient of that
-    name).
+    """What the horizons of one study share: the ``(n_columns, n_entities,
+    n_periods)`` regressor stack, zero outside the cells where every
+    regressor is present, the flattened outcome grid, and the reported
+    series with their coefficient weights (``None``: that coefficient).
+    The stacked pass adds each horizon's sample to ``masks``, its missing
+    response cells and its fixed ``effects`` (:func:`panel._fe_effects`).
     """
 
-    outcome: Panel
     regressors: np.ndarray
     columns: tuple[str, ...]
-    mask: np.ndarray
+    horizons: tuple[int, ...]
+    masks: np.ndarray
+    outcome: np.ndarray
+    response_missing: np.ndarray
+    effects: tuple[np.ndarray, np.ndarray]
+    labels: tuple[np.ndarray, np.ndarray]
     missing_counts: Mapping[str, int]
     series: tuple[tuple[str, Mapping[str, float] | None], ...]
 
@@ -295,13 +298,15 @@ def _build_study(
     events: EventList,
     spec: LPSpec,
     kind: str,
+    horizons: Sequence[int],
     group: GroupSpec | None = None,
     state: TransitionState | None = None,
 ) -> _Study:
     """The per-study step: every regressor of a ``kind`` design, once, in
-    reporting order (shock block first).  Missing cells are counted per
-    working column, holes and log losses together; the outcome's count
-    (that of the horizon-0 response) goes under the dependent's name.
+    reporting order (shock block first), each of ``horizons``' sample, and
+    their fixed effects.  Missing cells are counted per working column,
+    holes and log losses together; the outcome's count (that of the
+    horizon-0 response) goes under the dependent's name.
     """
     if kind == "transition" and (
         state.entities != panel.entities or state.periods != panel.periods
@@ -358,53 +363,69 @@ def _build_study(
 
     counts = {spec.dependent.name: work.missing_count(_DEP)}
     counts.update((n, work.missing_count(n)) for n in names)
+    present = work.present_mask(names)
+    regressors = np.stack([work.column(n) for n in names])
+    regressors[:, ~present] = 0.0  # the samples read only present cells
+    outcome = work.select([_DEP])
+    del work, eventset  # free every grid but the outcome's before the stacked pass
+    deltas = (horizon_delta(outcome, _DEP, k, out="__resp") for k in horizons)
+    responses = np.stack([delta.column("__resp") for delta in deltas])
+    missing = np.isnan(responses)
+    masks = present & ~missing
+    responses[~masks] = 0.0
+    sums = responses.sum(axis=2), responses.sum(axis=1)
+    del responses  # a horizon takes its response from the outcome
     return _Study(
-        outcome=work.select([_DEP]),
-        regressors=np.stack([work.column(n).ravel() for n in names]),
+        regressors=regressors,
         columns=tuple(names),
-        mask=work.present_mask(names),
+        horizons=tuple(horizons),
+        masks=masks,
+        outcome=outcome.column(_DEP).ravel(),
+        response_missing=np.count_nonzero(missing, axis=(1, 2)),
+        effects=_fe_effects(masks, regressors, spec.entity_fe, spec.time_fe, sums),
+        labels=(np.asarray(panel.entities), np.asarray(panel.periods)),
         missing_counts={n: c for n, c in counts.items() if c},
         series=series,
     )
 
 
 def _horizon_design(study: _Study, spec: LPSpec, k: int) -> DesignMatrix:
-    """The per-horizon step: add the response, listwise-delete, demean and
-    pack the horizon-k design."""
-    outcome = horizon_delta(study.outcome, _DEP, k, out="__resp")
-    response = outcome.column("__resp")
-    missing = np.isnan(response)
-    mask = study.mask & ~missing
-    flat = np.flatnonzero(mask)
+    """The per-horizon step: gather the horizon-k sample, subtract its
+    fixed effects and pack the design."""
+    s = study.horizons.index(k)
+    flat = np.flatnonzero(study.masks[s])
     if flat.size == 0:
-        counts = {"response": int(missing.sum()), **study.missing_counts}
+        counts = {"response": int(study.response_missing[s]), **study.missing_counts}
         raise EmptySampleError(
             f"no complete rows at horizon {k}; missing cells per variable: {counts}"
         )
-    ent_idx, per_idx = np.divmod(flat, outcome.n_periods)
-    # one row-major block [response | regressors], demeaned in place; its
-    # transpose is the column-major design the fit reads
-    block = np.empty((1 + len(study.columns), flat.size))
-    response.take(flat, out=block[0], mode="clip")
-    study.regressors.take(flat, axis=1, out=block[1:], mode="clip")
-    raw_response = block[0].copy()
-    raw_ss = np.einsum("ij,ij->i", block[1:], block[1:])
-    sweeps = _fe_residualize(block, mask, per_idx, spec.entity_fe, spec.time_fe)
+    ent_idx, per_idx = np.divmod(flat, study.masks.shape[2])
+    # one row-major block [regressors | y[t+k] - y[t]], demeaned in place;
+    # its transpose is the column-major [X | y] the fit factors
+    n_cols = len(study.columns)
+    block = np.empty((n_cols + 1, flat.size))
+    X = block[:n_cols]
+    study.regressors.reshape(n_cols, -1).take(flat, axis=1, out=X, mode="clip")
+    np.subtract(study.outcome[flat + k], study.outcome[flat], out=block[n_cols])
+    raw_response = block[n_cols].copy()
+    raw_ss = np.einsum("ij,ij->i", X, X)
+    per_fe, ent_fe = study.effects
+    block -= per_fe[s].take(per_idx, axis=1)
+    block -= ent_fe[s].take(ent_idx, axis=1)
     # A regressor the fixed effects absorb leaves rounding noise that the
     # unit-norm rank filter would keep as a column; zeroed, it is dropped.
-    within_ss = np.einsum("ij,ij->i", block[1:], block[1:])
-    block[1:][within_ss <= PIVOT_RTOL**2 * raw_ss] = 0.0
-    entities, periods = outcome.cell_labels(ent_idx, per_idx)
+    X[np.einsum("ij,ij->i", X, X) <= PIVOT_RTOL**2 * raw_ss] = 0.0
+    entities, periods = study.labels[0][ent_idx], study.labels[1][per_idx]
     by_entity = spec.cluster == "entity"
     return DesignMatrix(
-        response=block[0],
-        matrix=block[1:].T,
+        response=block[n_cols],
+        matrix=X.T,
         columns=study.columns,
         entities=entities,
         periods=periods,
         clusters=entities if by_entity else periods,
         raw_response=raw_response,
-        demean_sweeps=sweeps,
+        demean_sweeps=int(spec.entity_fe or spec.time_fe),
         missing_counts=dict(study.missing_counts),
         entity_codes=ent_idx,
         period_codes=per_idx,
@@ -424,7 +445,7 @@ def build_baseline_design(
     Runs the per-study and the per-horizon step of :func:`estimate_irf`
     for the one horizon.
     """
-    return _horizon_design(_build_study(panel, events, spec, "baseline"), spec, k)
+    return _horizon_design(_build_study(panel, events, spec, "baseline", (k,)), spec, k)
 
 
 def build_interaction_design(
@@ -438,7 +459,7 @@ def build_interaction_design(
     out of the design up front and keep only the product term.  Runs the
     same two steps as :func:`estimate_irf`, for the one horizon.
     """
-    study = _build_study(panel, events, spec, "interaction", group=group)
+    study = _build_study(panel, events, spec, "interaction", (k,), group=group)
     return _horizon_design(study, spec, k)
 
 
@@ -458,7 +479,7 @@ def build_transition_design(
     level controls of the baseline are replaced by the cycle-state block.
     Runs the same two steps as :func:`estimate_irf`, for the one horizon.
     """
-    study = _build_study(panel, events, spec, "transition", state=state)
+    study = _build_study(panel, events, spec, "transition", (k,), state=state)
     return _horizon_design(study, spec, k)
 
 
@@ -524,9 +545,8 @@ def estimate_irf(
         raise PanelLPError("interaction design needs a GroupSpec")
     if spec.kind == "transition" and state is None:
         state = build_transition_state(panel, spec.growth, spec.sigma, spec.z_scope)
-    study = _build_study(panel, events, spec, spec.kind, group, state)
-
-    ks = list(range(spec.horizons + 1))
+    ks = range(spec.horizons + 1)
+    study = _build_study(panel, events, spec, spec.kind, ks, group, state)
 
     def run(k: int) -> HorizonEstimate:
         try:

@@ -9,9 +9,9 @@ into downstream arithmetic.  All transforms are pure: they return a new
 
 Grids are C-ordered, so cell ``(i, t)`` sits at flat offset
 ``i * n_periods + t`` and a flattened grid lists cells entity by entity.
-The two-way demeaning works on row-major blocks, one row per variable
-and one column per sample cell in that order, so each entity's cells are
-one contiguous segment.
+The two-way projection finds the fixed effects of a stack of samples at
+once, from sums on the grid; each sample subtracts them from its row-major
+block, one row per variable and one column per cell in that order.
 
 Period arithmetic (lags, leads, differences) is done in units of the integer
 time index, never by positional shifting, so an entity observed for
@@ -141,17 +141,6 @@ class Panel:
         """Grid rows of ``entities``; -1 marks a label the panel lacks."""
         rows = [self._entity_index.get(e, -1) for e in entities]
         return np.array(rows, dtype=np.intp)
-
-    def cell_labels(
-        self, ent_idx: np.ndarray, per_idx: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Entity and period label arrays for cells given by grid position.
-
-        One vectorised gather per axis.  The labels are for reporting only:
-        fits count and group rows by the grid positions themselves.
-        """
-        entities = np.asarray(self._entities)[ent_idx]
-        return entities, np.asarray(self._periods)[per_idx]
 
     def missing_count(self, name: str) -> int:
         return int(np.isnan(self.column(name)).sum())
@@ -448,81 +437,78 @@ def apply_variable_spec(panel: Panel, spec: VariableSpec) -> tuple[Panel, int]:
 
 
 def _pinned_periods(links: np.ndarray) -> np.ndarray:
-    """Boolean per period: True at the first period of each connected set.
+    """True per sample at the first period of each connected set.
 
-    ``links`` is the boolean period x period matrix ``N'N > 0`` of an
-    entity x period incidence ``N``: two periods are linked when an entity
-    has rows in both, and a period with rows is linked to itself.  Every
-    period starts with its own index as label and takes the lowest label
-    among its links until no label changes, which labels each connected
-    set by its first period.  Periods without rows are never pinned.
+    ``links`` stacks boolean period x period matrices ``N'N > 0`` of entity
+    x period incidences ``N``: two periods are linked when an entity has
+    rows in both, and a period with rows is linked to itself.  Every period
+    starts with its own index as label and takes the lowest label among its
+    links until no label changes, which labels each connected set by its
+    first period.  Periods without rows are never pinned.
     """
-    n_per = links.shape[0]
-    label = np.arange(n_per)
+    first = np.arange(links.shape[-1])
+    label = np.broadcast_to(first, links.shape[:-1])
     while True:
-        lowest = np.minimum(np.where(links, label, n_per).min(axis=1), label)
+        lowest = np.where(links, label[:, None], first.size).min(axis=2)
         if np.array_equal(lowest, label):
-            return links.diagonal() & (label == np.arange(n_per))
+            return np.diagonal(links, axis1=1, axis2=2) & (label == first)
         label = lowest
 
 
-def _fe_residualize(
-    block: np.ndarray,
-    mask: np.ndarray,
-    per_codes: np.ndarray,
+def _fe_effects(
+    masks: np.ndarray,
+    grids: np.ndarray,
     entity_fe: bool,
     time_fe: bool,
-) -> int:
-    """Replace the row-major ``(n_vars, n_rows)`` float block, in place,
-    by its exact residuals after projecting out the fixed effects.
+    own_sums: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact period and entity effects of every variable on every sample.
 
-    The block's columns are the ``True`` cells of the entity x period
-    ``mask`` in C order (entity-major), and ``per_codes`` their periods.
-    So each entity's rows are one contiguous segment: the entity sums come
-    from one ``np.add.reduceat`` over the entities that have rows (for an
-    empty segment it would return the next entity's first value), and the
-    period sums from one ``bincount`` per variable.  The effects are
-    removed by two gathers.
-
-    With both effects the period effects ``g`` solve
-    ``(diag(n_t) - N' diag(1/n_i) N) g = b``, where ``N`` is the entity x
-    period incidence (the mask's rows with cells) and ``b`` the per-period
-    sums of the entity-demeaned block; the entity effects are then the
-    entity means of the block less those of ``g``.  That matrix, the
-    Laplacian of the period graph, is singular once per connected set, so
-    the first period of each set is held at zero and periods without rows
-    are skipped (Abowd, Creecy and Kramarz 2002).  Returns the number of
-    group-mean passes: one with any fixed effect, none without.
+    ``masks`` stacks the samples' ``(n_entities, n_periods)`` cells and
+    ``grids`` the variables they share, finite in every cell (zero, not NaN,
+    where missing); ``own_sums`` adds one more variable per sample by its
+    entity and period sums.  Returns the ``(n_samples, n_vars, n_periods)``
+    period and ``(n_samples, n_vars, n_entities)`` entity effects (zero if
+    left out), whose removal leaves a sample's residuals.  Each step is
+    elementwise, within one sample or one BLAS or LAPACK call per sample, so
+    a sample's effects have the same bits in any stack.  The period effects
+    ``g`` solve ``(diag(n_t) - N' diag(1/n_i) N) g = b`` (``N`` the entity
+    x period incidence, ``b`` the period sums of the entity-demeaned
+    variables); the entity effects are the entity means less those of
+    ``g``.  That Laplacian of the period graph is singular once per
+    connected set, so each set's first period is held at zero (Abowd,
+    Creecy and Kramarz 2002): it and every period without rows get an
+    identity row, and one batched solve covers every sample.
     """
-    if not entity_fe and not time_fe:
-        return 0
-    n_per = mask.shape[1]
-    if time_fe:
-        per_sums = np.stack(
-            [np.bincount(per_codes, weights=row, minlength=n_per) for row in block]
-        )
-    if not entity_fe:
-        cnt_p = np.maximum(np.count_nonzero(mask, axis=0), 1)
-        block -= (per_sums / cnt_p).take(per_codes, axis=1)
-        return 1
-    cnt_e = np.count_nonzero(mask, axis=1)
-    seen = cnt_e > 0
-    cnt_e = cnt_e[seen]
-    ent_means = np.add.reduceat(block, np.cumsum(cnt_e) - cnt_e, axis=1) / cnt_e
-    if time_fe:
-        N = mask[seen].astype(float)
-        shared = (N.T / cnt_e) @ N  # N' diag(1/n_i) N, positive where N'N is
+    N = masks.astype(float)
+    # one matrix-vector product per sample and entity, then per period
+    ent_sums = np.matmul(grids.transpose(1, 0, 2), N[..., None])[..., 0]
+    by_period = np.ascontiguousarray(grids.transpose(2, 0, 1))
+    per_sums = np.matmul(by_period, N.transpose(0, 2, 1)[..., None])[..., 0]
+    del by_period
+    if own_sums is not None:
+        ent_sums = np.concatenate([ent_sums, own_sums[0][..., None]], axis=2)
+        per_sums = np.concatenate([per_sums, own_sums[1][..., None]], axis=2)
+    cnt_p = np.count_nonzero(masks, axis=1)
+    # an entity without rows has zero sums: any count serves
+    cnt_e = np.maximum(np.count_nonzero(masks, axis=2), 1)[..., None]
+    ent_fe = ent_sums / cnt_e if entity_fe else np.zeros_like(ent_sums)
+    per_fe = np.zeros_like(per_sums)
+    if time_fe and not entity_fe:
+        per_fe = per_sums / np.maximum(cnt_p, 1)[..., None]
+    elif time_fe:
+        root = np.sqrt(cnt_e)
+        N /= root  # diag(n_i)^-1/2 N, in place
+        shared = np.matmul(N.transpose(0, 2, 1), N)  # positive where N'N is
         links = shared > 0.0
-        free = np.flatnonzero(links.diagonal() & ~_pinned_periods(links))
-        per_fe = np.zeros_like(per_sums)
-        if free.size:
-            schur = np.diag(N.sum(axis=0)[free]) - shared[np.ix_(free, free)]
-            rhs = per_sums[:, free] - ent_means @ N[:, free]
-            per_fe[:, free] = np.linalg.solve(schur, rhs.T).T
-        ent_means -= (per_fe @ N.T) / cnt_e
-        block -= per_fe.take(per_codes, axis=1)
-    block -= ent_means.take(np.repeat(np.arange(cnt_e.size), cnt_e), axis=1)
-    return 1
+        free = np.diagonal(links, axis1=1, axis2=2) & ~_pinned_periods(links)
+        schur = np.where(free[:, :, None] & free[:, None, :], -shared, 0.0)
+        diag = np.arange(masks.shape[2])
+        schur[:, diag, diag] = np.where(free, cnt_p - shared[:, diag, diag], 1.0)
+        b = per_sums - np.matmul(N.transpose(0, 2, 1), ent_sums / root)
+        per_fe = np.linalg.solve(schur, np.where(free[..., None], b, 0.0))
+        ent_fe -= np.matmul(N, per_fe) / root
+    return per_fe.transpose(0, 2, 1), ent_fe.transpose(0, 2, 1)
 
 
 def two_way_demean(
@@ -540,14 +526,12 @@ def two_way_demean(
     """
     names = [str(v) for v in variables]
     mask = panel.present_mask(names)
-    flat = np.flatnonzero(mask)
-    if flat.size == 0:
+    if not mask.any():
         raise PanelLPError("no cell has all the requested variables observed")
-    block = np.stack([panel.column(name).ravel().take(flat) for name in names])
-    _fe_residualize(block, mask, flat % panel.n_periods, entity_fe, time_fe)
-    result = panel
-    for name, values in zip(names, block):
-        grid = np.full((panel.n_entities, panel.n_periods), np.nan)
-        grid[mask] = values
-        result = result.replace_column(name, grid)
-    return result
+    grids = np.stack([np.where(mask, panel.column(name), 0.0) for name in names])
+    per_fe, ent_fe = _fe_effects(mask[None], grids, entity_fe, time_fe)
+    grids -= per_fe[0][:, None]
+    grids -= ent_fe[0][..., None]
+    grids[:, ~mask] = np.nan
+    grids.flags.writeable = False  # one read-only grid per variable
+    return panel._new({**panel._columns, **dict(zip(names, grids))})

@@ -171,7 +171,8 @@ def within_fit(
     dm = two_way_demean(panel, names, entity_fe=entity_fe, time_fe=time_fe)
     mask = dm.present_mask(names)
     ent_idx, per_idx = np.nonzero(mask)
-    entities, periods = panel.cell_labels(ent_idx, per_idx)
+    entities = np.asarray(panel.entities)[ent_idx]
+    periods = np.asarray(panel.periods)[per_idx]
     design = DesignMatrix(
         response=dm.column(response)[mask],
         matrix=np.column_stack([dm.column(r)[mask] for r in regressors]),

@@ -202,6 +202,24 @@ def test_estimate_failure_leaves_no_partial_output(tmp_path, sim_dir, capsys):
     assert not out.exists() or os.listdir(out) == []
 
 
+def test_estimate_horizons_past_the_sample_end_exit_1(tmp_path, capsys):
+    # 45 horizons on the 40-period sample: every horizon from 40 on has an
+    # empty sample, and the run fails cleanly at the first horizon whose
+    # shock coefficient is lost, with nothing written
+    cfg = (REPO_ROOT / "configs" / "sample_baseline.cfg").read_text()
+    cfg = cfg.replace("= data/", f"= {REPO_ROOT / 'data'}/")
+    cfg = cfg.replace("out/sample_baseline", str(tmp_path / "out"))
+    cfg = cfg.replace("spec.horizons = 5", "spec.horizons = 45")
+    (tmp_path / "run.cfg").write_text(cfg)
+    assert main(["estimate", "--config", str(tmp_path / "run.cfg")]) == 1
+    assert capsys.readouterr().err == (
+        "error: panel-lp: horizon 17: no coefficient for 'shock' "
+        "(dropped as collinear)\n"
+    )
+    out = tmp_path / "out"
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_estimate_population_level_control_exits_0(tmp_path, capsys):
     # the sample config plus a population control of about 1e8 people
     rng = np.random.default_rng(7)

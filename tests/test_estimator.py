@@ -8,6 +8,7 @@ per-cluster loop for the sandwich, and frozen distribution constants.
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,6 +282,38 @@ def test_ols_fit_is_independent_of_the_matrix_layout(rng):
                 np.testing.assert_array_equal(
                     getattr(fits[name], attr), getattr(fits["C"], attr)
                 )
+
+
+def test_ols_fit_factors_views_of_a_packed_block(rng, monkeypatch):
+    # a design whose matrix and response are the rows of one C-order block,
+    # as lp packs it, hands np.linalg.qr views of that block; a design of
+    # separate arrays with the same values is copied a panel at a time and
+    # gets the same bits
+    n, k = 3 * _PANEL_ROWS + 7, 4
+    block = np.empty((k + 1, n))
+    block[:] = rng.normal(size=(k + 1, n))
+    packed = DesignMatrix(
+        response=block[k],
+        matrix=block[:k].T,
+        columns=("a", "b", "c", "d"),
+        entities=np.arange(n) % 5,
+        periods=np.arange(n),
+        clusters=np.arange(n) % 5,
+    )
+    apart = replace(
+        packed, response=block[k].copy(), matrix=np.ascontiguousarray(block[:k].T)
+    )
+    views = []
+    real = np.linalg.qr
+    monkeypatch.setattr(
+        np.linalg, "qr", lambda a, mode: views.append(a.base is block) or real(a, mode)
+    )
+    fits = [ols_fit(d) for d in (packed, apart)]
+    # four panels and the stacked triangles, per fit
+    assert views == [True] * 4 + [False] * 6
+    for attr in ("coefficients", "bread", "residuals"):
+        a, b = (getattr(f, attr) for f in fits)
+        assert a.tobytes() == b.tobytes()
 
 
 def test_ols_fit_holds_no_copy_of_a_tall_design(rng):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,12 @@ import pytest
 
 from panellp.cli import _spec_from_config
 from panellp import estimator, lp
-from panellp.errors import DataError, EmptySampleError, PanelLPError
+from panellp.errors import (
+    DataError,
+    DegenerateDesignError,
+    EmptySampleError,
+    PanelLPError,
+)
 from panellp.estimator import fit_with_covariance, lsdv_fit
 from panellp.events import EventList, PandemicEvent
 from panellp.ingest import load_config, read_event_list, read_panel
@@ -382,9 +388,80 @@ def test_empty_sample_reports_missing_counts():
         estimate_irf(panel, events, spec_y(horizons=7))
 
 
+@pytest.mark.parametrize("horizons", [14, 30])
+def test_horizons_past_the_panel_end_keep_the_first_failure(horizons):
+    # On 12 periods every horizon from 12 on has an empty sample, and the
+    # stacked pass builds it without error: the run still fails at horizon
+    # 8, whose design keeps rows but no usable column, with that horizon's
+    # class and message.
+    panel, events, _ = sim_case(n_periods=12)
+    with pytest.raises(DegenerateDesignError) as info:
+        estimate_irf(panel, events, spec_y(horizons=horizons))
+    assert str(info.value) == (
+        "horizon 8: design has no usable columns (every column is zero)"
+    )
+    # each horizon past the end alone: an empty sample, every response
+    # cell missing
+    cells = panel.n_entities * panel.n_periods
+    for k in (12, horizons):
+        with pytest.raises(EmptySampleError, match=f"'response': {cells}"):
+            build_baseline_design(panel, events, spec_y(), k)
+
+
+def test_design_labels_are_the_panel_labels_of_its_rows():
+    panel, events, _ = sim_case()
+    panel = wipe(panel, entity=10)
+    for cluster in ("entity", "period"):
+        d = build_baseline_design(panel, events, spec_y(cluster=cluster), k=2)
+        entities = np.asarray(panel.entities)[d.entity_codes]
+        periods = np.asarray(panel.periods)[d.period_codes]
+        for got, want in ((d.entities, entities), (d.periods, periods)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        clusters = entities if cluster == "entity" else periods
+        np.testing.assert_array_equal(d.clusters, clusters)
+
+
 # ---------------------------------------------------------------------------
 # estimation driver
 # ---------------------------------------------------------------------------
+
+
+def test_irf_peak_memory_is_its_stacks_and_one_horizon_block():
+    # An unbalanced 190 x 60 transition panel (staggered entry, 5 % holes),
+    # H = 10.  With V design columns, E x T cells and n rows in the largest
+    # horizon, one run may hold, in 8-byte floats: about 4 V E T while the
+    # study builds its working grids, the regressor stack and its
+    # period-major copy; 2 (H + 1) E T for every horizon's response or
+    # float sample mask and what it is stacked from; and 2 n (V + 1) for
+    # the horizon being fitted, its block and the fit's scores.  Keeping
+    # every horizon's block alive adds about (H + 1) n (V + 1) and fails.
+    E, T, H = 190, 60, 10
+    full, events, _ = generate(
+        DGPSpec(
+            n_entities=E, n_periods=T, noise_sd=0.05, error_rho=0.0, ar_coef=0.0,
+            theta=(0.0,), theta_recession=(0.0, -0.05, -0.05),
+            theta_expansion=(0.0, 0.02, 0.02), shock_prob=0.1, seed=17,
+        )
+    )
+    rng = np.random.default_rng(17)
+    gone = np.arange(T) < rng.integers(0, T // 2, size=(E, 1))
+    gone |= rng.random((E, T)) < 0.05
+    cols = {v: np.where(gone, np.nan, full.column(v)) for v in full.variables}
+    panel = Panel(full.entities, full.periods, cols)
+    spec = spec_y(kind="transition", growth="growth", horizons=H, lag_order=2)
+    estimate_irf(panel, events, spec)  # first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        irf = estimate_irf(panel, events, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    first = irf.horizons[0]
+    V = len(first.result.columns) + len(first.dropped_columns)
+    n = max(h.n_obs for h in irf.horizons)
+    assert V == 10 and n > 4000
+    assert peak < 8 * (4 * V * E * T + 2 * (H + 1) * E * T + 2 * n * (V + 1))
 
 
 def test_thread_pool_matches_serial_bitwise():

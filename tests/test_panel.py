@@ -13,9 +13,11 @@ from panellp.errors import (
     MissingVariableError,
     PanelLPError,
 )
+from panellp.estimator import lsdv_fit
 from panellp.panel import (
     Panel,
     VariableSpec,
+    _fe_effects,
     _pinned_periods,
     add_lag,
     apply_variable_spec,
@@ -322,12 +324,25 @@ def test_demeaned_groups_are_orthogonal_on_sparse_graphs(rng, layout):
         assert np.abs(per_sums[per_cnt > 0] / per_cnt[per_cnt > 0]).max() < 1e-10
 
 
-def test_demean_exactly_identified_connected_sets_absorb_every_cell():
+def _residuals(masks, grids, entity_fe=True, time_fe=True, own=None):
+    """Each sample's cells less its effects from one stacked pass, as
+    ``(n_samples, n_vars, n_entities, n_periods)``, NaN off the sample."""
+    own_sums = None if own is None else (own.sum(axis=2), own.sum(axis=1))
+    per_fe, ent_fe = _fe_effects(masks, grids, entity_fe, time_fe, own_sums)
+    values = np.broadcast_to(grids, (len(masks),) + grids.shape)
+    if own is not None:
+        values = np.concatenate([values, own[:, None]], axis=1)
+    out = values - per_fe[:, :, None, :] - ent_fe[..., None]
+    return np.where(masks[:, None], out, np.nan)
+
+
+def test_demean_exactly_identified_connected_sets_absorb_every_cell(rng):
     # A alone in 2000-2001; 2002 empty; then a path of two-year entities
     # 2003-2012-2011-...-2004, so 2004 reaches the set's first year only
     # through nine links.  Each set's effects fit its cells exactly.  Missing
     # a set leaves the period system singular, and holding 2004 at zero as
-    # if it began a set leaves residuals behind.
+    # if it began a set leaves residuals behind.  The chain also sits in a
+    # stack between a dense sample and an empty one, as a horizon would.
     path = [3, 12, 11, 10, 9, 8, 7, 6, 5, 4]
     grid = np.full((len(path), 13), np.nan)
     grid[0, [0, 1]] = [1.5, -0.25]
@@ -336,6 +351,16 @@ def test_demean_exactly_identified_connected_sets_absorb_every_cell():
     p = Panel([f"E{i}" for i in range(len(path))], range(2000, 2013), {"y": grid})
     q = two_way_demean(p, ["y"])
     np.testing.assert_allclose(q.column("y")[~np.isnan(grid)], 0.0, atol=1e-12)
+
+    chain = ~np.isnan(grid)
+    masks = np.stack([rng.random(chain.shape) < 0.8, chain, np.zeros_like(chain)])
+    incidence = masks.astype(float)
+    pinned = _pinned_periods(incidence.transpose(0, 2, 1) @ incidence > 0)
+    assert np.flatnonzero(pinned[1]).tolist() == [0, 3]
+    assert not pinned[2].any()
+    fills = np.where(chain, grid, rng.normal(size=grid.shape))
+    resid = _residuals(masks, fills[None])
+    np.testing.assert_allclose(resid[1, 0][chain], 0.0, atol=1e-12)
 
 
 def _bfs_first_periods(mask):
@@ -362,14 +387,95 @@ def _bfs_first_periods(mask):
 @given(
     arrays(
         bool,
-        st.tuples(st.integers(1, 12), st.integers(1, 15)),
+        st.tuples(st.integers(1, 4), st.integers(1, 12), st.integers(1, 15)),
         elements=st.sampled_from([False, False, False, True]),
     )
 )
-def test_pinned_periods_match_breadth_first_search(mask):
-    incidence = mask.astype(float)
-    pinned = _pinned_periods(incidence.T @ incidence > 0)
-    assert np.flatnonzero(pinned).tolist() == _bfs_first_periods(mask)
+def test_pinned_periods_match_breadth_first_search(masks):
+    # one batched labelling of a stack of samples, each against its own search
+    incidence = masks.astype(float)
+    pinned = _pinned_periods(incidence.transpose(0, 2, 1) @ incidence > 0)
+    for mask, first in zip(masks, pinned):
+        assert np.flatnonzero(first).tolist() == _bfs_first_periods(mask)
+
+
+def _lsdv_residuals(mask, values, entity_fe, time_fe):
+    """Residuals of each of ``values`` on the sample's explicit entity and
+    period dummies, by least squares."""
+    ent_idx, per_idx = np.nonzero(mask)
+    dummies = [np.zeros((ent_idx.size, 0))]
+    if entity_fe:
+        dummies.append(ent_idx[:, None] == np.arange(mask.shape[0]))
+    if time_fe:
+        dummies.append(per_idx[:, None] == np.arange(mask.shape[1]))
+    D = np.hstack(dummies).astype(float)
+    ys = np.stack([v[mask] for v in values], axis=1)
+    if D.shape[1]:
+        ys = ys - D @ np.linalg.lstsq(D, ys, rcond=None)[0]
+    return ys.T
+
+
+@st.composite
+def sample_stacks(draw):
+    """Up to four samples of at most 12 x 15 cells, sparse or dense; when
+    drawn, one sample is empty, one entity and one period have no rows, or
+    the cells fall into two blocks with disjoint periods."""
+    n_samples = draw(st.integers(1, 4))
+    n_ent, n_per = draw(st.integers(1, 12)), draw(st.integers(1, 15))
+    density = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = rng.random((n_samples, n_ent, n_per)) < density
+    if draw(st.booleans()):
+        masks[draw(st.integers(0, n_samples - 1))] = False
+    if draw(st.booleans()):
+        masks[:, draw(st.integers(0, n_ent - 1))] = False
+        masks[:, :, draw(st.integers(0, n_per - 1))] = False
+    if draw(st.booleans()):
+        masks[:, : n_ent // 2, n_per // 2 :] = False
+        masks[:, n_ent // 2 :, : n_per // 2] = False
+    effects = st.sampled_from([(True, True), (True, False), (False, True), (False, False)])
+    return masks, rng, draw(effects)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sample_stacks())
+def test_stacked_effects_match_one_sample_runs_and_lsdv(case):
+    masks, rng, (entity_fe, time_fe) = case
+    # shared variables are finite in every cell; each sample's own variable
+    # is zero off its sample
+    grids = rng.normal(size=(2,) + masks.shape[1:])
+    own = np.where(masks, rng.normal(size=masks.shape), 0.0)
+    stacked = _residuals(masks, grids, entity_fe, time_fe, own)
+    for s, mask in enumerate(masks):
+        alone = _residuals(mask[None], grids, entity_fe, time_fe, own[s : s + 1])
+        assert stacked[s].tobytes() == alone[0].tobytes()
+        if not mask.any():
+            continue
+        values = np.concatenate([grids, own[s][None]])
+        lsdv = _lsdv_residuals(mask, values, entity_fe, time_fe)
+        np.testing.assert_allclose(stacked[s][:, mask], lsdv, rtol=0, atol=1e-10)
+        # with a fixed effect to absorb its intercept, the estimator's LSDV
+        # fit gives the demeaned slope, where the sample has two clusters,
+        # residual degrees of freedom and within variation
+        x, y = stacked[s, 0][mask], stacked[s, -1][mask]
+        n_dummies = mask.any(axis=1).sum() * entity_fe + mask.any(axis=0).sum() * time_fe
+        if (
+            (entity_fe or time_fe)
+            and mask.any(axis=1).sum() > 1
+            and mask.sum() > n_dummies + 1
+            and x @ x > 1e-4 * (grids[0][mask] @ grids[0][mask])
+        ):
+            cols = {"y": own[s], "x": grids[0]}
+            panel = Panel(
+                [f"E{i}" for i in range(mask.shape[0])],
+                range(2000, 2000 + mask.shape[1]),
+                {name: np.where(mask, v, np.nan) for name, v in cols.items()},
+            )
+            ref = lsdv_fit(panel, "y", ["x"], entity_fe=entity_fe, time_fe=time_fe)
+            assert ref.columns == ("x",)
+            np.testing.assert_allclose(
+                ref.coefficients[0], (x @ y) / (x @ x), rtol=1e-10, atol=1e-10
+            )
 
 
 def test_demeaning_is_a_projection(rng):
