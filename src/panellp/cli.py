@@ -60,7 +60,6 @@ def _build_parser() -> _Parser:
 
     est = sub.add_parser("estimate", help="run a projection study from a config")
     est.add_argument("--config", required=True, help="path to key=value config file")
-    est.add_argument("--jobs", type=int, default=1, help="horizon thread pool size")
 
     sim = sub.add_parser("simulate", help="draw a synthetic panel with known truth")
     sim.add_argument("--config", required=True, help="path to dgp.* config file")
@@ -71,7 +70,6 @@ def _build_parser() -> _Parser:
     val.add_argument("--suite", required=True, help="validation suite name")
     val.add_argument("--reps", type=int, default=None, help="override replication count")
     val.add_argument("--seed", type=int, default=None, help="override the suite seed")
-    val.add_argument("--jobs", type=int, default=1, help="horizon thread pool size")
     return parser
 
 
@@ -261,7 +259,7 @@ def _cmd_estimate(args) -> int:
         input_paths.append(cfg["input.groups"])
         group = read_groups(cfg["input.groups"], cfg.get("spec.group_name", "group"))
 
-    irf = estimate_irf(panel, events, spec, group=group, jobs=args.jobs)
+    irf = estimate_irf(panel, events, spec, group=group)
 
     outdir = cfg["output.dir"]
     os.makedirs(outdir, exist_ok=True)
@@ -420,7 +418,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_validate(args) -> int:
     from .validation import run_suite
 
-    report = run_suite(args.suite, reps=args.reps, seed=args.seed, jobs=args.jobs)
+    report = run_suite(args.suite, reps=args.reps, seed=args.seed)
     for line in report.lines:
         print(line)
     print(f"suite={report.name} {'PASS' if report.passed else 'FAIL'}")

@@ -2,9 +2,10 @@
 
 The solver factors each design once: it builds the R factor of the
 columns with the response appended, a panel of rows at a time (TSQR), so
-a fit never copies its n-row design, and scales the triangle to the
-columns' unit norms.  It then drops, in design order, every column within
-a relative tolerance of the span of the kept columns before it.  So
+a fit of a column-major design copies one panel of rows at a time, never
+all n rows, and scales the triangle to the columns' unit norms.  It then
+drops, in design order, every column within a relative tolerance of the
+span of the kept columns before it.  So
 rank-deficient designs (absorbed group dummies, duplicated regressors)
 degrade gracefully: the dropped names are reported instead of blowing up
 or silently returning a pseudo-inverse fit.  Normal equations are never
@@ -13,8 +14,8 @@ tests and in :mod:`panellp.validation`.
 
 Covariances are the one-way cluster sandwich with the finite-sample scaling
 ``G/(G-1) * (N-1)/(N-K)``.  Its bread ``(X'X)^-1`` comes from the same R
-factor as the coefficients, and its meat groups the scores by the integer
-cluster codes the design carries, so no label array is sorted per fit.
+factor as the coefficients, and its meat groups the scores by the design's
+integer cluster codes, so no label array is sorted per fit.
 Confidence intervals and p-values use a Student-t reference with ``G - 1``
 degrees of freedom (a normal reference is available as a switch), both
 evaluated here with numpy and the standard library alone.
@@ -23,7 +24,7 @@ evaluated here with numpy and the standard library alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from statistics import NormalDist
 from typing import Mapping, Sequence
@@ -69,21 +70,16 @@ class DesignMatrix:
     """A ready-to-fit regression sample.
 
     Rows map one-to-one onto entity-period cells that survived listwise
-    deletion; ``entities``/``periods`` carry that provenance as numpy
-    label arrays, gathered by grid position.
-    ``clusters`` holds the cluster label per row (entity labels under the
-    default clustering).  ``raw_response`` optionally keeps the
-    pre-demeaning response so an overall (rather than within) R-squared
-    can be formed.
-    ``demean_sweeps`` counts the group-mean passes of the fixed-effect
-    projection: 1 with any fixed effect, 0 without.
-
-    ``entity_codes``/``period_codes``/``cluster_codes`` are non-negative
-    integer codes per row, equal for equal labels; the fit counts and
-    groups by them.  They may have gaps: the projection passes the panel
-    grid positions, where an entity without a row at some horizon leaves
-    its code unused.  A design built from labels alone gets dense codes
-    from one ``np.unique`` per label array.
+    deletion.  ``entities``, ``periods`` and ``clusters`` carry that
+    provenance as non-negative integer codes per row, equal for equal
+    entities (periods, clusters); the fit counts and groups by them.
+    Codes may have gaps: :mod:`panellp.lp` passes the panel grid
+    positions, where an entity without a row at some horizon leaves its
+    code unused, and passes the entity (or period) array itself as the
+    clusters, so it is counted once.  A caller holding arbitrary labels
+    maps them to codes with ``np.unique(labels, return_inverse=True)[1]``.
+    ``raw_response`` optionally keeps the pre-demeaning response so an
+    overall (rather than within) R-squared can be formed.
     """
 
     response: np.ndarray
@@ -93,11 +89,6 @@ class DesignMatrix:
     periods: np.ndarray
     clusters: np.ndarray
     raw_response: np.ndarray | None = None
-    demean_sweeps: int = 0
-    missing_counts: Mapping[str, int] = field(default_factory=dict)
-    entity_codes: np.ndarray | None = None
-    period_codes: np.ndarray | None = None
-    cluster_codes: np.ndarray | None = None
 
     def __post_init__(self):
         y = np.asarray(self.response, dtype=float)
@@ -114,24 +105,15 @@ class DesignMatrix:
         for part, label in ((y, "response"), (X, "matrix")):
             if not np.isfinite(part).all():
                 raise PanelLPError(f"design {label} contains NaN/inf")
-        for attr, code_attr in (
-            ("entities", "entity_codes"),
-            ("periods", "period_codes"),
-            ("clusters", "cluster_codes"),
-        ):
-            if len(getattr(self, attr)) != n:
-                raise PanelLPError(f"{attr} length does not match {n} rows")
-            codes = getattr(self, code_attr)
-            if codes is None:
-                codes = np.unique(getattr(self, attr), return_inverse=True)[1]
-            codes = np.asarray(codes)
+        for attr in ("entities", "periods", "clusters"):
+            codes = np.asarray(getattr(self, attr))
             if (
                 codes.shape != (n,)
                 or codes.dtype.kind not in "iu"
                 or (n and codes.min() < 0)
             ):
-                raise PanelLPError(f"{code_attr} must be {n} non-negative integer codes")
-            object.__setattr__(self, code_attr, codes.astype(np.intp, copy=False))
+                raise PanelLPError(f"{attr} must be {n} non-negative integer codes")
+            object.__setattr__(self, attr, codes.astype(np.intp, copy=False))
 
     @property
     def n_rows(self) -> int:
@@ -247,17 +229,6 @@ def _rank_filtered_triangle(
     return R, kept
 
 
-def _joined(X: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """``[X | y]`` as one ``(n, k + 1)`` view when ``y``'s base holds both,
-    as the transposed rows of the block :mod:`panellp.lp` packs; else None."""
-    Xy = getattr(y.base, "T", None)
-    if Xy is None or Xy.ndim != 2 or Xy.shape[1] < 2:
-        return None
-    views = zip((X, y), (Xy[:, :-1], Xy[:, -1]))
-    same = all(a.__array_interface__ == b.__array_interface__ for a, b in views)
-    return Xy if same else None
-
-
 def ols_fit(design: DesignMatrix) -> RegressionResult:
     """Least squares via the R factor of ``[X | y]``, panel by panel.
 
@@ -265,9 +236,9 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
     ``_PANEL_ROWS`` rows is reduced by an R-only LAPACK ``geqrf``
     (``np.linalg.qr(mode="r")``, which copies its input), and one more
     R-only QR of the stacked panel triangles gives the R factor of the
-    whole design.  A panel is a view of the block :mod:`panellp.lp` packs,
-    or else a copy from a column-major ``X`` (a design that is not
-    column-major is copied once to column-major); no n-row ``Q`` is formed.
+    whole design.  A panel is one ``np.column_stack`` of its rows of a
+    column-major ``X`` and of ``y`` (a design that is not column-major is
+    copied once to column-major); no n-row ``Q`` is formed.
 
     The column norms ``D`` are read off the triangle (``||R[:, j]|| =
     ||X_j||``), which is scaled to ``R D^-1``, the R factor of the unit-norm
@@ -293,15 +264,10 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
 
     # R of [X | y], one panel of rows at a time
     rows = min(n, max(_PANEL_ROWS, 4 * (k + 1)))
-    Xy = _joined(X, y)
-    if Xy is None:
-        X = np.asfortranarray(X)
+    X = np.asfortranarray(X)
     triangles = []
     for start in range(0, n, rows):
-        if Xy is None:
-            part = np.column_stack((X[start : start + rows], y[start : start + rows]))
-        else:
-            part = Xy[start : start + rows]
+        part = np.column_stack((X[start : start + rows], y[start : start + rows]))
         triangles.append(np.linalg.qr(part, mode="r"))
     if len(triangles) > 1:
         triangles = [np.linalg.qr(np.vstack(triangles), mode="r")]
@@ -323,15 +289,15 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
     resid = y - X @ beta
     dropped = tuple(np.delete(np.asarray(design.columns, dtype=object), kept))
 
-    n_entities = _count_codes(design.entity_codes)
-    n_periods = _count_codes(design.period_codes)
+    n_entities = _count_codes(design.entities)
+    n_periods = _count_codes(design.periods)
     # clustering by entity or period passes the same code array: count once
-    if design.cluster_codes is design.entity_codes:
+    if design.clusters is design.entities:
         n_clusters = n_entities
-    elif design.cluster_codes is design.period_codes:
+    elif design.clusters is design.periods:
         n_clusters = n_periods
     else:
-        n_clusters = _count_codes(design.cluster_codes)
+        n_clusters = _count_codes(design.clusters)
 
     rss = float(resid @ resid)
     dev = y - y.mean()
@@ -380,7 +346,7 @@ def cluster_covariance(
     # S[g] = X_g' u_g (unused codes stay zero)
     scores = X.T[kept]
     scores *= result.residuals
-    codes = design.cluster_codes
+    codes = design.clusters
     S = np.stack([np.bincount(codes, weights=row) for row in scores], axis=1)
     # per-cluster influence terms B S_g; the sandwich is their cross product,
     # which numpy forms by a symmetric rank-k update, so V is exactly symmetric
@@ -703,19 +669,13 @@ def lsdv_fit(
     blocks.append(sub)
     colnames.extend(names)
 
-    entities = np.asarray(panel.entities)[ent_idx]
-    periods = np.asarray(panel.periods)[per_idx]
-    by_entity = cluster == "entity"
     design = DesignMatrix(
         response=y,
         matrix=np.column_stack(blocks),
         columns=tuple(colnames),
-        entities=entities,
-        periods=periods,
-        clusters=entities if by_entity else periods,
-        entity_codes=ent_idx,
-        period_codes=per_idx,
-        cluster_codes=ent_idx if by_entity else per_idx,
+        entities=ent_idx,
+        periods=per_idx,
+        clusters=ent_idx if cluster == "entity" else per_idx,
     )
     full = fit_with_covariance(design)
     # restrict to the substantive regressors

@@ -20,6 +20,8 @@ in one stacked pass.  A horizon then gathers its cells into one row-major
 ``(n_columns + 1, n_rows)`` block, ``[regressors | response]`` by rows in
 entity-major cell order, subtracts its two effects and fits the block's
 transpose, the column-major ``[X | y]`` the solver factors panel by panel.
+A design names its rows by integer codes, their grid positions, which the
+solver counts and clusters by.
 Horizons are independent of one another, so they may run in a thread
 pool; results are deterministic under any schedule.
 """
@@ -228,7 +230,6 @@ class HorizonEstimate:
     dropped_columns: tuple[str, ...]
     result: RegressionResult
     demean_sweeps: int = 0
-    missing_counts: Mapping[str, int] = field(default_factory=dict)
 
     def interval(self, name: str) -> CoefficientInterval:
         for iv in self.intervals:
@@ -288,7 +289,6 @@ class _Study:
     outcome: np.ndarray
     response_missing: np.ndarray
     effects: tuple[np.ndarray, np.ndarray]
-    labels: tuple[np.ndarray, np.ndarray]
     missing_counts: Mapping[str, int]
     series: tuple[tuple[str, Mapping[str, float] | None], ...]
 
@@ -383,7 +383,6 @@ def _build_study(
         outcome=outcome.column(_DEP).ravel(),
         response_missing=np.count_nonzero(missing, axis=(1, 2)),
         effects=_fe_effects(masks, regressors, spec.entity_fe, spec.time_fe, sums),
-        labels=(np.asarray(panel.entities), np.asarray(panel.periods)),
         missing_counts={n: c for n, c in counts.items() if c},
         series=series,
     )
@@ -391,7 +390,9 @@ def _build_study(
 
 def _horizon_design(study: _Study, spec: LPSpec, k: int) -> DesignMatrix:
     """The per-horizon step: gather the horizon-k sample, subtract its
-    fixed effects and pack the design."""
+    fixed effects and pack the design.  Its row codes are the sample's
+    grid positions; the clusters are the entity (or period) code array
+    itself."""
     s = study.horizons.index(k)
     flat = np.flatnonzero(study.masks[s])
     if flat.size == 0:
@@ -415,21 +416,14 @@ def _horizon_design(study: _Study, spec: LPSpec, k: int) -> DesignMatrix:
     # A regressor the fixed effects absorb leaves rounding noise that the
     # unit-norm rank filter would keep as a column; zeroed, it is dropped.
     X[np.einsum("ij,ij->i", X, X) <= PIVOT_RTOL**2 * raw_ss] = 0.0
-    entities, periods = study.labels[0][ent_idx], study.labels[1][per_idx]
-    by_entity = spec.cluster == "entity"
     return DesignMatrix(
         response=block[n_cols],
         matrix=X.T,
         columns=study.columns,
-        entities=entities,
-        periods=periods,
-        clusters=entities if by_entity else periods,
+        entities=ent_idx,
+        periods=per_idx,
+        clusters=ent_idx if spec.cluster == "entity" else per_idx,
         raw_response=raw_response,
-        demean_sweeps=int(spec.entity_fe or spec.time_fe),
-        missing_counts=dict(study.missing_counts),
-        entity_codes=ent_idx,
-        period_codes=per_idx,
-        cluster_codes=ent_idx if by_entity else per_idx,
     )
 
 
@@ -516,8 +510,7 @@ def _estimate_horizon(study: _Study, spec: LPSpec, k: int) -> HorizonEstimate:
         r_squared=r2,
         dropped_columns=result.dropped_columns,
         result=replace(result, r_squared=r2),
-        demean_sweeps=design.demean_sweeps,
-        missing_counts=dict(design.missing_counts),
+        demean_sweeps=int(spec.entity_fe or spec.time_fe),
     )
 
 

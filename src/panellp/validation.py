@@ -171,18 +171,13 @@ def within_fit(
     dm = two_way_demean(panel, names, entity_fe=entity_fe, time_fe=time_fe)
     mask = dm.present_mask(names)
     ent_idx, per_idx = np.nonzero(mask)
-    entities = np.asarray(panel.entities)[ent_idx]
-    periods = np.asarray(panel.periods)[per_idx]
     design = DesignMatrix(
         response=dm.column(response)[mask],
         matrix=np.column_stack([dm.column(r)[mask] for r in regressors]),
         columns=tuple(regressors),
-        entities=entities,
-        periods=periods,
-        clusters=entities,
-        entity_codes=ent_idx,
-        period_codes=per_idx,
-        cluster_codes=ent_idx,
+        entities=ent_idx,
+        periods=per_idx,
+        clusters=ent_idx,
     )
     return fit_with_covariance(design)
 
@@ -344,9 +339,7 @@ def _one_shot_schedule(
     return tuple((i, int(dates[i])) for i in range(n_entities))
 
 
-def irf_recovery_suite(
-    reps: int = 200, seed: int = 20260404, jobs: int = 1
-) -> SuiteReport:
+def irf_recovery_suite(reps: int = 200, seed: int = 20260404) -> SuiteReport:
     """Bias and coverage of the baseline projection on the known DGP.
 
     The mean estimate must sit within 0.005 of the injected path at every
@@ -390,7 +383,7 @@ def irf_recovery_suite(
             lead[:, : grid.shape[1] - j] = grid[:, j:]
             panel = panel.with_column(f"shock_lead_{j}", lead)
         spec = _sim_spec(horizons=H, controls=lead_controls)
-        irf = estimate_irf(panel, events, spec, jobs=jobs)
+        irf = estimate_irf(panel, events, spec)
         for k, iv in enumerate(irf.series("shock")):
             estimates[rep, k] = iv.estimate
             covered[rep, k] = iv.ci_low <= theta[k] <= iv.ci_high
@@ -509,7 +502,9 @@ SUITES = {
 }
 
 
-def run_suite(name: str, reps: int | None = None, seed: int | None = None, jobs: int = 1) -> SuiteReport:
+def run_suite(
+    name: str, reps: int | None = None, seed: int | None = None
+) -> SuiteReport:
     """Run a named suite with optional replication/seed overrides."""
     if name not in SUITES:
         from .errors import ConfigError
@@ -526,6 +521,4 @@ def run_suite(name: str, reps: int | None = None, seed: int | None = None, jobs:
         kwargs[first] = reps
     if seed is not None:
         kwargs["seed"] = seed
-    if name == "irf-recovery" and jobs > 1:
-        kwargs["jobs"] = jobs
     return fn(**kwargs)

@@ -33,7 +33,7 @@ from panellp.estimator import (
     ols_fit,
     significance_stars,
 )
-from panellp.panel import Panel, two_way_demean
+from panellp.validation import within_fit
 
 from conftest import balanced_panel, punch_holes, sparse_panel
 
@@ -168,7 +168,7 @@ def test_ols_zero_tss_reports_zero_r2(rng):
         response=np.zeros(20),
         matrix=X,
         columns=("x",),
-        entities=np.zeros(20),
+        entities=np.zeros(20, dtype=int),
         periods=np.arange(20),
         clusters=np.arange(20) % 4,
     )
@@ -284,11 +284,11 @@ def test_ols_fit_is_independent_of_the_matrix_layout(rng):
                 )
 
 
-def test_ols_fit_factors_views_of_a_packed_block(rng, monkeypatch):
+def test_ols_fit_copies_each_panel_of_a_packed_block(rng, monkeypatch):
     # a design whose matrix and response are the rows of one C-order block,
-    # as lp packs it, hands np.linalg.qr views of that block; a design of
-    # separate arrays with the same values is copied a panel at a time and
-    # gets the same bits
+    # as lp packs it, takes the one panel path of a design of separate
+    # arrays: each panel is copied out, never handed to np.linalg.qr as a
+    # view of the block, and both designs get the same bits
     n, k = 3 * _PANEL_ROWS + 7, 4
     block = np.empty((k + 1, n))
     block[:] = rng.normal(size=(k + 1, n))
@@ -310,7 +310,7 @@ def test_ols_fit_factors_views_of_a_packed_block(rng, monkeypatch):
     )
     fits = [ols_fit(d) for d in (packed, apart)]
     # four panels and the stacked triangles, per fit
-    assert views == [True] * 4 + [False] * 6
+    assert views == [False] * 10
     for attr in ("coefficients", "bread", "residuals"):
         a, b = (getattr(f, attr) for f in fits)
         assert a.tobytes() == b.tobytes()
@@ -469,20 +469,20 @@ def test_cr1_needs_residual_degrees_of_freedom(rng):
 
 @pytest.mark.parametrize(
     "codes",
-    [np.arange(5), np.arange(6) - 1, np.arange(6.0)],
-    ids=["short", "negative", "float"],
+    [np.arange(5), np.arange(6) - 1, np.arange(6.0), np.array(list("abcdef"))],
+    ids=["short", "negative", "float", "string"],
 )
 def test_design_rejects_bad_codes(rng, codes):
-    with pytest.raises(PanelLPError, match="cluster_codes"):
-        DesignMatrix(
-            response=rng.normal(size=6),
-            matrix=rng.normal(size=(6, 1)),
-            columns=("x",),
-            entities=np.arange(6),
-            periods=np.arange(6),
-            clusters=np.arange(6),
-            cluster_codes=codes,
-        )
+    # labels are the caller's to map to codes; the error names the field
+    good = {"entities": np.arange(6), "periods": np.arange(6), "clusters": np.arange(6)}
+    for name in good:
+        with pytest.raises(PanelLPError, match=f"^{name} must be 6 non-negative"):
+            DesignMatrix(
+                response=rng.normal(size=6),
+                matrix=rng.normal(size=(6, 1)),
+                columns=("x",),
+                **{**good, name: codes},
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -657,26 +657,9 @@ def test_single_column_combination_equals_interval(rng):
 # ---------------------------------------------------------------------------
 
 
-def within_route(panel, response, regressors):
-    """Demean-then-fit, mirroring the production projection path."""
-    names = [response] + list(regressors)
-    dm = two_way_demean(panel, names)
-    mask = panel.present_mask(names)
-    ent_idx, per_idx = np.nonzero(mask)
-    design = DesignMatrix(
-        response=dm.column(response)[mask],
-        matrix=np.column_stack([dm.column(r)[mask] for r in regressors]),
-        columns=tuple(regressors),
-        entities=np.asarray([panel.entities[i] for i in ent_idx], dtype=object),
-        periods=np.asarray([panel.periods[j] for j in per_idx]),
-        clusters=np.asarray([panel.entities[i] for i in ent_idx], dtype=object),
-    )
-    return fit_with_covariance(design)
-
-
 def test_lsdv_equals_demeaning_balanced(rng):
     p = balanced_panel(rng, n_entities=7, n_periods=9, variables=("y", "a", "b"))
-    demeaned = within_route(p, "y", ["a", "b"])
+    demeaned = within_fit(p, "y", ["a", "b"])
     dummies = lsdv_fit(p, "y", ["a", "b"])
     for name in ("a", "b"):
         assert abs(demeaned.coefficient(name) - dummies.coefficient(name)) < 1e-8
@@ -688,7 +671,7 @@ def test_lsdv_equals_demeaning_unbalanced(rng):
         rng,
         frac=0.15,
     )
-    demeaned = within_route(p, "y", ["a", "b"])
+    demeaned = within_fit(p, "y", ["a", "b"])
     dummies = lsdv_fit(p, "y", ["a", "b"])
     for name in ("a", "b"):
         assert abs(demeaned.coefficient(name) - dummies.coefficient(name)) < 1e-8
@@ -698,7 +681,7 @@ def test_lsdv_equals_demeaning_unbalanced(rng):
 @pytest.mark.parametrize("layout", ["blocks", "chain"])
 def test_lsdv_equals_demeaning_on_sparse_graphs(rng, layout):
     p = sparse_panel(rng, layout)
-    demeaned = within_route(p, "y", ["a", "b"])
+    demeaned = within_fit(p, "y", ["a", "b"])
     dummies = lsdv_fit(p, "y", ["a", "b"])
     for name in ("a", "b"):
         assert abs(demeaned.coefficient(name) - dummies.coefficient(name)) < 1e-8

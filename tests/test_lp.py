@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pathlib
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,20 +199,15 @@ def test_baseline_design_without_fe_exposes_raw_columns():
     d = build_baseline_design(panel, events, spec, k=2)
     shock_col = d.matrix[:, 0]
     assert set(np.unique(shock_col)) <= {0.0, 1.0}
-    cells = {
-        (ent, per) for ent, per in zip(d.entities, d.periods)
-    }
-    hits = {
-        (ent, per)
-        for (ent, per), s in zip(zip(d.entities, d.periods), shock_col)
-        if s == 1.0
-    }
-    assert hits == set(truth.shock_cells) & cells
+    # the row codes are grid positions: they index the panel's labels
+    entities = np.asarray(panel.entities)[d.entities]
+    cells = list(zip(entities, np.asarray(panel.periods)[d.periods]))
+    hits = {cell for cell, s in zip(cells, shock_col) if s == 1.0}
+    assert hits == set(truth.shock_cells) & set(cells)
     # response equals the raw forward delta of y
     y = panel.column("y")
     for row in range(0, d.n_rows, 17):
-        i = panel.entity_rows([d.entities[row]])[0]
-        j = int(d.periods[row]) - panel.periods[0]
+        i, j = d.entities[row], d.periods[row]
         assert d.response[row] == pytest.approx(y[i, j + 2] - y[i, j])
 
 
@@ -246,14 +240,17 @@ def test_period_clustered_design_labels_and_covariance():
     irf = estimate_irf(panel, events, spec)
     for h in irf.horizons:
         d = build_baseline_design(panel, events, spec, h.horizon)
-        np.testing.assert_array_equal(d.clusters, d.periods)
+        assert d.clusters is d.periods
         # the balanced sample keeps every entity from the fourth period up
         # to the last one the horizon-k lead reaches, entity by entity
         kept = panel.periods[3 : panel.n_periods - h.horizon]
         np.testing.assert_array_equal(
-            d.entities, np.repeat(panel.entities, len(kept))
+            np.asarray(panel.entities)[d.entities],
+            np.repeat(panel.entities, len(kept)),
         )
-        np.testing.assert_array_equal(d.periods, np.tile(kept, panel.n_entities))
+        np.testing.assert_array_equal(
+            np.asarray(panel.periods)[d.periods], np.tile(kept, panel.n_entities)
+        )
         fit = h.result
         assert fit.n_clusters == len(kept)
         X = d.matrix[:, [d.columns.index(c) for c in fit.columns]]
@@ -279,24 +276,16 @@ def test_row_codes_with_gaps_count_and_cluster_like_labels(gap, cluster):
     panel, events, _ = sim_case()
     panel = wipe(panel, **{gap: 10})
     d = build_baseline_design(panel, events, spec_y(cluster=cluster), k=2)
-    codes = d.entity_codes if gap == "entity" else d.period_codes
+    gapped = d.entities if gap == "entity" else d.periods
     # the wiped grid position leaves a gap between codes in use
-    assert 10 not in codes and codes.min() < 10 < codes.max()
+    assert 10 not in gapped and gapped.min() < 10 < gapped.max()
     fit = fit_with_covariance(d)
     counts = (fit.n_entities, fit.n_periods, fit.n_clusters)
-    labels = (d.entities, d.periods, d.clusters)
-    assert counts == tuple(len(np.unique(x)) for x in labels)
+    codes = (d.entities, d.periods, d.clusters)
+    assert counts == tuple(len(np.unique(x)) for x in codes)
     X = d.matrix[:, [d.columns.index(c) for c in fit.columns]]
     ref = brute_force_cr1(X, fit.residuals, d.clusters)
     np.testing.assert_allclose(fit.covariance, ref, rtol=0, atol=1e-12)
-
-    # the same design from labels alone gets dense codes and the same fit
-    dense = replace(d, entity_codes=None, period_codes=None, cluster_codes=None)
-    assert set(dense.cluster_codes) == set(range(fit.n_clusters))
-    refit = fit_with_covariance(dense)
-    np.testing.assert_array_equal(refit.coefficients, fit.coefficients)
-    assert (refit.n_entities, refit.n_periods, refit.n_clusters) == counts
-    np.testing.assert_allclose(refit.covariance, fit.covariance, rtol=0, atol=1e-12)
 
 
 def test_horizon_with_empty_and_single_row_entities_matches_lsdv():
@@ -342,27 +331,24 @@ def test_horizon_with_empty_and_single_row_entities_matches_lsdv():
         assert np.abs(per_sums[per_cnt > 0] / per_cnt[per_cnt > 0]).max() < 1e-10
 
 
-@pytest.mark.parametrize("built", ["entity", "period", "labels"])
+@pytest.mark.parametrize("built", ["entity", "period"])
 def test_cluster_count_reuses_a_shared_code_array(monkeypatch, built):
     panel, events, _ = sim_case()
     panel = wipe(panel, entity=10)
-    cluster = "period" if built == "period" else "entity"
-    d = build_baseline_design(panel, events, spec_y(cluster=cluster), k=2)
-    if built == "labels":
-        d = replace(d, entity_codes=None, period_codes=None, cluster_codes=None)
+    d = build_baseline_design(panel, events, spec_y(cluster=built), k=2)
     calls = []
     real = estimator._count_codes
     monkeypatch.setattr(
         estimator, "_count_codes", lambda codes: calls.append(codes) or real(codes)
     )
     fit = estimator.ols_fit(d)
-    labels = (d.entities, d.periods, d.clusters)
+    codes = (d.entities, d.periods, d.clusters)
     assert (fit.n_entities, fit.n_periods, fit.n_clusters) == tuple(
-        len(np.unique(x)) for x in labels
+        len(np.unique(x)) for x in codes
     )
     # lp designs pass one code array for entities (or periods) and
-    # clusters, so it is counted once; label-built codes are three arrays
-    assert len(calls) == (3 if built == "labels" else 2)
+    # clusters, so it is counted once
+    assert len(calls) == 2
 
 
 def test_horizon_zero_response_is_identically_zero():
@@ -409,17 +395,20 @@ def test_horizons_past_the_panel_end_keep_the_first_failure(horizons):
 
 
 def test_design_labels_are_the_panel_labels_of_its_rows():
+    # a design labels its rows by their grid positions, entity by entity;
+    # the wiped entity 10 leaves its code unused
     panel, events, _ = sim_case()
     panel = wipe(panel, entity=10)
+    E, T, k = panel.n_entities, panel.n_periods, 2
     for cluster in ("entity", "period"):
-        d = build_baseline_design(panel, events, spec_y(cluster=cluster), k=2)
-        entities = np.asarray(panel.entities)[d.entity_codes]
-        periods = np.asarray(panel.periods)[d.period_codes]
-        for got, want in ((d.entities, entities), (d.periods, periods)):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
-        clusters = entities if cluster == "entity" else periods
-        np.testing.assert_array_equal(d.clusters, clusters)
+        d = build_baseline_design(panel, events, spec_y(cluster=cluster), k)
+        # the lags cost the first three periods, the lead the last k
+        kept = np.arange(3, T - k)
+        np.testing.assert_array_equal(
+            d.entities, np.repeat(np.delete(np.arange(E), 10), kept.size)
+        )
+        np.testing.assert_array_equal(d.periods, np.tile(kept, E - 1))
+        assert d.clusters is (d.entities if cluster == "entity" else d.periods)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +551,7 @@ def test_every_horizon_matches_its_build_design_bitwise(kind):
     panel, events, spec, extra, design = kind_case(kind)
     irf = estimate_irf(panel, events, spec, **extra)
     assert irf.diagnostics["missing_counts"]["y"] == 2
+    assert not [n for n in irf.diagnostics["missing_counts"] if n.startswith("__")]
     for h in irf.horizons:
         d = design(h.horizon)
         fit = fit_with_covariance(d)
@@ -569,9 +559,6 @@ def test_every_horizon_matches_its_build_design_bitwise(kind):
         assert fit.covariance.tobytes() == h.result.covariance.tobytes()
         assert fit.dropped_columns == h.dropped_columns
         assert fit.n_obs == h.n_obs == d.n_rows
-        assert dict(d.missing_counts) == h.missing_counts
-        assert h.missing_counts == irf.diagnostics["missing_counts"]
-        assert not [name for name in h.missing_counts if name.startswith("__")]
 
 
 def test_irf_diagnostics_and_series_access():

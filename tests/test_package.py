@@ -20,18 +20,43 @@ def test_every_export_resolves():
         assert hasattr(panellp, name), name
 
 
+def _perfbench(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by path."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_trace_patches_resolve():
     # perfbench's --trace run swaps these module attributes by name and
     # counts shock cells through EventSet.shock_count; a rename in the
     # package must not leave a traced run failing on a missing name
-    path = ROOT / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench("tracing")
     for module_name, attr, _, _ in tracing.LIBRARY_PATCHES + tracing.CLI_PATCHES:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
     assert callable(panellp.EventSet.shock_count)
+
+
+@pytest.mark.parametrize("workload", ["mc_recovery", "unbalanced_transition"])
+def test_benchmark_ops_pass_their_checks(workload):
+    # a small case of each in-process benchmark op, run through the calls
+    # the timed loop makes and checked by its own checks, so a renamed
+    # function or a changed signature fails here rather than in a bench run
+    workloads = _perfbench("workloads")
+    if workload == "mc_recovery":
+        pnl, evs, spec, irf = workloads.mc_replication(
+            7, 0, n_entities=30, n_periods=15
+        )
+    else:
+        pnl, evs = workloads.unbalanced_inputs(7, 0, n_entities=30, n_periods=20)
+        spec = workloads.unbalanced_spec(horizons=3)
+        irf = panellp.lp.estimate_irf(pnl, evs, spec, jobs=1)
+    assert workloads.check_irf(irf, spec.horizons) is None
+    for k in range(1, spec.horizons + 1):
+        assert workloads.lsdv_gap(pnl, evs, spec, irf, k) <= workloads.LSDV_BOUND
 
 
 @pytest.mark.parametrize(
