@@ -3,8 +3,9 @@
 Exit codes are part of the contract: 0 on success, 1 on a user or data
 problem (bad config, malformed CSV, failing validation suite), 2 on an
 internal error.  Failures print exactly one machine-parsable line to
-stderr, ``error: <kind>: <detail>``, and remove any partially written
-output files so a crashed run never leaves a half-valid result directory.
+stderr, ``error: <kind>: <detail>``.  A failed run leaves none of its
+output files behind, not even the one it was writing when it failed, so
+a crashed run never leaves a half-valid result directory.
 The simulator and the validation suites are imported by their own
 subcommands, so an ``estimate`` run never loads them.
 """
@@ -15,7 +16,8 @@ import argparse
 import os
 import re
 import sys
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 from .errors import ConfigError, PanelLPError
@@ -194,17 +196,47 @@ def _spec_from_config(cfg: dict[str, str]) -> LPSpec:
 
 
 # ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+
+def _write_or_remove(
+    outdir: str, files: dict[str, Callable[[str], None]]
+) -> list[str]:
+    """Write each ``{name: write}`` file into ``outdir``, all or none.
+
+    Each path is recorded before its writer runs, so when any writer
+    fails, every file of the run, the one it was writing included, is
+    removed before the failure propagates.  Returns the written paths.
+    """
+    os.makedirs(outdir, exist_ok=True)
+    written: list[str] = []
+    try:
+        for name, write in files.items():
+            written.append(os.path.join(outdir, name))
+            write(written[-1])
+    except BaseException:
+        for path in written:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+        raise
+    return written
+
+
+# ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
 
 
 def _write_manifest(
-    path: str,
     cfg: dict[str, str],
     config_path: str,
     input_paths: list[str],
     irf,
     unmatched: tuple[str, ...],
+    path: str,
 ) -> None:
     lines = [f"package_version = {__version__}"]
     lines.append(f"config_file = {config_path}")
@@ -261,34 +293,20 @@ def _cmd_estimate(args) -> int:
 
     irf = estimate_irf(panel, events, spec, group=group)
 
-    outdir = cfg["output.dir"]
-    os.makedirs(outdir, exist_ok=True)
-    written: list[str] = []
-    try:
-        irf_path = os.path.join(outdir, "irf.csv")
-        write_irf(irf, irf_path)
-        written.append(irf_path)
-        for h in irf.horizons:
-            tpath = os.path.join(outdir, f"table_k{h.horizon}.txt")
-            write_regression_table(
-                [(f"k={h.horizon}", h.result)],
-                tpath,
-                title=f"Projection at horizon {h.horizon} ({spec.kind})",
-                conf_level=spec.conf_level,
-                dist=spec.ci_dist,
-            )
-            written.append(tpath)
-        manifest = os.path.join(outdir, "manifest.txt")
-        _write_manifest(manifest, cfg, args.config, input_paths, irf, unmatched)
-        written.append(manifest)
-    except BaseException:
-        for p in written:
-            try:
-                os.unlink(p)
-            except OSError:
-                pass
-        raise
-    print(f"wrote {len(written)} files to {outdir}")
+    files = {"irf.csv": partial(write_irf, irf)}
+    for h in irf.horizons:
+        files[f"table_k{h.horizon}.txt"] = partial(
+            write_regression_table,
+            [(f"k={h.horizon}", h.result)],
+            title=f"Projection at horizon {h.horizon} ({spec.kind})",
+            conf_level=spec.conf_level,
+            dist=spec.ci_dist,
+        )
+    files["manifest.txt"] = partial(
+        _write_manifest, cfg, args.config, input_paths, irf, unmatched
+    )
+    written = _write_or_remove(cfg["output.dir"], files)
+    print(f"wrote {len(written)} files to {cfg['output.dir']}")
     return 0
 
 
@@ -387,25 +405,14 @@ def _cmd_simulate(args) -> int:
 
         dgp = replace(dgp, seed=args.seed)
     panel, events, truth = generate(dgp)
-    os.makedirs(args.out, exist_ok=True)
-    written = []
-    try:
-        ppath = os.path.join(args.out, "panel.csv")
-        write_panel(panel, ppath)
-        written.append(ppath)
-        epath = os.path.join(args.out, "events.csv")
-        _write_events_csv(events, epath)
-        written.append(epath)
-        tpath = os.path.join(args.out, "truth.txt")
-        _write_truth(truth, tpath)
-        written.append(tpath)
-    except BaseException:
-        for p in written:
-            try:
-                os.unlink(p)
-            except OSError:
-                pass
-        raise
+    _write_or_remove(
+        args.out,
+        {
+            "panel.csv": partial(write_panel, panel),
+            "events.csv": partial(_write_events_csv, events),
+            "truth.txt": partial(_write_truth, truth),
+        },
+    )
     print(f"wrote panel.csv, events.csv, truth.txt to {args.out}")
     return 0
 

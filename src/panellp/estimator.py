@@ -65,6 +65,16 @@ PIVOT_RTOL = 1e-10
 _PANEL_ROWS = 1024
 
 
+def _row_codes(given, n: int, attr: str) -> np.ndarray:
+    """Check ``n`` non-negative integer row codes; densify sparse ones."""
+    codes = np.asarray(given)
+    if codes.shape != (n,) or codes.dtype.kind not in "iu" or (n and codes.min() < 0):
+        raise PanelLPError(f"{attr} must be {n} non-negative integer codes")
+    if n and codes.max() >= n:
+        codes = np.unique(codes, return_inverse=True)[1]
+    return codes.astype(np.intp, copy=False)
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """A ready-to-fit regression sample.
@@ -78,6 +88,9 @@ class DesignMatrix:
     code unused, and passes the entity (or period) array itself as the
     clusters, so it is counted once.  A caller holding arbitrary labels
     maps them to codes with ``np.unique(labels, return_inverse=True)[1]``.
+    A code array whose largest code reaches the row count is mapped that
+    way here, once, so per-code counts are sized by the rows, never by the
+    largest code.
     ``raw_response`` optionally keeps the pre-demeaning response so an
     overall (rather than within) R-squared can be formed.
     """
@@ -105,15 +118,19 @@ class DesignMatrix:
         for part, label in ((y, "response"), (X, "matrix")):
             if not np.isfinite(part).all():
                 raise PanelLPError(f"design {label} contains NaN/inf")
-        for attr in ("entities", "periods", "clusters"):
-            codes = np.asarray(getattr(self, attr))
-            if (
-                codes.shape != (n,)
-                or codes.dtype.kind not in "iu"
-                or (n and codes.min() < 0)
-            ):
-                raise PanelLPError(f"{attr} must be {n} non-negative integer codes")
-            object.__setattr__(self, attr, codes.astype(np.intp, copy=False))
+        entities = _row_codes(self.entities, n, "entities")
+        periods = _row_codes(self.periods, n, "periods")
+        # clustering by entity or period passes that array: keep it one
+        # object, so ols_fit counts it once
+        if self.clusters is self.entities:
+            clusters = entities
+        elif self.clusters is self.periods:
+            clusters = periods
+        else:
+            clusters = _row_codes(self.clusters, n, "clusters")
+        object.__setattr__(self, "entities", entities)
+        object.__setattr__(self, "periods", periods)
+        object.__setattr__(self, "clusters", clusters)
 
     @property
     def n_rows(self) -> int:

@@ -1,19 +1,24 @@
 """File boundary: CSV readers and writers, unit conversion, run config.
 
-Readers are strict.  A malformed cell, a duplicate country-year key, or a
-missing required column fails loudly with the file and line number rather
-than propagating a silent NaN; an empty cell is the one sanctioned way to
-say "missing".  Writers are lossless where the data flows back into code
-(impulse responses round-trip through ``repr`` floats) and fixed-point
-where the output is meant for reading (regression tables).
+Every input CSV (panel, events, mortality, groups, impulse responses) is
+read by one strict reader under one rule set.  Cells are stripped and
+blank rows are skipped wherever they stand.  The first non-blank row is
+the header; its names must be distinct and include the file's required
+columns, and other columns are allowed.  Every data row has the header's
+field count.  A breach of these rules, an empty, unreadable or non-UTF-8
+file, a malformed cell, or a duplicate key fails loudly as a
+:class:`DataError` with the file and line number rather than propagating
+a silent NaN; an empty cell is the one sanctioned way to say "missing".
+Writers are lossless where the data flows back into code (impulse
+responses round-trip through ``repr`` floats) and fixed-point where the
+output is meant for reading (regression tables).
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,22 +46,70 @@ __all__ = [
 # mass ratio of CO2 to elemental carbon (44/12, conventionally 3.667)
 CARBON_TO_CO2 = 3.667
 
+# The widest year range one panel file may span.  Panel grids are dense
+# entity x year arrays, so a mistyped far-off year would otherwise allocate
+# a grid column for every year in between.
+_MAX_YEAR_SPAN = 10_000
 
-def _open_rows(path: str) -> Iterable[tuple[int, list[str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            yield reader.line_num, row
+
+def _read_table(
+    path: str, required: Sequence[str]
+) -> tuple[dict[str, int], list[tuple[int, list[str]]]]:
+    """Read one input CSV under the rules every input file follows.
+
+    Every cell is stripped, and blank rows are skipped wherever they
+    stand, before the header too.  The first non-blank row is the header:
+    its names must be distinct and include ``required``; other columns
+    are allowed.  Every data row must have the header's field count.
+    Returns the header's ``{name: position}`` in file order and one
+    ``(line, cells)`` pair per data row.  Each breach, an unreadable file
+    included, is a :class:`DataError` naming the file and, where there is
+    one, the line.
+    """
+    rows: list[tuple[int, list[str]]] = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                cells = [c.strip() for c in row]
+                if any(cells):
+                    rows.append((reader.line_num, cells))
+    except OSError as exc:
+        raise DataError(f"cannot read: {exc.strerror or exc}", path=path) from None
+    except UnicodeDecodeError:
+        raise DataError("file is not UTF-8 text", path=path) from None
+    except csv.Error as exc:
+        raise DataError(str(exc), path=path, line=reader.line_num) from None
+    if not rows:
+        raise DataError("file is empty", path=path)
+    line, header = rows[0]
+    pos = {name: i for i, name in enumerate(header)}
+    if len(pos) != len(header):
+        raise DataError("header has duplicate column names", path=path, line=line)
+    for name in required:
+        if name not in pos:
+            raise DataError(
+                f"header lacks required column {name!r} (found {header})",
+                path=path,
+                line=line,
+            )
+    for line, cells in rows[1:]:
+        if len(cells) != len(header):
+            raise DataError(
+                f"row has {len(cells)} fields, header has {len(header)}",
+                path=path,
+                line=line,
+            )
+    return pos, rows[1:]
 
 
 def _parse_float(
     cell: str, path: str, line: int, column: str
 ) -> float | None:
-    text = cell.strip()
-    if text == "":
+    if cell == "":
         return None
     try:
-        value = float(text)
+        value = float(cell)
     except ValueError:
         raise DataError(
             f"column {column!r} has non-numeric value {cell!r}",
@@ -73,9 +126,8 @@ def _parse_float(
 
 
 def _parse_int(cell: str, path: str, line: int, column: str) -> int:
-    text = cell.strip()
     try:
-        return int(text)
+        return int(cell)
     except ValueError:
         raise DataError(
             f"column {column!r} has non-integer value {cell!r}",
@@ -84,73 +136,54 @@ def _parse_int(cell: str, path: str, line: int, column: str) -> int:
         ) from None
 
 
-def read_panel(path: str, columns: Sequence[str] | None = None) -> Panel:
+def read_panel(path: str) -> Panel:
     """Load a country-year CSV into a :class:`Panel`.
 
     The header must contain ``entity`` and ``year``; every other header
-    names a numeric variable.  Empty cells are missing.  A repeated
-    (entity, year) pair is an error that names both offending lines, and a
-    non-numeric cell is an error naming file, line, and column.  Pass
-    ``columns`` to require and keep only a subset of the variables.
+    names a numeric variable.  Empty cells are missing.  Entities keep
+    their order of first appearance, and the period axis spans every year
+    from the file's first to its last, at most ``_MAX_YEAR_SPAN`` of them.
+    A repeated (entity, year) pair is an error that names both offending
+    lines, and a non-numeric cell is an error naming file, line, and
+    column.
     """
-    rows = _open_rows(path)
-    try:
-        _, header = next(iter(rows))
-    except StopIteration:
-        raise DataError("file is empty", path=path) from None
-    header = [h.strip() for h in header]
-    for required in ("entity", "year"):
-        if required not in header:
-            raise DataError(
-                f"header lacks required column {required!r} (found {header})",
-                path=path,
-                line=1,
-            )
-    ent_pos = header.index("entity")
-    year_pos = header.index("year")
-    var_names = [h for h in header if h not in ("entity", "year")]
-    if len(set(header)) != len(header):
-        raise DataError("header has duplicate column names", path=path, line=1)
-    if columns is not None:
-        for c in columns:
-            if c not in var_names:
-                raise DataError(
-                    f"required variable {c!r} not in header", path=path, line=1
-                )
-        var_names = [c for c in var_names if c in set(columns)]
-    var_pos = {v: header.index(v) for v in var_names}
-
-    records: list[tuple[str, int, dict[str, float | None]]] = []
-    seen: dict[tuple[str, int], int] = {}
+    pos, rows = _read_table(path, ("entity", "year"))
+    if not rows:
+        raise DataError("no data rows", path=path)
+    ent_pos, year_pos = pos.pop("entity"), pos.pop("year")
+    codes: dict[str, int] = {}
+    first_line: dict[tuple[int, int], int] = {}
+    ents: list[int] = []
+    years: list[int] = []
+    values: list[list[float | None]] = []
     for line, row in rows:
-        if not row or all(c.strip() == "" for c in row):
-            continue
-        if len(row) != len(header):
-            raise DataError(
-                f"row has {len(row)} fields, header has {len(header)}",
-                path=path,
-                line=line,
-            )
-        ent = row[ent_pos].strip()
+        ent = row[ent_pos]
         if ent == "":
             raise DataError("empty entity label", path=path, line=line)
+        code = codes.setdefault(ent, len(codes))
         year = _parse_int(row[year_pos], path, line, "year")
-        key = (ent, year)
-        if key in seen:
+        seen = first_line.setdefault((code, year), line)
+        if seen != line:
             raise DataError(
                 f"duplicate (entity, year) = ({ent}, {year}); "
-                f"first seen at line {seen[key]}",
+                f"first seen at line {seen}",
                 path=path,
                 line=line,
             )
-        seen[key] = line
-        vals = {
-            v: _parse_float(row[var_pos[v]], path, line, v) for v in var_names
-        }
-        records.append((ent, year, vals))
-    if not records:
-        raise DataError("no data rows", path=path)
-    return Panel.from_records(records)
+        ents.append(code)
+        years.append(year)
+        values.append([_parse_float(row[p], path, line, v) for v, p in pos.items()])
+    first, last = min(years), max(years)
+    if last - first >= _MAX_YEAR_SPAN:
+        raise DataError(
+            f"years {first}..{last} span more than {_MAX_YEAR_SPAN}", path=path
+        )
+    # one (variable, entity, year) grid, filled by one assignment; None -> NaN
+    block = np.array(values, dtype=float).reshape(len(rows), len(pos))
+    offsets = np.fromiter((y - first for y in years), np.intp, len(years))
+    grids = np.full((len(pos), len(codes), last - first + 1), np.nan)
+    grids[:, ents, offsets] = block.T
+    return Panel(list(codes), range(first, last + 1), dict(zip(pos, grids)))
 
 
 def write_panel(panel: Panel, path: str, variables: Sequence[str] | None = None) -> None:
@@ -178,128 +211,74 @@ def read_event_list(path: str, mortality_path: str | None = None) -> EventList:
     The mortality file has ``event_name, iso3, mortality`` rows keyed to
     (event, affected country) pairs.
     """
-    rows = _open_rows(path)
-    try:
-        _, header = next(iter(rows))
-    except StopIteration:
-        raise DataError("file is empty", path=path) from None
-    header = [h.strip() for h in header]
-    for required in ("event_name", "year", "iso3"):
-        if required not in header:
-            raise DataError(
-                f"header lacks required column {required!r}", path=path, line=1
-            )
-    name_pos = header.index("event_name")
-    year_pos = header.index("year")
-    iso_pos = header.index("iso3")
-
-    order: list[str] = []
+    pos, rows = _read_table(path, ("event_name", "year", "iso3"))
+    name_pos, year_pos, iso_pos = pos["event_name"], pos["year"], pos["iso3"]
     years: dict[str, int] = {}
     members: dict[str, list[str]] = {}
     first_line: dict[tuple[str, str], int] = {}
     for line, row in rows:
-        if not row or all(c.strip() == "" for c in row):
-            continue
-        name = row[name_pos].strip()
-        iso = row[iso_pos].strip()
+        name, iso = row[name_pos], row[iso_pos]
         if name == "" or iso == "":
             raise DataError("empty event name or country code", path=path, line=line)
         year = _parse_int(row[year_pos], path, line, "year")
-        if name not in years:
-            years[name] = year
-            members[name] = []
-            order.append(name)
-        elif years[name] != year:
+        if years.setdefault(name, year) != year:
             raise DataError(
                 f"event {name!r} listed with conflicting years "
                 f"{years[name]} and {year}",
                 path=path,
                 line=line,
             )
-        key = (name, iso)
-        if key in first_line:
+        seen = first_line.setdefault((name, iso), line)
+        if seen != line:
             raise DataError(
                 f"country {iso} repeated for event {name!r}; "
-                f"first seen at line {first_line[key]}",
+                f"first seen at line {seen}",
                 path=path,
                 line=line,
             )
-        first_line[key] = line
-        members[name].append(iso)
-
-    if not order:
+        members.setdefault(name, []).append(iso)
+    if not years:
         raise DataError("no events in file", path=path)
     events = tuple(
-        PandemicEvent(name=n, year=years[n], entities=tuple(members[n]))
-        for n in order
+        PandemicEvent(name=n, year=y, entities=tuple(members[n]))
+        for n, y in years.items()
     )
 
     mortality = None
     if mortality_path is not None:
         mortality = {}
-        mrows = _open_rows(mortality_path)
-        try:
-            _, mheader = next(iter(mrows))
-        except StopIteration:
-            raise DataError("file is empty", path=mortality_path) from None
-        mheader = [h.strip() for h in mheader]
-        for required in ("event_name", "iso3", "mortality"):
-            if required not in mheader:
-                raise DataError(
-                    f"header lacks required column {required!r}",
-                    path=mortality_path,
-                    line=1,
-                )
-        np_, ip_, mp_ = (
-            mheader.index("event_name"),
-            mheader.index("iso3"),
-            mheader.index("mortality"),
-        )
-        seen_pairs: dict[tuple[str, str], int] = {}
-        for line, row in mrows:
-            if not row or all(c.strip() == "" for c in row):
-                continue
-            key = (row[np_].strip(), row[ip_].strip())
-            if key in seen_pairs:
+        pos, rows = _read_table(mortality_path, ("event_name", "iso3", "mortality"))
+        name_pos, iso_pos, mort_pos = pos["event_name"], pos["iso3"], pos["mortality"]
+        first_line = {}
+        for line, row in rows:
+            key = (row[name_pos], row[iso_pos])
+            seen = first_line.setdefault(key, line)
+            if seen != line:
                 raise DataError(
                     f"duplicate mortality entry for {key}; "
-                    f"first seen at line {seen_pairs[key]}",
+                    f"first seen at line {seen}",
                     path=mortality_path,
                     line=line,
                 )
-            seen_pairs[key] = line
-            value = _parse_float(row[mp_], mortality_path, line, "mortality")
-            if value is None:
-                continue  # an empty mortality cell is simply absent
-            mortality[key] = value
+            value = _parse_float(row[mort_pos], mortality_path, line, "mortality")
+            if value is not None:  # an empty mortality cell is simply absent
+                mortality[key] = value
     return EventList(events=events, mortality=mortality)
 
 
 def read_groups(path: str, name: str) -> GroupSpec:
     """Load a membership CSV (``entity, member`` with 0/1 flags)."""
-    rows = _open_rows(path)
-    try:
-        _, header = next(iter(rows))
-    except StopIteration:
-        raise DataError("file is empty", path=path) from None
-    header = [h.strip() for h in header]
-    for required in ("entity", "member"):
-        if required not in header:
-            raise DataError(
-                f"header lacks required column {required!r}", path=path, line=1
-            )
-    ent_pos, mem_pos = header.index("entity"), header.index("member")
+    pos, rows = _read_table(path, ("entity", "member"))
+    ent_pos, mem_pos = pos["entity"], pos["member"]
     members: set[str] = set()
     for line, row in rows:
-        if not row or all(c.strip() == "" for c in row):
-            continue
         flag = _parse_int(row[mem_pos], path, line, "member")
         if flag not in (0, 1):
             raise DataError(
                 f"member flag must be 0 or 1, got {flag}", path=path, line=line
             )
         if flag == 1:
-            members.add(row[ent_pos].strip())
+            members.add(row[ent_pos])
     if not members:
         raise DataError("no group members flagged", path=path)
     return GroupSpec(name=name, members=frozenset(members))
@@ -412,21 +391,14 @@ def write_irf(irf: IRF, path: str) -> None:
 
 def read_irf(path: str) -> list[dict[str, object]]:
     """Read an impulse-response CSV back into typed row dicts."""
-    out: list[dict[str, object]] = []
-    rows = _open_rows(path)
-    try:
-        _, header = next(iter(rows))
-    except StopIteration:
-        raise DataError("file is empty", path=path) from None
-    if tuple(h.strip() for h in header) != _IRF_FIELDS:
-        raise DataError(f"unexpected header {header}", path=path, line=1)
+    pos, rows = _read_table(path, _IRF_FIELDS)
     ints = {"horizon", "n_obs", "n_entities", "n_periods"}
     floats = {"estimate", "se", "ci_low", "ci_high", "p_value", "r_squared"}
+    out: list[dict[str, object]] = []
     for line, row in rows:
-        if not row:
-            continue
         rec: dict[str, object] = {}
-        for name, cell in zip(_IRF_FIELDS, row):
+        for name in _IRF_FIELDS:
+            cell = row[pos[name]]
             if name in ints:
                 rec[name] = _parse_int(cell, path, line, name)
             elif name in floats:

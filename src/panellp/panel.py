@@ -197,53 +197,6 @@ class Panel:
                 raise MissingVariableError(f"no variable named {n!r}")
         return self._new({n: self._columns[n] for n in names})
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Iterable[tuple[str, int, Mapping[str, float]]],
-    ) -> "Panel":
-        """Build a panel from ``(entity, period, {var: value})`` records.
-
-        Entities keep first-appearance order; the period axis spans the full
-        min..max range observed anywhere.  Values may be ``None``/NaN for
-        missing cells.
-        """
-        rows = list(records)
-        if not rows:
-            raise PanelLPError("no records")
-        entities: list[str] = []
-        seen: set[str] = set()
-        varnames: list[str] = []
-        varseen: set[str] = set()
-        pmin = None
-        pmax = None
-        for ent, per, vals in rows:
-            if ent not in seen:
-                seen.add(ent)
-                entities.append(ent)
-            per = int(per)
-            pmin = per if pmin is None else min(pmin, per)
-            pmax = per if pmax is None else max(pmax, per)
-            for v in vals:
-                if v not in varseen:
-                    varseen.add(v)
-                    varnames.append(v)
-        periods = list(range(pmin, pmax + 1))
-        eidx = {e: i for i, e in enumerate(entities)}
-        grids = {
-            v: np.full((len(entities), len(periods)), np.nan) for v in varnames
-        }
-        for ent, per, vals in rows:
-            i = eidx[ent]
-            j = int(per) - pmin
-            for v, x in vals.items():
-                if x is None:
-                    continue
-                grids[v][i, j] = float(x)
-        return cls(entities, periods, grids)
-
 
 @dataclass(frozen=True)
 class VariableSpec:

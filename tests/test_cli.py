@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import importlib.metadata
 import os
 import pathlib
@@ -191,6 +192,61 @@ def test_estimate_failure_leaves_no_partial_output(tmp_path, sim_dir, capsys):
     assert "horizon" in capsys.readouterr().err
     out = tmp_path / "out"
     assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "command, writer",
+    [("estimate", "write_regression_table"), ("simulate", "_write_events_csv")],
+)
+def test_a_failing_write_leaves_no_file_of_the_run(
+    tmp_path, sim_dir, capsys, monkeypatch, command, writer
+):
+    # the writer fails after earlier files are written and after opening
+    # and partly writing its own: none of them may stay behind
+    def write_then_fail(*args, **kwargs):
+        with open(args[-1], "w", encoding="utf-8") as fh:
+            fh.write("partial")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(panellp.cli, writer, write_then_fail)
+    if command == "estimate":
+        out = tmp_path / "out"
+        argv = ["estimate", "--config", str(estimate_config(tmp_path, sim_dir))]
+    else:
+        out = tmp_path / "sim_again"
+        argv = ["simulate", "--config", str(tmp_path / "sim.cfg"), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: internal: OSError")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "which, lines",
+    [
+        ("events", ["event_name,year,iso3", "alpha,1997"]),
+        ("mortality", ["event_name,iso3,mortality", "alpha,E0"]),
+        ("groups", ["entity,name,member", "E0,1"]),
+    ],
+)
+def test_estimate_ragged_row_exits_1(tmp_path, sim_dir, capsys, which, lines):
+    path = tmp_path / f"{which}.csv"
+    write_lines(path, lines)
+    cfg = estimate_config(tmp_path, sim_dir)
+    text = cfg.read_text()
+    if which == "events":
+        text = text.replace(str(sim_dir / "events.csv"), str(path))
+    elif which == "mortality":
+        text += f"input.mortality = {path}\n"
+    else:
+        text = text.replace("spec.kind = baseline", "spec.kind = interaction")
+        text += f"input.groups = {path}\n"
+    cfg.write_text(text)
+    rc = main(["estimate", "--config", str(cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: data: {path}:2: row has 2 fields, header has 3\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_estimate_horizons_past_the_sample_end_exit_1(tmp_path, capsys):

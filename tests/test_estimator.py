@@ -485,6 +485,34 @@ def test_design_rejects_bad_codes(rng, codes):
             )
 
 
+def test_sparse_codes_cost_and_give_what_dense_codes_do(rng):
+    # codes far past the row count are mapped to dense ones once, so the
+    # per-code counts of the fit and the covariance are sized by the 200
+    # rows, never by the largest code
+    X = rng.normal(size=(200, 2))
+    y = rng.normal(size=200)
+    entities = np.repeat(np.arange(10), 20)
+    periods = np.tile(np.arange(20), 10)
+    fits = []
+    for offset in (0, 10**6):
+        codes = entities + offset
+        tracemalloc.start()
+        try:
+            d = DesignMatrix(y, X, ("a", "b"), codes, periods + offset, codes)
+            fits.append(fit_with_covariance(d))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert d.clusters is d.entities  # still counted once
+    dense, sparse = fits
+    for attr in ("n_obs", "n_clusters", "n_entities", "n_periods"):
+        assert getattr(sparse, attr) == getattr(dense, attr)
+    assert (sparse.n_clusters, sparse.n_periods) == (10, 20)
+    for attr in ("coefficients", "covariance"):
+        assert getattr(sparse, attr).tobytes() == getattr(dense, attr).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # intervals, p-values, stars
 # ---------------------------------------------------------------------------

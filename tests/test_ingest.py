@@ -7,8 +7,10 @@ import os
 import numpy as np
 import pytest
 from conftest import balanced_panel, punch_holes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from panellp.errors import ConfigError, DataError
+from panellp.errors import ConfigError, DataError, EventError
 from panellp.estimator import lsdv_fit
 from panellp.ingest import (
     carbon_to_co2,
@@ -101,23 +103,59 @@ def test_read_panel_ragged_row(tmp_path):
 
 
 def test_read_panel_empty_and_headerless(tmp_path):
-    empty = str(tmp_path / "empty.csv")
-    write_lines(empty, [""])
-    with pytest.raises(DataError, match="empty"):
-        read_panel(empty)
+    blank = str(tmp_path / "blank.csv")
+    write_lines(blank, ["", " , "])
+    with pytest.raises(DataError, match="file is empty"):
+        read_panel(blank)
     header_only = str(tmp_path / "h.csv")
     write_lines(header_only, ["entity,year,y"])
     with pytest.raises(DataError, match="no data rows"):
         read_panel(header_only)
 
 
-def test_read_panel_column_subset(tmp_path):
+def test_read_panel_spans_full_period_range(tmp_path):
     path = str(tmp_path / "p.csv")
-    write_lines(path, ["entity,year,y,x", "A,2000,1.0,2.0"])
-    panel = read_panel(path, columns=["x"])
-    assert panel.variables == ("x",)
-    with pytest.raises(DataError, match="'z'"):
-        read_panel(path, columns=["z"])
+    write_lines(path, ["entity,year,y,x", "B,2003,1.0,", "A,2000,2.0,3.0", "A,2002,,"])
+    p = read_panel(path)
+    assert p.entities == ("B", "A")  # first-appearance order
+    assert p.periods == (2000, 2001, 2002, 2003)  # 2001 is in no row
+    assert p.variables == ("y", "x")
+    assert p.column("y")[1, 0] == 2.0 and p.column("y")[0, 3] == 1.0
+    assert np.isnan(p.column("y")[1, 2])  # an empty cell stays missing
+    assert np.isnan(p.column("x")[0, 3])
+    assert np.isnan(p.column("y")[:, 1]).all()
+
+
+def test_read_panel_skips_blank_rows_and_strips_cells(tmp_path):
+    path = str(tmp_path / "p.csv")
+    write_lines(path, ["", " entity , year ,y", "", "A , 2000, 1.5 ", ",,"])
+    p = read_panel(path)
+    assert p.entities == ("A",) and p.periods == (2000,)
+    assert p.column("y")[0, 0] == 1.5
+
+
+def test_read_panel_rejects_a_year_span_past_the_limit(tmp_path):
+    path = str(tmp_path / "p.csv")
+    write_lines(path, ["entity,year,y", "A,2000,1.0", "A,200000000000,2.0"])
+    with pytest.raises(DataError, match="span more than"):
+        read_panel(path)
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("absent.csv", None, "cannot read"),
+        ("latin1.csv", "entity,year,y\nCôte,2000,1\n".encode("latin-1"), "UTF-8"),
+    ],
+)
+def test_unreadable_input_is_a_data_error(tmp_path, name, content, message):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    for read in (read_panel, read_event_list, lambda p: read_groups(p, "g")):
+        with pytest.raises(DataError, match=message) as err:
+            read(str(path))
+        assert str(err.value).startswith(f"{path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +246,76 @@ def test_read_groups(tmp_path):
     write_lines(none, ["entity,member", "USA,0"])
     with pytest.raises(DataError, match="no group members"):
         read_groups(none, "treaty")
+
+
+# ---------------------------------------------------------------------------
+# every reader on arbitrary small CSV texts
+# ---------------------------------------------------------------------------
+
+_NAMES = ("entity", "year", "y", "event_name", "iso3", "mortality", "member", "")
+# cells that every column takes (labels, years, values, 0/1 flags), drawn
+# about as often as ones that some or all columns reject
+_CELLS = st.sampled_from(
+    ["0", "1", "2000", "2001"] * 3
+    + ["", " ", "A", "flu", "2", "-3", "1.5", "x", "nan", "inf", "1e400",
+       "9" * 25, "-" + "9" * 12]
+)
+_HEADERS = st.lists(st.sampled_from(_NAMES), max_size=5)
+# per header width: mostly full-width rows, so that keys repeat, among
+# blank and ragged ones
+_BODIES = [
+    st.lists(
+        st.one_of(
+            *[st.lists(_CELLS, min_size=width, max_size=width)] * 2,
+            st.just([]),
+            st.lists(_CELLS, max_size=5),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+    for width in range(6)
+]
+
+
+@st.composite
+def csv_texts(draw, names):
+    """A small CSV text: the ``names`` header three times in four, else a
+    random, maybe repeated one; maybe a blank first line; then a body."""
+    header = draw(_HEADERS) if draw(st.integers(0, 3)) == 0 else list(names)
+    lead = [[]] if draw(st.booleans()) else []
+    rows = lead + [header] + draw(_BODIES[len(header)])
+    return "\n".join(",".join(r) for r in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    panel=csv_texts(("entity", "year", "y")),
+    events=csv_texts(("event_name", "year", "iso3")),
+    mortality=csv_texts(("event_name", "iso3", "mortality")),
+    groups=csv_texts(("entity", "member")),
+)
+def test_readers_return_or_raise_a_data_error(
+    tmp_path_factory, panel, events, mortality, groups
+):
+    # bad input ends as the package's error, never as an IndexError,
+    # ValueError or MemoryError
+    folder = tmp_path_factory.getbasetemp() / "csv_texts"
+    folder.mkdir(exist_ok=True)
+    paths = []
+    for name, text in zip("pemg", (panel, events, mortality, groups)):
+        paths.append(folder / f"{name}.csv")
+        paths[-1].write_text(text, encoding="utf-8")
+    p, e, m, g = map(str, paths)
+    for read in (
+        lambda: read_panel(p),
+        lambda: read_event_list(e),
+        lambda: read_event_list(e, m),
+        lambda: read_groups(g, "g"),
+    ):
+        try:
+            read()
+        except (DataError, EventError):
+            pass
 
 
 # ---------------------------------------------------------------------------

@@ -94,22 +94,6 @@ def test_with_column_collision_and_replace():
         p.replace_column("nope", [[0.0, 0.0]])
 
 
-def test_from_records_spans_full_period_range():
-    p = Panel.from_records(
-        [
-            ("B", 2003, {"y": 1.0}),
-            ("A", 2000, {"y": 2.0, "x": 3.0}),
-            ("A", 2002, {"y": None}),
-        ]
-    )
-    assert p.entities == ("B", "A")  # first-appearance order
-    assert p.periods == (2000, 2001, 2002, 2003)
-    assert p.variables == ("y", "x")
-    assert p.column("y")[1, 0] == 2.0
-    assert np.isnan(p.column("y")[1, 2])  # explicit None stays missing
-    assert np.isnan(p.column("x")[0, 3])
-
-
 def test_observed_mask_marks_cells_with_any_variable():
     y = np.array([[1.0, np.nan, 3.0, np.nan], [np.nan, 2.0, 3.0, 4.0]])
     x = np.array([[np.nan, np.nan, np.nan, np.nan], [5.0, np.nan, np.nan, np.nan]])
