@@ -5,9 +5,10 @@ problem (bad config, malformed CSV, failing validation suite), 2 on an
 internal error.  Failures print exactly one machine-parsable line to
 stderr, ``error: <kind>: <detail>``.  A failed run leaves none of its
 output files behind, not even the one it was writing when it failed, so
-a crashed run never leaves a half-valid result directory.
-The simulator and the validation suites are imported by their own
-subcommands, so an ``estimate`` run never loads them.
+a crashed run never leaves a half-valid result directory.  The whole
+config is checked before any input file is read.  The simulator and the
+validation suites are imported by their own subcommands, so an
+``estimate`` run never loads them.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import os
 import re
 import sys
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Collection
 
 from . import __version__
-from .errors import ConfigError, PanelLPError
+from .errors import ConfigError, DataError, PanelLPError
 from .events import EventList
 from .ingest import (
     carbon_to_co2,
@@ -38,7 +39,7 @@ from .lp import LPSpec, estimate_irf
 from .panel import VariableSpec
 
 if TYPE_CHECKING:
-    from .simgen import DGPSpec, SimTruth
+    from .simgen import SimTruth
 
 __all__ = ["main"]
 
@@ -79,66 +80,17 @@ def _build_parser() -> _Parser:
 # config -> spec
 # ---------------------------------------------------------------------------
 
-_KNOWN_KEYS = {
-    "input.panel",
-    "input.events",
-    "input.mortality",
-    "input.groups",
-    "input.carbon_var",
-    "output.dir",
-    "spec.kind",
-    "spec.dependent",
-    "spec.dependent_transform",
-    "spec.population",
-    "spec.horizons",
-    "spec.lag_order",
-    "spec.dummy_lags",
-    "spec.controls",
-    "spec.shock",
-    "spec.group_name",
-    "spec.growth",
-    "spec.sigma",
-    "spec.conf_level",
-    "spec.percentile_rule",
-    "spec.r2_mode",
-    "spec.z_scope",
-    "spec.group_handling",
-    "spec.ci_dist",
-    "spec.entity_fe",
-    "spec.time_fe",
-    "spec.cluster",
-}
 
-
-def _get_bool(cfg: dict[str, str], key: str, default: bool) -> bool:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
+def _flag(raw: str) -> bool:
     if raw.lower() in ("true", "yes", "1", "on"):
         return True
     if raw.lower() in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{key} must be true/false, got {raw!r}")
+    raise ValueError(raw)
 
 
-def _get_int(cfg: dict[str, str], key: str, default: int) -> int:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-
-
-def _get_float(cfg: dict[str, str], key: str, default: float) -> float:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+def _numbers(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
 
 
 def _control_specs(raw: str) -> tuple[VariableSpec, ...]:
@@ -158,10 +110,94 @@ def _control_specs(raw: str) -> tuple[VariableSpec, ...]:
     return tuple(out)
 
 
-def _spec_from_config(cfg: dict[str, str]) -> LPSpec:
-    for key in cfg:
-        if key not in _KNOWN_KEYS:
+# what a parser's ValueError says the value must be
+_MUST_BE = {
+    int: "an integer",
+    float: "a number",
+    _flag: "true/false",
+    _numbers: "a comma list of numbers",
+}
+
+# {config key: (dataclass field, parser)}; an absent key takes the field's
+# default, so LPSpec and DGPSpec own every default
+_SPEC_FIELDS = {
+    "spec.kind": ("kind", str),
+    "spec.horizons": ("horizons", int),
+    "spec.lag_order": ("lag_order", int),
+    "spec.controls": ("controls", _control_specs),
+    "spec.dummy_lags": ("dummy_lags", int),
+    "spec.entity_fe": ("entity_fe", _flag),
+    "spec.time_fe": ("time_fe", _flag),
+    "spec.cluster": ("cluster", str),
+    "spec.conf_level": ("conf_level", float),
+    "spec.shock": ("shock_dummy", str),
+    "spec.growth": ("growth", str),
+    "spec.sigma": ("sigma", float),
+    "spec.z_scope": ("z_scope", str),
+    "spec.percentile_rule": ("percentile_rule", str),
+    "spec.group_handling": ("group_handling", str),
+    "spec.r2_mode": ("r2_mode", str),
+    "spec.ci_dist": ("ci_dist", str),
+}
+
+_DGP_FIELDS = {
+    "dgp.entities": ("n_entities", int),
+    "dgp.periods": ("n_periods", int),
+    "dgp.entity_sd": ("entity_sd", float),
+    "dgp.time_sd": ("time_sd", float),
+    "dgp.noise_sd": ("noise_sd", float),
+    "dgp.error_rho": ("error_rho", float),
+    "dgp.ar_coef": ("ar_coef", float),
+    "dgp.theta": ("theta", _numbers),
+    "dgp.shock_prob": ("shock_prob", float),
+    "dgp.theta_recession": ("theta_recession", _numbers),
+    "dgp.theta_expansion": ("theta_expansion", _numbers),
+    "dgp.sigma": ("sigma", float),
+    "dgp.start_year": ("start_year", int),
+    "dgp.base_level": ("base_level", float),
+    "dgp.seed": ("seed", int),
+}
+
+# the keys _cmd_estimate reads itself
+_ESTIMATE_KEYS = {
+    "input.panel",
+    "input.events",
+    "input.mortality",
+    "input.groups",
+    "input.carbon_var",
+    "output.dir",
+    "spec.dependent",
+    "spec.dependent_transform",
+    "spec.population",
+    "spec.group_name",
+}
+
+
+def _fields(
+    cfg: dict[str, str], table: dict, known: Collection[str] = ()
+) -> dict[str, object]:
+    """Parse the config keys of ``table`` into dataclass keyword arguments.
+
+    A key in neither ``table`` nor ``known`` is an error, and so is a
+    value its parser rejects.
+    """
+    kwargs = {}
+    for key, raw in cfg.items():
+        if key in table:
+            field, parse = table[key]
+            try:
+                kwargs[field] = parse(raw)
+            except ValueError:
+                raise ConfigError(
+                    f"{key} must be {_MUST_BE[parse]}, got {raw!r}"
+                ) from None
+        elif key not in known:
             raise ConfigError(f"unknown config key {key!r}")
+    return kwargs
+
+
+def _spec_from_config(cfg: dict[str, str]) -> LPSpec:
+    kwargs = _fields(cfg, _SPEC_FIELDS, _ESTIMATE_KEYS)
     dep_col = cfg.get("spec.dependent")
     if not dep_col:
         raise ConfigError("config lacks spec.dependent")
@@ -172,27 +208,7 @@ def _spec_from_config(cfg: dict[str, str]) -> LPSpec:
         source=dep_col,
         population=cfg.get("spec.population"),
     )
-    controls = _control_specs(cfg.get("spec.controls", ""))
-    return LPSpec(
-        dependent=dependent,
-        kind=cfg.get("spec.kind", "baseline"),
-        horizons=_get_int(cfg, "spec.horizons", 5),
-        lag_order=_get_int(cfg, "spec.lag_order", 2),
-        controls=controls,
-        dummy_lags=_get_int(cfg, "spec.dummy_lags", 2),
-        entity_fe=_get_bool(cfg, "spec.entity_fe", True),
-        time_fe=_get_bool(cfg, "spec.time_fe", True),
-        cluster=cfg.get("spec.cluster", "entity"),
-        conf_level=_get_float(cfg, "spec.conf_level", 0.95),
-        shock_dummy=cfg.get("spec.shock", "all"),
-        growth=cfg.get("spec.growth"),
-        sigma=_get_float(cfg, "spec.sigma", 1.5),
-        z_scope=cfg.get("spec.z_scope", "pooled"),
-        percentile_rule=cfg.get("spec.percentile_rule", "linear"),
-        group_handling=cfg.get("spec.group_handling", "design"),
-        r2_mode=cfg.get("spec.r2_mode", "within"),
-        ci_dist=cfg.get("spec.ci_dist", "t"),
-    )
+    return LPSpec(dependent=dependent, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +223,27 @@ def _write_or_remove(
 
     Each path is recorded before its writer runs, so when any writer
     fails, every file of the run, the one it was writing included, is
-    removed before the failure propagates.  Returns the written paths.
+    removed before the failure propagates.  An ``OSError`` (the directory
+    cannot be made, a disk is full) is the user's to fix, so it leaves as
+    a :class:`DataError` naming the path.  Returns the written paths.
     """
-    os.makedirs(outdir, exist_ok=True)
     written: list[str] = []
     try:
+        os.makedirs(outdir, exist_ok=True)
         for name, write in files.items():
             written.append(os.path.join(outdir, name))
             write(written[-1])
-    except BaseException:
+    except BaseException as exc:
         for path in written:
             try:
                 os.unlink(path)
             except OSError:
                 pass
+        if isinstance(exc, OSError):
+            raise DataError(
+                f"cannot write: {exc.strerror or exc}",
+                path=written[-1] if written else outdir,
+            ) from exc
         raise
     return written
 
@@ -269,6 +292,9 @@ def _cmd_estimate(args) -> int:
     for key in ("input.panel", "input.events", "output.dir"):
         if key not in cfg:
             raise ConfigError(f"config lacks required key {key!r}")
+    spec = _spec_from_config(cfg)
+    if spec.kind == "interaction" and "input.groups" not in cfg:
+        raise ConfigError("interaction design needs input.groups")
 
     panel_paths = [p.strip() for p in cfg["input.panel"].split(",") if p.strip()]
     input_paths = list(panel_paths) + [cfg["input.events"]]
@@ -283,11 +309,8 @@ def _cmd_estimate(args) -> int:
         input_paths.append(mortality_path)
     events = read_event_list(cfg["input.events"], mortality_path)
 
-    spec = _spec_from_config(cfg)
     group = None
     if spec.kind == "interaction":
-        if "input.groups" not in cfg:
-            raise ConfigError("interaction design needs input.groups")
         input_paths.append(cfg["input.groups"])
         group = read_groups(cfg["input.groups"], cfg.get("spec.group_name", "group"))
 
@@ -313,50 +336,6 @@ def _cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
-
-_DGP_KEYS = {
-    "dgp.entities": ("n_entities", int),
-    "dgp.periods": ("n_periods", int),
-    "dgp.entity_sd": ("entity_sd", float),
-    "dgp.time_sd": ("time_sd", float),
-    "dgp.noise_sd": ("noise_sd", float),
-    "dgp.error_rho": ("error_rho", float),
-    "dgp.ar_coef": ("ar_coef", float),
-    "dgp.shock_prob": ("shock_prob", float),
-    "dgp.sigma": ("sigma", float),
-    "dgp.start_year": ("start_year", int),
-    "dgp.base_level": ("base_level", float),
-    "dgp.seed": ("seed", int),
-}
-
-
-def _theta_tuple(raw: str, key: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma list of numbers, got {raw!r}") from None
-
-
-def _dgp_from_config(cfg: dict[str, str]) -> DGPSpec:
-    from .simgen import DGPSpec
-
-    kwargs = {}
-    for key, value in cfg.items():
-        if key in _DGP_KEYS:
-            field_name, cast = _DGP_KEYS[key]
-            try:
-                kwargs[field_name] = cast(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be {cast.__name__}, got {value!r}") from None
-        elif key == "dgp.theta":
-            kwargs["theta"] = _theta_tuple(value, key)
-        elif key == "dgp.theta_recession":
-            kwargs["theta_recession"] = _theta_tuple(value, key)
-        elif key == "dgp.theta_expansion":
-            kwargs["theta_expansion"] = _theta_tuple(value, key)
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    return DGPSpec(**kwargs)
 
 
 def _write_truth(truth: SimTruth, path: str) -> None:
@@ -396,15 +375,12 @@ def _write_events_csv(events: EventList, path: str) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    from .simgen import generate
+    from .simgen import DGPSpec, generate
 
-    cfg = load_config(args.config)
-    dgp = _dgp_from_config(cfg)
+    kwargs = _fields(load_config(args.config), _DGP_FIELDS)
     if args.seed is not None:
-        from dataclasses import replace
-
-        dgp = replace(dgp, seed=args.seed)
-    panel, events, truth = generate(dgp)
+        kwargs["seed"] = args.seed
+    panel, events, truth = generate(DGPSpec(**kwargs))
     _write_or_remove(
         args.out,
         {

@@ -267,11 +267,23 @@ def read_event_list(path: str, mortality_path: str | None = None) -> EventList:
 
 
 def read_groups(path: str, name: str) -> GroupSpec:
-    """Load a membership CSV (``entity, member`` with 0/1 flags)."""
+    """Load a membership CSV (``entity, member`` with 0/1 flags).
+
+    Each entity is listed once; a repeated one is an error that names
+    both lines.
+    """
     pos, rows = _read_table(path, ("entity", "member"))
     ent_pos, mem_pos = pos["entity"], pos["member"]
     members: set[str] = set()
+    first_line: dict[str, int] = {}
     for line, row in rows:
+        seen = first_line.setdefault(row[ent_pos], line)
+        if seen != line:
+            raise DataError(
+                f"entity {row[ent_pos]} repeated; first seen at line {seen}",
+                path=path,
+                line=line,
+            )
         flag = _parse_int(row[mem_pos], path, line, "member")
         if flag not in (0, 1):
             raise DataError(

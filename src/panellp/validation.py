@@ -222,12 +222,12 @@ def ols_oracle_suite(reps: int = 40, seed: int = 20260401) -> SuiteReport:
     )
 
 
-def fe_oracle_suite(panels: int = 50, seed: int = 20260402) -> SuiteReport:
+def fe_oracle_suite(reps: int = 50, seed: int = 20260402) -> SuiteReport:
     """Exact two-way fixed-effect projection vs explicit-dummy least squares."""
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     worst = 0.0
-    for _ in range(panels):
+    for _ in range(reps):
         panel, regs = random_unbalanced_panel(rng)
         via_demean = within_fit(panel, "y", regs)
         via_dummies = lsdv_fit(panel, "y", regs)
@@ -241,20 +241,20 @@ def fe_oracle_suite(panels: int = 50, seed: int = 20260402) -> SuiteReport:
         name="fe-oracle",
         passed=ok,
         lines=(
-            f"panels={panels}",
+            f"panels={reps}",
             f"max_coefficient_gap={worst:.3e} bound=1e-8",
             f"elapsed_s={elapsed:.2f} bound=10",
         ),
     )
 
 
-def cluster_oracle_suite(designs: int = 20, seed: int = 20260403) -> SuiteReport:
+def cluster_oracle_suite(reps: int = 20, seed: int = 20260403) -> SuiteReport:
     """Grouped-score covariance vs a literal per-cluster loop, plus the
     all-singletons = HC1 degeneracy."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_hc1 = 0.0
-    for _ in range(designs):
+    for _ in range(reps):
         n = int(rng.integers(60, 160))
         k = int(rng.integers(2, 6))
         G = int(rng.integers(5, 15))
@@ -291,7 +291,7 @@ def cluster_oracle_suite(designs: int = 20, seed: int = 20260403) -> SuiteReport
         name="cluster-oracle",
         passed=ok,
         lines=(
-            f"designs={designs}",
+            f"designs={reps}",
             f"max_covariance_gap={worst:.3e} bound=1e-12",
             f"max_hc1_gap={worst_hc1:.3e} bound=1e-12",
         ),
@@ -512,13 +512,5 @@ def run_suite(
         raise ConfigError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)}"
         )
-    fn = SUITES[name]
-    kwargs = {}
-    if reps is not None:
-        first = "panels" if name == "fe-oracle" else (
-            "designs" if name == "cluster-oracle" else "reps"
-        )
-        kwargs[first] = reps
-    if seed is not None:
-        kwargs["seed"] = seed
-    return fn(**kwargs)
+    kwargs = {"reps": reps, "seed": seed}
+    return SUITES[name](**{k: v for k, v in kwargs.items() if v is not None})

@@ -70,7 +70,7 @@ def grab(report, pattern: str) -> str:
 
 def test_criterion_1_demeaning_matches_dummy_regression():
     t0 = time.perf_counter()
-    report = fe_oracle_suite(panels=50)
+    report = fe_oracle_suite(reps=50)
     elapsed = time.perf_counter() - t0
     gap = grab(report, r"max_coefficient_gap=(\S+)")
     check(
@@ -81,7 +81,7 @@ def test_criterion_1_demeaning_matches_dummy_regression():
 
 
 def test_criterion_2_cluster_covariance_oracle():
-    report = cluster_oracle_suite(designs=20)
+    report = cluster_oracle_suite(reps=20)
     gap = grab(report, r"max_covariance_gap=(\S+)")
     hc1 = grab(report, r"max_hc1_gap=(\S+)")
     check(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import importlib.metadata
 import os
@@ -22,6 +23,7 @@ from panellp.errors import (
     PanelLPError,
 )
 from panellp.ingest import read_event_list, read_irf, read_panel
+from panellp.lp import LPSpec
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -170,6 +172,11 @@ def test_estimate_unknown_config_key(tmp_path, sim_dir, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "error: config:" in err and "spec.horizon" in err
+    # the config is checked before any input is read
+    cfg.write_text(cfg.read_text().replace(str(sim_dir), str(tmp_path / "nowhere")))
+    assert main(["estimate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config: unknown config key 'spec.horizon'\n"
 
 
 def test_estimate_missing_required_key(tmp_path, capsys):
@@ -202,22 +209,47 @@ def test_a_failing_write_leaves_no_file_of_the_run(
     tmp_path, sim_dir, capsys, monkeypatch, command, writer
 ):
     # the writer fails after earlier files are written and after opening
-    # and partly writing its own: none of them may stay behind
-    def write_then_fail(*args, **kwargs):
-        with open(args[-1], "w", encoding="utf-8") as fh:
-            fh.write("partial")
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    monkeypatch.setattr(panellp.cli, writer, write_then_fail)
+    # and partly writing its own: none of them may stay behind.  A full
+    # disk is the user's to fix (exit 1); any other failure is a bug (exit 2)
     if command == "estimate":
         out = tmp_path / "out"
         argv = ["estimate", "--config", str(estimate_config(tmp_path, sim_dir))]
     else:
         out = tmp_path / "sim_again"
         argv = ["simulate", "--config", str(tmp_path / "sim.cfg"), "--out", str(out)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: internal: OSError")
-    assert os.listdir(out) == []
+    for exc, rc, err in [
+        (OSError(errno.ENOSPC, "No space left on device"), 1, "error: data: "),
+        (RuntimeError("boom"), 2, "error: internal: RuntimeError: boom\n"),
+    ]:
+
+        def write_then_fail(*args, **kwargs):
+            with open(args[-1], "w", encoding="utf-8") as fh:
+                fh.write("partial")
+            raise exc
+
+        monkeypatch.setattr(panellp.cli, writer, write_then_fail)
+        assert main(argv) == rc
+        lines = capsys.readouterr().err.splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith(err)
+        if rc == 1:
+            assert lines[0].endswith(": cannot write: No space left on device\n")
+        assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_an_output_location_that_is_a_file_exits_1(tmp_path, sim_dir, capsys, command):
+    target = tmp_path / "taken"
+    target.write_text("keep me")
+    if command == "estimate":
+        cfg = estimate_config(tmp_path, sim_dir)
+        cfg.write_text(cfg.read_text().replace(str(tmp_path / "out"), str(target)))
+        argv = ["estimate", "--config", str(cfg)]
+    else:
+        argv = ["simulate", "--config", str(tmp_path / "sim.cfg"), "--out", str(target)]
+    assert main(argv) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == [f"error: data: {target}: cannot write: File exists"]
+    assert target.read_text() == "keep me"
 
 
 @pytest.mark.parametrize(
@@ -385,18 +417,42 @@ def test_estimate_non_finite_sigma_exits_1(tmp_path, sim_dir, capsys, sigma):
         "spec.ci_dist = bogus",
         "spec.shock = bogus",
         "spec.conf_level = 1.5",
+        "spec.entity_fe = maybe",
+        "dgp.entities = x",
+        "dgp.theta = 1,a",
     ],
 )
 def test_estimate_bad_spec_value_is_a_config_error(tmp_path, sim_dir, capsys, line):
     # rejected when the spec is built: a bad percentile rule used to be
     # ignored without mortality data, the others failed only mid-run
-    cfg = estimate_config(tmp_path, sim_dir, extra=[line])
-    rc = main(["estimate", "--config", str(cfg)])
+    key, value = line.split(" = ")
+    if key.startswith("dgp."):
+        cfg = tmp_path / "bad_sim.cfg"
+        write_lines(cfg, [line])
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["estimate", "--config", str(estimate_config(tmp_path, sim_dir, [line]))]
+    rc = main(argv)
     errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
     assert rc == 1
     assert len(errors) == 1 and errors[0].startswith("error: config:")
-    assert line.split(" = ")[1] in errors[0]
+    assert value in errors[0]
+    if key in ("spec.entity_fe", "dgp.entities", "dgp.theta"):  # parser rejects
+        assert errors[0].startswith(f"error: config: {key} must be ")
     assert not (tmp_path / "out").exists()
+
+
+def test_every_dataclass_field_has_a_config_key():
+    # a field added to LPSpec or DGPSpec cannot silently lack its key
+    from panellp.simgen import DGPSpec
+
+    def names(table):
+        return sorted(field for field, _ in table.values())
+
+    lp_fields = {f.name for f in dataclasses.fields(LPSpec)} - {"dependent"}
+    dgp_fields = {f.name for f in dataclasses.fields(DGPSpec)} - {"shock_schedule"}
+    assert names(panellp.cli._SPEC_FIELDS) == sorted(lp_fields)
+    assert names(panellp.cli._DGP_FIELDS) == sorted(dgp_fields)
 
 
 @pytest.mark.parametrize(
@@ -431,6 +487,16 @@ def test_validate_pass_line(capsys):
     assert rc == 0
     assert out.strip().endswith("suite=cluster-oracle PASS")
     assert "max_covariance_gap" in out and "bound=" in out
+
+
+@pytest.mark.parametrize(
+    "suite, count", [("fe-oracle", "panels"), ("cluster-oracle", "designs")]
+)
+def test_validate_reps_reaches_the_suite(capsys, suite, count):
+    rc = main(["validate", "--suite", suite, "--reps", "3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert f"{count}=3" in out.splitlines()
 
 
 def test_validate_transition_separation(capsys):

@@ -246,6 +246,12 @@ def test_read_groups(tmp_path):
     write_lines(none, ["entity,member", "USA,0"])
     with pytest.raises(DataError, match="no group members"):
         read_groups(none, "treaty")
+    twice = str(tmp_path / "twice.csv")
+    write_lines(twice, ["entity,member", "USA,1", "FRA,0", "USA,0"])
+    with pytest.raises(
+        DataError, match="twice.csv:4: entity USA repeated; first seen at line 2"
+    ):
+        read_groups(twice, "treaty")
 
 
 # ---------------------------------------------------------------------------
