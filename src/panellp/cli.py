@@ -269,11 +269,10 @@ def _write_manifest(
     for p in input_paths:
         lines.append(f"input_sha256.{os.path.basename(p)} = {file_sha256(p)}")
     lines.append(f"series = {','.join(irf.series_names)}")
+    sweeps = irf.diagnostics["demean_sweeps"]
     for h in irf.horizons:
-        lines.append(
-            f"horizon_{h.horizon}.n_obs = {h.n_obs}"
-        )
-        lines.append(f"horizon_{h.horizon}.demean_sweeps = {h.demean_sweeps}")
+        lines.append(f"horizon_{h.horizon}.n_obs = {h.n_obs}")
+        lines.append(f"horizon_{h.horizon}.demean_sweeps = {sweeps[h.horizon]}")
         if h.dropped_columns:
             lines.append(
                 f"horizon_{h.horizon}.dropped_columns = {','.join(h.dropped_columns)}"
@@ -402,9 +401,7 @@ def _cmd_validate(args) -> int:
     from .validation import run_suite
 
     report = run_suite(args.suite, reps=args.reps, seed=args.seed)
-    for line in report.lines:
-        print(line)
-    print(f"suite={report.name} {'PASS' if report.passed else 'FAIL'}")
+    print(report)
     return 0 if report.passed else 1
 
 

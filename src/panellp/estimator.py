@@ -91,8 +91,6 @@ class DesignMatrix:
     A code array whose largest code reaches the row count is mapped that
     way here, once, so per-code counts are sized by the rows, never by the
     largest code.
-    ``raw_response`` optionally keeps the pre-demeaning response so an
-    overall (rather than within) R-squared can be formed.
     """
 
     response: np.ndarray
@@ -101,7 +99,6 @@ class DesignMatrix:
     entities: np.ndarray
     periods: np.ndarray
     clusters: np.ndarray
-    raw_response: np.ndarray | None = None
 
     def __post_init__(self):
         y = np.asarray(self.response, dtype=float)

@@ -277,10 +277,13 @@ def read_groups(path: str, name: str) -> GroupSpec:
     members: set[str] = set()
     first_line: dict[str, int] = {}
     for line, row in rows:
-        seen = first_line.setdefault(row[ent_pos], line)
+        ent = row[ent_pos]
+        if ent == "":
+            raise DataError("empty entity label", path=path, line=line)
+        seen = first_line.setdefault(ent, line)
         if seen != line:
             raise DataError(
-                f"entity {row[ent_pos]} repeated; first seen at line {seen}",
+                f"entity {ent} repeated; first seen at line {seen}",
                 path=path,
                 line=line,
             )
@@ -290,7 +293,7 @@ def read_groups(path: str, name: str) -> GroupSpec:
                 f"member flag must be 0 or 1, got {flag}", path=path, line=line
             )
         if flag == 1:
-            members.add(row[ent_pos])
+            members.add(ent)
     if not members:
         raise DataError("no group members flagged", path=path)
     return GroupSpec(name=name, members=frozenset(members))
@@ -344,11 +347,8 @@ def merge(panels: Sequence[Panel]) -> tuple[Panel, tuple[str, ...]]:
             grid[np.asarray(rows), off : off + p.n_periods] = p.column(v)
             grids[v] = grid
 
-    unmatched = tuple(
-        e
-        for e in entities
-        if any(e not in set(p.entities) for p in panels)
-    )
+    entity_sets = [set(p.entities) for p in panels]
+    unmatched = tuple(e for e in entities if any(e not in s for s in entity_sets))
     return Panel(entities, periods, grids), unmatched
 
 

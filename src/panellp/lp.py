@@ -169,11 +169,8 @@ class TransitionState:
     recessions and close to zero in strong expansions.
     """
 
-    entities: tuple[str, ...]
-    periods: tuple[int, ...]
     z: np.ndarray
     weight: np.ndarray
-    sigma: float
 
 
 def _check_sigma(sigma: float) -> None:
@@ -208,13 +205,7 @@ def build_transition_state(
     """Standardize the growth variable and map it through the logistic."""
     work = standardize(panel, growth, out="__z", scope=z_scope)
     z = work.column("__z")
-    return TransitionState(
-        entities=panel.entities,
-        periods=panel.periods,
-        z=z,
-        weight=smooth_transition(z, sigma),
-        sigma=sigma,
-    )
+    return TransitionState(z=z, weight=smooth_transition(z, sigma))
 
 
 @dataclass(frozen=True)
@@ -229,7 +220,6 @@ class HorizonEstimate:
     r_squared: float
     dropped_columns: tuple[str, ...]
     result: RegressionResult
-    demean_sweeps: int = 0
 
     def interval(self, name: str) -> CoefficientInterval:
         for iv in self.intervals:
@@ -300,7 +290,6 @@ def _build_study(
     kind: str,
     horizons: Sequence[int],
     group: GroupSpec | None = None,
-    state: TransitionState | None = None,
 ) -> _Study:
     """The per-study step: every regressor of a ``kind`` design, once, in
     reporting order (shock block first), each of ``horizons``' sample, and
@@ -308,10 +297,6 @@ def _build_study(
     holes and log losses together; the outcome's count (that of the
     horizon-0 response) goes under the dependent's name.
     """
-    if kind == "transition" and (
-        state.entities != panel.entities or state.periods != panel.periods
-    ):
-        raise PanelLPError("transition state was built for a different panel")
     dep = replace(spec.dependent, name=_DEP, source=spec.dependent.src)
     work, _ = apply_variable_spec(panel, dep)
 
@@ -348,7 +333,7 @@ def _build_study(
             (f"effect_in_{group.name}", {SHOCK: 1.0, _GROUP_SHOCK: 1.0}),
         )
     elif kind == "transition":
-        F = state.weight
+        F = build_transition_state(panel, spec.growth, spec.sigma, spec.z_scope).weight
         shock = work.column(SHOCK)
         work = work.with_column(SHOCK_RECESSION, F * shock)
         work = work.with_column(SHOCK_EXPANSION, (1.0 - F) * shock)
@@ -408,7 +393,6 @@ def _horizon_design(study: _Study, spec: LPSpec, k: int) -> DesignMatrix:
     X = block[:n_cols]
     study.regressors.reshape(n_cols, -1).take(flat, axis=1, out=X, mode="clip")
     np.subtract(study.outcome[flat + k], study.outcome[flat], out=block[n_cols])
-    raw_response = block[n_cols].copy()
     raw_ss = np.einsum("ij,ij->i", X, X)
     per_fe, ent_fe = study.effects
     block -= per_fe[s].take(per_idx, axis=1)
@@ -423,7 +407,6 @@ def _horizon_design(study: _Study, spec: LPSpec, k: int) -> DesignMatrix:
         entities=ent_idx,
         periods=per_idx,
         clusters=ent_idx if spec.cluster == "entity" else per_idx,
-        raw_response=raw_response,
     )
 
 
@@ -458,22 +441,20 @@ def build_interaction_design(
 
 
 def build_transition_design(
-    panel: Panel,
-    events: EventList,
-    state: TransitionState,
-    spec: LPSpec,
-    k: int,
+    panel: Panel, events: EventList, spec: LPSpec, k: int
 ) -> DesignMatrix:
     """Horizon-k design with regime-weighted shock terms.
 
     The shock dummy is split into ``shock_recession`` (weighted by the
     logistic recession weight ``F``) and ``shock_expansion`` (weighted by
-    ``1 - F``).  Controls are the lagged outcome growth terms plus lags of
-    the shock, of raw growth, and of ``F`` itself — the contemporaneous
-    level controls of the baseline are replaced by the cycle-state block.
-    Runs the same two steps as :func:`estimate_irf`, for the one horizon.
+    ``1 - F``); ``F`` is built from ``spec.growth``, ``spec.sigma`` and
+    ``spec.z_scope``.  Controls are the lagged outcome growth terms plus
+    lags of the shock, of raw growth, and of ``F`` itself — the
+    contemporaneous level controls of the baseline are replaced by the
+    cycle-state block.  Runs the same two steps as :func:`estimate_irf`,
+    for the one horizon.
     """
-    study = _build_study(panel, events, spec, "transition", (k,), state=state)
+    study = _build_study(panel, events, spec, "transition", (k,))
     return _horizon_design(study, spec, k)
 
 
@@ -482,8 +463,10 @@ def build_transition_design(
 # ---------------------------------------------------------------------------
 
 
-def _overall_r2(result: RegressionResult, design: DesignMatrix) -> float:
-    raw = design.raw_response
+def _overall_r2(result: RegressionResult, study: _Study, k: int) -> float:
+    """R-squared against the horizon-k response before demeaning."""
+    flat = np.flatnonzero(study.masks[study.horizons.index(k)])
+    raw = study.outcome[flat + k] - study.outcome[flat]
     rss = float(result.residuals @ result.residuals)
     dev = raw - raw.mean()
     tss = float(dev @ dev)
@@ -500,7 +483,7 @@ def _estimate_horizon(study: _Study, spec: LPSpec, k: int) -> HorizonEstimate:
         else linear_combination(result, weights, name=name, level=level, dist=dist)
         for name, weights in study.series
     )
-    r2 = result.r_squared if spec.r2_mode == "within" else _overall_r2(result, design)
+    r2 = result.r_squared if spec.r2_mode == "within" else _overall_r2(result, study, k)
     return HorizonEstimate(
         horizon=k,
         intervals=intervals,
@@ -510,7 +493,6 @@ def _estimate_horizon(study: _Study, spec: LPSpec, k: int) -> HorizonEstimate:
         r_squared=r2,
         dropped_columns=result.dropped_columns,
         result=replace(result, r_squared=r2),
-        demean_sweeps=int(spec.entity_fe or spec.time_fe),
     )
 
 
@@ -519,16 +501,18 @@ def estimate_irf(
     events: EventList,
     spec: LPSpec,
     group: GroupSpec | None = None,
-    state: TransitionState | None = None,
     jobs: int = 1,
 ) -> IRF:
     """Run the per-horizon regressions and collect the impulse response.
 
-    ``group`` is required for the interaction design.  For the transition
-    design a ``state`` may be passed explicitly; otherwise it is built from
-    ``spec.growth``.  The regressors, their sample mask and their missing
-    counts are built once per call; each horizon adds only its response,
-    then demeans and fits.  ``jobs > 1`` fans the horizons out over a
+    ``group`` is required for the interaction design; the transition
+    design builds its weight from ``spec.growth``, ``spec.sigma`` and
+    ``spec.z_scope``.  Horizons run from 0 to ``spec.horizons``, capped at
+    ``panel.n_periods``: that horizon has no ``t + k`` cell, so its sample
+    is empty and a run that reaches it fails there; later horizons are not
+    built.  The regressors, their sample mask and their missing counts are
+    built once per call; each horizon adds only its response, then
+    demeans and fits.  ``jobs > 1`` fans the horizons out over a
     thread pool; the shared regressors are read-only and every horizon is
     an independent pure computation, so the output is identical under any
     schedule.  A failing horizon aborts the whole run with the horizon
@@ -536,10 +520,8 @@ def estimate_irf(
     """
     if spec.kind == "interaction" and group is None:
         raise PanelLPError("interaction design needs a GroupSpec")
-    if spec.kind == "transition" and state is None:
-        state = build_transition_state(panel, spec.growth, spec.sigma, spec.z_scope)
-    ks = range(spec.horizons + 1)
-    study = _build_study(panel, events, spec, spec.kind, ks, group, state)
+    ks = range(min(spec.horizons, panel.n_periods) + 1)
+    study = _build_study(panel, events, spec, spec.kind, ks, group)
 
     def run(k: int) -> HorizonEstimate:
         try:
@@ -559,10 +541,7 @@ def estimate_irf(
         horizons = tuple(run(k) for k in ks)
 
     diag: dict[str, object] = {
-        "dropped_columns": {
-            h.horizon: list(h.dropped_columns) for h in horizons if h.dropped_columns
-        },
-        "demean_sweeps": {h.horizon: h.demean_sweeps for h in horizons},
+        "demean_sweeps": dict.fromkeys(ks, int(spec.entity_fe or spec.time_fe)),
         "missing_counts": dict(study.missing_counts),
     }
     return IRF(

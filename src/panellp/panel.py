@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateVariableError,
     MissingVariableError,
     PanelLPError,
@@ -215,9 +216,9 @@ class VariableSpec:
 
     def __post_init__(self):
         if self.transform not in ("level", "log", "per_capita_log", "standardize"):
-            raise PanelLPError(f"unknown transform {self.transform!r}")
+            raise ConfigError(f"unknown transform {self.transform!r}")
         if self.transform == "per_capita_log" and not self.population:
-            raise PanelLPError("per_capita_log needs a population column")
+            raise ConfigError("per_capita_log needs a population column")
 
     @property
     def src(self) -> str:

@@ -53,7 +53,7 @@ class SuiteReport:
     passed: bool
     lines: tuple[str, ...] = field(default_factory=tuple)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         return "\n".join(list(self.lines) + [f"suite={self.name} {verdict}"])
 

@@ -53,21 +53,24 @@ def sim_dir(tmp_path):
 
 
 def estimate_config(tmp_path, sim_dir, extra=()):
+    """A baseline config on the simulated panel; a line of ``extra``
+    replaces the default line of its key."""
+    defaults = [
+        f"input.panel = {sim_dir / 'panel.csv'}",
+        f"input.events = {sim_dir / 'events.csv'}",
+        f"output.dir = {tmp_path / 'out'}",
+        "spec.kind = baseline",
+        "spec.dependent = y",
+        "spec.dependent_transform = level",
+        "spec.horizons = 3",
+        "spec.lag_order = 1",
+        "spec.dummy_lags = 1",
+    ]
+    overridden = {line.split(" = ")[0] for line in extra}
     cfg = tmp_path / "run.cfg"
     write_lines(
         cfg,
-        [
-            f"input.panel = {sim_dir / 'panel.csv'}",
-            f"input.events = {sim_dir / 'events.csv'}",
-            f"output.dir = {tmp_path / 'out'}",
-            "spec.kind = baseline",
-            "spec.dependent = y",
-            "spec.dependent_transform = level",
-            "spec.horizons = 3",
-            "spec.lag_order = 1",
-            "spec.dummy_lags = 1",
-            *extra,
-        ],
+        [l for l in defaults if l.split(" = ")[0] not in overridden] + list(extra),
     )
     return cfg
 
@@ -281,14 +284,15 @@ def test_estimate_ragged_row_exits_1(tmp_path, sim_dir, capsys, which, lines):
     assert not (tmp_path / "out").exists()
 
 
-def test_estimate_horizons_past_the_sample_end_exit_1(tmp_path, capsys):
-    # 45 horizons on the 40-period sample: every horizon from 40 on has an
-    # empty sample, and the run fails cleanly at the first horizon whose
-    # shock coefficient is lost, with nothing written
+@pytest.mark.parametrize("horizons", [45, 5000])
+def test_estimate_horizons_past_the_sample_end_exit_1(tmp_path, capsys, horizons):
+    # horizons past the end of the 40-period sample: every horizon from 40
+    # on has an empty sample, and the run fails cleanly at the first
+    # horizon whose shock coefficient is lost, with nothing written
     cfg = (REPO_ROOT / "configs" / "sample_baseline.cfg").read_text()
     cfg = cfg.replace("= data/", f"= {REPO_ROOT / 'data'}/")
     cfg = cfg.replace("out/sample_baseline", str(tmp_path / "out"))
-    cfg = cfg.replace("spec.horizons = 5", "spec.horizons = 45")
+    cfg = cfg.replace("spec.horizons = 5", f"spec.horizons = {horizons}")
     (tmp_path / "run.cfg").write_text(cfg)
     assert main(["estimate", "--config", str(tmp_path / "run.cfg")]) == 1
     assert capsys.readouterr().err == (
@@ -420,12 +424,16 @@ def test_estimate_non_finite_sigma_exits_1(tmp_path, sim_dir, capsys, sigma):
         "spec.entity_fe = maybe",
         "dgp.entities = x",
         "dgp.theta = 1,a",
+        "spec.dependent_transform = bogus",
+        "spec.controls = trade_share:bogus",
+        "spec.dependent_transform = per_capita_log",  # without spec.population
     ],
 )
 def test_estimate_bad_spec_value_is_a_config_error(tmp_path, sim_dir, capsys, line):
     # rejected when the spec is built: a bad percentile rule used to be
     # ignored without mortality data, the others failed only mid-run
     key, value = line.split(" = ")
+    value = value.rpartition(":")[2]  # a controls token names its transform
     if key.startswith("dgp."):
         cfg = tmp_path / "bad_sim.cfg"
         write_lines(cfg, [line])

@@ -252,6 +252,10 @@ def test_read_groups(tmp_path):
         DataError, match="twice.csv:4: entity USA repeated; first seen at line 2"
     ):
         read_groups(twice, "treaty")
+    blank = str(tmp_path / "blank.csv")
+    write_lines(blank, ["entity,member", "USA,1", ",1"])
+    with pytest.raises(DataError, match="blank.csv:3: empty entity label"):
+        read_groups(blank, "treaty")
 
 
 # ---------------------------------------------------------------------------
