@@ -104,7 +104,10 @@ def _control_specs(raw: str) -> tuple[VariableSpec, ...]:
             src, _, transform = token.partition(":")
             src, transform = src.strip(), transform.strip()
             name = src if transform == "level" else f"{transform}_{src}"
-            out.append(VariableSpec(name=name, transform=transform, source=src))
+            try:
+                out.append(VariableSpec(name=name, transform=transform, source=src))
+            except ConfigError as exc:
+                raise ConfigError(f"spec.controls token {token!r}: {exc}") from None
         else:
             out.append(VariableSpec(name=token))
     return tuple(out)

@@ -14,16 +14,23 @@ clustered by country.  Three designs are supported:
   function of standardized output growth, separating responses in weak
   and strong states of the cycle.
 
-Every horizon shares one right-hand side, so a study builds its regressors
-once, with every horizon's sample, and finds all horizons' fixed effects
-in one stacked pass.  A horizon then gathers its cells into one row-major
-``(n_columns + 1, n_rows)`` block, ``[regressors | response]`` by rows in
-entity-major cell order, subtracts its two effects and fits the block's
-transpose, the column-major ``[X | y]`` the solver factors panel by panel.
-A design names its rows by integer codes, their grid positions, which the
-solver counts and clusters by.
-Horizons are independent of one another, so they may run in a thread
-pool; results are deterministic under any schedule.
+Every horizon shares one right-hand side, so per study the regressors are
+built once, with every horizon's sample, and all horizons' fixed effects
+are found in one stacked pass.  Consecutive horizons whose samples are
+equal (as when the shock's leads are controls, which fixes the sample
+for the whole response window) form a run.  Per distinct sample, the
+pass builds the counts, the period system and the regressor sums once,
+and the sample's cells are gathered once into a row-major
+``(n_columns + 1, n_rows)`` block, ``[regressors | response]`` by rows
+in entity-major cell order, whose regressor rows are demeaned once.  Per
+horizon, the pass solves for that horizon's effects, the response row is
+overwritten with the horizon's demeaned response, and the block's
+transpose is fitted, the column-major ``[X | y]`` the solver factors
+panel by panel.  A run of one horizon is exactly the work of a distinct
+sample, and every horizon gets the same bits either way.  A design names
+its rows by integer codes, their grid positions, which the solver counts
+and clusters by.  Runs are independent of one another, so they may run
+in a thread pool; results are deterministic under any schedule.
 """
 
 from __future__ import annotations
@@ -140,6 +147,7 @@ class LPSpec:
             raise ConfigError(f"ci_dist must be 't' or 'normal', got {self.ci_dist!r}")
         if self.kind == "transition" and not self.growth:
             raise ConfigError("transition design needs a growth variable")
+        _design_columns(self)
 
 
 @dataclass(frozen=True)
@@ -269,13 +277,16 @@ class _Study:
     regressor is present, the flattened outcome grid, and the reported
     series with their coefficient weights (``None``: that coefficient).
     The stacked pass adds each horizon's sample to ``masks``, its missing
-    response cells and its fixed ``effects`` (:func:`panel._fe_effects`).
+    response cells and its fixed ``effects`` (:func:`panel._fe_effects`);
+    ``runs`` groups the horizons, in order, into runs of consecutive
+    horizons with equal samples.
     """
 
     regressors: np.ndarray
     columns: tuple[str, ...]
     horizons: tuple[int, ...]
     masks: np.ndarray
+    runs: tuple[tuple[int, ...], ...]
     outcome: np.ndarray
     response_missing: np.ndarray
     effects: tuple[np.ndarray, np.ndarray]
@@ -283,51 +294,79 @@ class _Study:
     series: tuple[tuple[str, Mapping[str, float] | None], ...]
 
 
+def _design_columns(spec: LPSpec) -> tuple[str, ...]:
+    """The regressors of ``spec``'s design, in reporting order: the shock
+    (the transition design's two regime-weighted shocks; the interaction
+    design's shock, its product with the group and the membership term
+    unless ``group_handling`` is ``report_only``), the shock's lags, the
+    controls (the transition design's cycle-state block replaces them),
+    the lagged outcome growth, and the transition design's lags of growth
+    and of the recession weight.  A control that repeats a name is a
+    :class:`ConfigError`.
+    """
+    lags = range(1, spec.dummy_lags + 1)
+    names = [SHOCK_RECESSION, SHOCK_EXPANSION] if spec.kind == "transition" else [SHOCK]
+    if spec.kind == "interaction":
+        names.append(_GROUP_SHOCK)
+        if spec.group_handling == "design":
+            names.append(_GROUP)
+    names += [f"{SHOCK}_lag_{j}" for j in lags]
+    if spec.kind != "transition":
+        names += [ctrl.name for ctrl in spec.controls]
+    names += [f"outcome_growth_lag_{j}" for j in range(1, spec.lag_order + 1)]
+    if spec.kind == "transition":
+        for j in lags:
+            names += [f"growth_lag_{j}", f"recession_weight_lag_{j}"]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(
+                f"the {spec.kind} design would have two columns named {name!r}; "
+                "rename or drop the control"
+            )
+    return tuple(names)
+
+
 def _build_study(
     panel: Panel,
     events: EventList,
     spec: LPSpec,
-    kind: str,
     horizons: Sequence[int],
     group: GroupSpec | None = None,
 ) -> _Study:
-    """The per-study step: every regressor of a ``kind`` design, once, in
-    reporting order (shock block first), each of ``horizons``' sample, and
-    their fixed effects.  Missing cells are counted per working column,
-    holes and log losses together; the outcome's count (that of the
-    horizon-0 response) goes under the dependent's name.
+    """The per-study step: every regressor of ``spec``'s design, once, in
+    :func:`_design_columns` order, each of ``horizons``' sample, the runs
+    of equal samples, and their fixed effects.  Missing cells are counted
+    per working column, holes and log losses together; the outcome's
+    count (that of the horizon-0 response) goes under the dependent's
+    name.
     """
+    names = _design_columns(spec)
+    kind = spec.kind
+    # the transition design replaces the level controls by its state block
+    controls = spec.controls if kind != "transition" else ()
+    for ctrl in controls:  # named against the input, before any working column
+        for source in (ctrl.src, ctrl.population):
+            if source is not None:
+                panel.column(source)
     dep = replace(spec.dependent, name=_DEP, source=spec.dependent.src)
     work, _ = apply_variable_spec(panel, dep)
 
     eventset = build_dummies(events, work, rule=spec.percentile_rule)
     work = work.with_column(SHOCK, eventset.column(spec.shock_dummy))
-
-    names: list[str] = [SHOCK]
     for j in range(1, spec.dummy_lags + 1):
         work = add_lag(work, SHOCK, j)
-        names.append(f"{SHOCK}_lag_{j}")
-
-    # the transition design replaces the level controls by its state block
-    for ctrl in spec.controls if kind != "transition" else ():
+    for ctrl in controls:
         work, _ = apply_variable_spec(work, ctrl)
-        names.append(ctrl.name)
-
     work = first_difference(work, _DEP, out="__dgrow")
     for j in range(1, spec.lag_order + 1):
         work = add_lag(work, "__dgrow", j, out=f"outcome_growth_lag_{j}")
-        names.append(f"outcome_growth_lag_{j}")
 
     series = ((SHOCK, None),)
     if kind == "interaction":
         gcol = group.indicator(work)
         work = work.with_column(_GROUP_SHOCK, gcol * work.column(SHOCK))
-        terms = [_GROUP_SHOCK]
         if spec.group_handling == "design":
             work = work.with_column(_GROUP, gcol)
-            terms.append(_GROUP)
-        # product and membership terms sit right after the shock
-        names = names[:1] + terms + names[1:]
         series = (
             (f"effect_outside_{group.name}", {SHOCK: 1.0}),
             (f"effect_in_{group.name}", {SHOCK: 1.0, _GROUP_SHOCK: 1.0}),
@@ -338,12 +377,9 @@ def _build_study(
         work = work.with_column(SHOCK_RECESSION, F * shock)
         work = work.with_column(SHOCK_EXPANSION, (1.0 - F) * shock)
         work = work.with_column("__fz", F)
-        names = [SHOCK_RECESSION, SHOCK_EXPANSION] + names[1:]
         for j in range(1, spec.dummy_lags + 1):
             work = add_lag(work, spec.growth, j, out=f"growth_lag_{j}")
-            names.append(f"growth_lag_{j}")
             work = add_lag(work, "__fz", j, out=f"recession_weight_lag_{j}")
-            names.append(f"recession_weight_lag_{j}")
         series = ((SHOCK_RECESSION, None), (SHOCK_EXPANSION, None))
 
     counts = {spec.dependent.name: work.missing_count(_DEP)}
@@ -360,24 +396,50 @@ def _build_study(
     responses[~masks] = 0.0
     sums = responses.sum(axis=2), responses.sum(axis=1)
     del responses  # a horizon takes its response from the outcome
+    # consecutive horizons with equal samples form a run, whose per-sample
+    # work is done once; distinct samples go through one by one
+    same = (masks[1:] == masks[:-1]).all(axis=(1, 2))
+    bounds = [0, *(np.flatnonzero(~same) + 1).tolist(), len(horizons)]
+    runs = tuple(tuple(horizons[a:b]) for a, b in zip(bounds, bounds[1:]))
+    repeats = np.diff(bounds) if same.any() else None
+    distinct = masks if repeats is None else masks[bounds[:-1]]
     return _Study(
         regressors=regressors,
-        columns=tuple(names),
+        columns=names,
         horizons=tuple(horizons),
         masks=masks,
+        runs=runs,
         outcome=outcome.column(_DEP).ravel(),
         response_missing=np.count_nonzero(missing, axis=(1, 2)),
-        effects=_fe_effects(masks, regressors, spec.entity_fe, spec.time_fe, sums),
+        effects=_fe_effects(
+            distinct, regressors, spec.entity_fe, spec.time_fe, sums, repeats
+        ),
         missing_counts={n: c for n, c in counts.items() if c},
         series=series,
     )
 
 
-def _horizon_design(study: _Study, spec: LPSpec, k: int) -> DesignMatrix:
-    """The per-horizon step: gather the horizon-k sample, subtract its
-    fixed effects and pack the design.  Its row codes are the sample's
-    grid positions; the clusters are the entity (or period) code array
-    itself."""
+@dataclass(frozen=True)
+class _Block:
+    """One sample of a study, gathered once for every horizon of its run:
+    the row-major ``(n_columns + 1, n_rows)`` block ``[regressors |
+    response]`` in entity-major cell order, demeaned, with the sample's
+    grid positions and their entity and period codes.  Each later horizon
+    of the run overwrites the response row with its own."""
+
+    study: _Study
+    flat: np.ndarray
+    entities: np.ndarray
+    periods: np.ndarray
+    rows: np.ndarray
+
+
+def _gather(study: _Study, k: int) -> _Block:
+    """The per-sample step: gather the horizon-k sample's regressors and
+    response ``y[t+k] - y[t]`` and subtract their fixed effects.  A
+    regressor the fixed effects absorb leaves rounding noise that the
+    unit-norm rank filter would keep as a column; it is zeroed, so the fit
+    drops it."""
     s = study.horizons.index(k)
     flat = np.flatnonzero(study.masks[s])
     if flat.size == 0:
@@ -386,28 +448,51 @@ def _horizon_design(study: _Study, spec: LPSpec, k: int) -> DesignMatrix:
             f"no complete rows at horizon {k}; missing cells per variable: {counts}"
         )
     ent_idx, per_idx = np.divmod(flat, study.masks.shape[2])
-    # one row-major block [regressors | y[t+k] - y[t]], demeaned in place;
-    # its transpose is the column-major [X | y] the fit factors
     n_cols = len(study.columns)
-    block = np.empty((n_cols + 1, flat.size))
-    X = block[:n_cols]
+    rows = np.empty((n_cols + 1, flat.size))
+    X = rows[:n_cols]
     study.regressors.reshape(n_cols, -1).take(flat, axis=1, out=X, mode="clip")
-    np.subtract(study.outcome[flat + k], study.outcome[flat], out=block[n_cols])
+    np.subtract(study.outcome[flat + k], study.outcome[flat], out=rows[n_cols])
     raw_ss = np.einsum("ij,ij->i", X, X)
     per_fe, ent_fe = study.effects
-    block -= per_fe[s].take(per_idx, axis=1)
-    block -= ent_fe[s].take(ent_idx, axis=1)
-    # A regressor the fixed effects absorb leaves rounding noise that the
-    # unit-norm rank filter would keep as a column; zeroed, it is dropped.
+    rows -= per_fe[s].take(per_idx, axis=1)
+    rows -= ent_fe[s].take(ent_idx, axis=1)
     X[np.einsum("ij,ij->i", X, X) <= PIVOT_RTOL**2 * raw_ss] = 0.0
+    return _Block(study=study, flat=flat, entities=ent_idx, periods=per_idx, rows=rows)
+
+
+def _respond(block: _Block, k: int) -> None:
+    """The per-horizon step of a shared sample: overwrite the block's
+    response row with horizon k's, less its fixed effects."""
+    study = block.study
+    s = study.horizons.index(k)
+    y = block.rows[-1]
+    np.subtract(study.outcome[block.flat + k], study.outcome[block.flat], out=y)
+    per_fe, ent_fe = study.effects
+    y -= per_fe[s, -1].take(block.periods)
+    y -= ent_fe[s, -1].take(block.entities)
+
+
+def _design(block: _Block, spec: LPSpec) -> DesignMatrix:
+    """The block's transpose, the column-major ``[X | y]`` the fit factors.
+    Its row codes are the sample's grid positions; the clusters are the
+    entity (or period) code array itself."""
     return DesignMatrix(
-        response=block[n_cols],
-        matrix=X.T,
-        columns=study.columns,
-        entities=ent_idx,
-        periods=per_idx,
-        clusters=ent_idx if spec.cluster == "entity" else per_idx,
+        response=block.rows[-1],
+        matrix=block.rows[:-1].T,
+        columns=block.study.columns,
+        entities=block.entities,
+        periods=block.periods,
+        clusters=block.entities if spec.cluster == "entity" else block.periods,
     )
+
+
+def _one_horizon_design(
+    panel: Panel, events: EventList, spec: LPSpec, k: int, group: GroupSpec | None = None
+) -> DesignMatrix:
+    """The per-study and per-sample steps of :func:`estimate_irf` for the
+    one horizon ``k``."""
+    return _design(_gather(_build_study(panel, events, spec, (k,), group), k), spec)
 
 
 def build_baseline_design(
@@ -419,10 +504,9 @@ def build_baseline_design(
     controls, and the lagged outcome growth terms.  The response is the
     k-period forward change of the transformed outcome.  Response and
     regressors are two-way demeaned on the listwise-complete sample.
-    Runs the per-study and the per-horizon step of :func:`estimate_irf`
-    for the one horizon.
+    Runs the steps of :func:`estimate_irf` for the one horizon.
     """
-    return _horizon_design(_build_study(panel, events, spec, "baseline", (k,)), spec, k)
+    return _one_horizon_design(panel, events, replace(spec, kind="baseline"), k)
 
 
 def build_interaction_design(
@@ -434,10 +518,10 @@ def build_interaction_design(
     it is absorbed; the solver's rank filter then reports it dropped.  Set
     ``spec.group_handling = "report_only"`` to leave the membership column
     out of the design up front and keep only the product term.  Runs the
-    same two steps as :func:`estimate_irf`, for the one horizon.
+    steps of :func:`estimate_irf` for the one horizon.
     """
-    study = _build_study(panel, events, spec, "interaction", (k,), group=group)
-    return _horizon_design(study, spec, k)
+    spec = replace(spec, kind="interaction")
+    return _one_horizon_design(panel, events, spec, k, group)
 
 
 def build_transition_design(
@@ -451,11 +535,10 @@ def build_transition_design(
     ``spec.z_scope``.  Controls are the lagged outcome growth terms plus
     lags of the shock, of raw growth, and of ``F`` itself — the
     contemporaneous level controls of the baseline are replaced by the
-    cycle-state block.  Runs the same two steps as :func:`estimate_irf`,
-    for the one horizon.
+    cycle-state block.  Runs the steps of :func:`estimate_irf` for the
+    one horizon.
     """
-    study = _build_study(panel, events, spec, "transition", (k,))
-    return _horizon_design(study, spec, k)
+    return _one_horizon_design(panel, events, replace(spec, kind="transition"), k)
 
 
 # ---------------------------------------------------------------------------
@@ -463,27 +546,27 @@ def build_transition_design(
 # ---------------------------------------------------------------------------
 
 
-def _overall_r2(result: RegressionResult, study: _Study, k: int) -> float:
+def _overall_r2(result: RegressionResult, block: _Block, k: int) -> float:
     """R-squared against the horizon-k response before demeaning."""
-    flat = np.flatnonzero(study.masks[study.horizons.index(k)])
-    raw = study.outcome[flat + k] - study.outcome[flat]
+    outcome = block.study.outcome
+    raw = outcome[block.flat + k] - outcome[block.flat]
     rss = float(result.residuals @ result.residuals)
     dev = raw - raw.mean()
     tss = float(dev @ dev)
     return 0.0 if tss == 0.0 else 1.0 - rss / tss
 
 
-def _estimate_horizon(study: _Study, spec: LPSpec, k: int) -> HorizonEstimate:
-    design = _horizon_design(study, spec, k)
-    result = fit_with_covariance(design)
+def _estimate_horizon(block: _Block, spec: LPSpec, k: int) -> HorizonEstimate:
+    """Fit the block, which holds horizon k's response, and digest it."""
+    result = fit_with_covariance(_design(block, spec))
     level, dist = spec.conf_level, spec.ci_dist
     intervals = tuple(
         coefficient_interval(result, name, level, dist)
         if weights is None
         else linear_combination(result, weights, name=name, level=level, dist=dist)
-        for name, weights in study.series
+        for name, weights in block.study.series
     )
-    r2 = result.r_squared if spec.r2_mode == "within" else _overall_r2(result, study, k)
+    r2 = result.r_squared if spec.r2_mode == "within" else _overall_r2(result, block, k)
     return HorizonEstimate(
         horizon=k,
         intervals=intervals,
@@ -510,35 +593,45 @@ def estimate_irf(
     ``spec.z_scope``.  Horizons run from 0 to ``spec.horizons``, capped at
     ``panel.n_periods``: that horizon has no ``t + k`` cell, so its sample
     is empty and a run that reaches it fails there; later horizons are not
-    built.  The regressors, their sample mask and their missing counts are
-    built once per call; each horizon adds only its response, then
-    demeans and fits.  ``jobs > 1`` fans the horizons out over a
-    thread pool; the shared regressors are read-only and every horizon is
-    an independent pure computation, so the output is identical under any
+    built.  Per study, the regressors, every horizon's sample and missing
+    counts, and the fixed effects are built once; per distinct sample (a
+    run of consecutive horizons with equal samples, as when the shock's
+    leads are controls), the regressors are gathered and demeaned once;
+    per horizon, only the response is formed and demeaned, and the design
+    fitted.  ``jobs > 1`` fans the runs out over a thread pool, so no two
+    threads share a block; the study is read-only and every run an
+    independent pure computation, so the output is identical under any
     schedule.  A failing horizon aborts the whole run with the horizon
     identified.
     """
     if spec.kind == "interaction" and group is None:
         raise PanelLPError("interaction design needs a GroupSpec")
     ks = range(min(spec.horizons, panel.n_periods) + 1)
-    study = _build_study(panel, events, spec, spec.kind, ks, group)
+    study = _build_study(panel, events, spec, ks, group)
 
-    def run(k: int) -> HorizonEstimate:
+    def run(horizons: tuple[int, ...]) -> list[HorizonEstimate]:
+        k = horizons[0]
         try:
-            return _estimate_horizon(study, spec, k)
+            block = _gather(study, k)
+            fitted = [_estimate_horizon(block, spec, k)]
+            for k in horizons[1:]:
+                _respond(block, k)
+                fitted.append(_estimate_horizon(block, spec, k))
+            return fitted
         except PanelLPError as exc:
             # prefix in place, so the class and its attributes survive
             exc.args = (f"horizon {k}: {exc}",)
             raise
 
-    if jobs > 1 and len(ks) > 1:
+    if jobs > 1 and len(study.runs) > 1:
         # imported only here, so a serial run never loads concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            horizons = tuple(pool.map(run, ks))
+            fitted = list(pool.map(run, study.runs))
     else:
-        horizons = tuple(run(k) for k in ks)
+        fitted = [run(horizons) for horizons in study.runs]
+    horizons = tuple(h for part in fitted for h in part)
 
     diag: dict[str, object] = {
         "demean_sweeps": dict.fromkeys(ks, int(spec.entity_fe or spec.time_fe)),

@@ -426,6 +426,9 @@ def test_estimate_non_finite_sigma_exits_1(tmp_path, sim_dir, capsys, sigma):
         "dgp.theta = 1,a",
         "spec.dependent_transform = bogus",
         "spec.controls = trade_share:bogus",
+        "spec.controls = gdp_pc:log,trade_share:bogus",
+        "spec.controls = gdp_pc:",
+        "spec.controls = gdp_pc:per_capita_log",  # a control has no population
         "spec.dependent_transform = per_capita_log",  # without spec.population
     ],
 )
@@ -447,7 +450,47 @@ def test_estimate_bad_spec_value_is_a_config_error(tmp_path, sim_dir, capsys, li
     assert value in errors[0]
     if key in ("spec.entity_fe", "dgp.entities", "dgp.theta"):  # parser rejects
         assert errors[0].startswith(f"error: config: {key} must be ")
+    if key == "spec.controls":  # the line names the key and the bad token
+        token = line.split(" = ")[1].split(",")[-1]
+        assert errors[0].startswith(f"error: config: {key} token {token!r}: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "controls, name",
+    [
+        ("trade_share,trade_share", "trade_share"),
+        ("shock", "shock"),
+        ("gdp_pc:log,gdp_pc:log", "log_gdp_pc"),
+        ("outcome_growth_lag_1", "outcome_growth_lag_1"),
+    ],
+)
+def test_estimate_repeated_or_colliding_controls_are_config_errors(
+    tmp_path, capsys, controls, name
+):
+    # rejected when the spec is built, before any input is read: the panel
+    # named here does not exist
+    cfg = estimate_config(
+        tmp_path, tmp_path / "absent", [f"spec.controls = {controls}"]
+    )
+    rc = main(["estimate", "--config", str(cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: config: the baseline design would have two columns named "
+        f"{name!r}; rename or drop the control\n"
+    )
+
+
+def test_estimate_misspelled_control_lists_only_the_input_columns(
+    tmp_path, sim_dir, capsys
+):
+    cfg = estimate_config(tmp_path, sim_dir, ["spec.controls = growht"])
+    rc = main(["estimate", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: missing-variable: no variable named 'growht'; have [")
+    assert "'growth'" in err
+    assert "__dep" not in err and "shock_lag_1" not in err
 
 
 def test_every_dataclass_field_has_a_config_key():

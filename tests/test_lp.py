@@ -18,7 +18,7 @@ from panellp.errors import (
     PanelLPError,
 )
 from panellp.estimator import fit_with_covariance, lsdv_fit
-from panellp.events import EventList, PandemicEvent
+from panellp.events import EventList, PandemicEvent, build_dummies
 from panellp.ingest import load_config, read_event_list, read_panel
 from panellp.lp import (
     GroupSpec,
@@ -572,6 +572,119 @@ def test_every_horizon_matches_its_build_design_bitwise(kind):
         assert fit.covariance.tobytes() == h.result.covariance.tobytes()
         assert fit.dropped_columns == h.dropped_columns
         assert fit.n_obs == h.n_obs == d.n_rows
+
+
+def lead_case(leads, H=4, cluster="entity"):
+    """A simulated panel whose regression controls for the shock's leads
+    1..``leads``, as the irf-recovery suite does, and a ``growth`` control
+    with a hole.  A lead reaches ``leads`` periods past a row, so horizons
+    0..``leads`` share one sample and each later horizon has its own."""
+    panel, events, _ = sim_case()
+    grid = panel.column("growth").copy()
+    grid[5, 9] = np.nan
+    panel = panel.replace_column("growth", grid)
+    shock = build_dummies(events, panel).dummy
+    for j in range(1, leads + 1):
+        lead = np.full_like(shock, np.nan)
+        lead[:, :-j] = shock[:, j:]
+        panel = panel.with_column(f"shock_lead_{j}", lead)
+    controls = (VariableSpec("growth"),) + tuple(
+        VariableSpec(f"shock_lead_{j}") for j in range(1, leads + 1)
+    )
+    return panel, events, spec_y(horizons=H, controls=controls, cluster=cluster)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("cluster", ["entity", "period"])
+@pytest.mark.parametrize("leads", [4, 2])
+def test_shared_sample_horizons_match_their_build_design_bitwise(leads, cluster, jobs):
+    # every horizon of a run of equal samples is fitted from one gathered
+    # block; each must equal the design built for that horizon alone
+    panel, events, spec = lead_case(leads, cluster=cluster)
+    study = lp._build_study(panel, events, spec, range(spec.horizons + 1))
+    expected = [tuple(range(leads + 1))] + [(k,) for k in range(leads + 1, 5)]
+    assert list(study.runs) == expected
+    irf = estimate_irf(panel, events, spec, jobs=jobs)
+    assert [h.horizon for h in irf.horizons] == list(range(5))
+    for h in irf.horizons:
+        fit = fit_with_covariance(build_baseline_design(panel, events, spec, h.horizon))
+        assert fit.coefficients.tobytes() == h.result.coefficients.tobytes()
+        assert fit.covariance.tobytes() == h.result.covariance.tobytes()
+        assert fit.residuals.tobytes() == h.result.residuals.tobytes()
+        assert fit.dropped_columns == h.dropped_columns
+        assert fit.n_obs == h.n_obs
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("leads", [4, 2])
+def test_a_block_is_gathered_once_per_distinct_sample(monkeypatch, leads, jobs):
+    calls = []
+    real = lp._gather
+
+    def counting(study, k):
+        calls.append(k)
+        return real(study, k)
+
+    monkeypatch.setattr(lp, "_gather", counting)
+    panel, events, spec = lead_case(leads)
+    estimate_irf(panel, events, spec, jobs=jobs)
+    assert sorted(calls) == [0] + list(range(leads + 1, 5))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failure_inside_a_shared_sample_keeps_its_horizon(monkeypatch, jobs):
+    # horizon 2 sits in the middle of the run 0..4
+    real = lp._estimate_horizon
+
+    def fail_at_two(block, spec, k):
+        if k == 2:
+            raise DataError("bad", path="p.csv", line=3)
+        return real(block, spec, k)
+
+    monkeypatch.setattr(lp, "_estimate_horizon", fail_at_two)
+    panel, events, spec = lead_case(4)
+    with pytest.raises(DataError) as info:
+        estimate_irf(panel, events, spec, jobs=jobs)
+    exc = info.value
+    assert type(exc) is DataError
+    assert exc.path == "p.csv" and exc.line == 3
+    assert str(exc) == "horizon 2: p.csv:3: bad"
+
+
+def test_shared_sample_peak_memory_is_its_stacks_and_one_block():
+    # A 190 x 60 panel whose design controls for the shock's leads 1..10,
+    # so all eleven horizons share one sample, held to the bound of
+    # test_irf_peak_memory_is_its_stacks_and_one_horizon_block: the run
+    # keeps one block for all its horizons, never one per horizon.
+    E, T, H = 190, 60, 10
+    panel, events, _ = generate(
+        DGPSpec(n_entities=E, n_periods=T, theta=(0.0, -0.03), shock_prob=0.1, seed=17)
+    )
+    rng = np.random.default_rng(17)
+    grid = np.where(rng.random((E, T)) < 0.05, np.nan, panel.column("growth"))
+    panel = panel.replace_column("growth", grid)
+    shock = build_dummies(events, panel).dummy
+    for j in range(1, H + 1):
+        lead = np.full_like(shock, np.nan)
+        lead[:, :-j] = shock[:, j:]
+        panel = panel.with_column(f"shock_lead_{j}", lead)
+    controls = (VariableSpec("growth"),) + tuple(
+        VariableSpec(f"shock_lead_{j}") for j in range(1, H + 1)
+    )
+    spec = spec_y(horizons=H, controls=controls)
+    estimate_irf(panel, events, spec)  # first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        irf = estimate_irf(panel, events, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    first = irf.horizons[0]
+    V = len(first.result.columns) + len(first.dropped_columns)
+    n = max(h.n_obs for h in irf.horizons)
+    assert {h.n_obs for h in irf.horizons} == {n}
+    assert V == 16 and n > 7000
+    assert peak < 8 * (4 * V * E * T + 2 * (H + 1) * E * T + 2 * n * (V + 1))
 
 
 def test_irf_diagnostics_and_series_access():

@@ -462,6 +462,23 @@ def test_stacked_effects_match_one_sample_runs_and_lsdv(case):
             )
 
 
+@settings(max_examples=100, deadline=None)
+@given(sample_stacks(), st.lists(st.integers(1, 3), min_size=4, max_size=4))
+def test_a_repeated_sample_gives_the_bits_of_its_copies(case, counts):
+    # a mask given once with its repeat count, as the horizons of one run
+    # share it, against the stack that lists it once per horizon
+    masks, rng, (entity_fe, time_fe) = case
+    repeats = np.array(counts[: len(masks)])
+    copies = np.repeat(masks, repeats, axis=0)
+    grids = rng.normal(size=(2,) + masks.shape[1:])
+    own = np.where(copies, rng.normal(size=copies.shape), 0.0)
+    own_sums = own.sum(axis=2), own.sum(axis=1)
+    shared = _fe_effects(masks, grids, entity_fe, time_fe, own_sums, repeats)
+    listed = _fe_effects(copies, grids, entity_fe, time_fe, own_sums)
+    for a, b in zip(shared, listed):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_demeaning_is_a_projection(rng):
     # applying the within transform twice changes nothing
     p = punch_holes(balanced_panel(rng), rng)
