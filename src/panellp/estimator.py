@@ -3,9 +3,13 @@
 The solver factors each design once: it builds the R factor of the
 columns with the response appended, a panel of rows at a time (TSQR), so
 a fit of a column-major design copies one panel of rows at a time, never
-all n rows, and scales the triangle to the columns' unit norms.  It then
-drops, in design order, every column within a relative tolerance of the
-span of the kept columns before it.  So
+all n rows, and scales the triangle to the columns' unit norms.  A design
+may carry a matrix of responses that share its regressors and rows (the
+horizons of one local-projection sample); each is one more right-hand
+side of the same factorization, validation, counts and bread, and only
+its residuals, R-squared and cluster scores are formed on their own.  The
+solver then drops, in design order, every column within a relative
+tolerance of the span of the kept columns before it.  So
 rank-deficient designs (absorbed group dummies, duplicated regressors)
 degrade gracefully: the dropped names are reported instead of blowing up
 or silently returning a pseudo-inverse fit.  Normal equations are never
@@ -14,8 +18,9 @@ tests and in :mod:`panellp.validation`.
 
 Covariances are the one-way cluster sandwich with the finite-sample scaling
 ``G/(G-1) * (N-1)/(N-K)``.  Its bread ``(X'X)^-1`` comes from the same R
-factor as the coefficients, and its meat groups the scores by the design's
-integer cluster codes, so no label array is sorted per fit.
+factor as the coefficients, once for every response, and its meat groups
+each response's scores by the design's integer cluster codes, so no label
+array is sorted per fit.
 Confidence intervals and p-values use a Student-t reference with ``G - 1``
 degrees of freedom (a normal reference is available as a switch), both
 evaluated here with numpy and the standard library alone.
@@ -80,9 +85,11 @@ class DesignMatrix:
     """A ready-to-fit regression sample.
 
     Rows map one-to-one onto entity-period cells that survived listwise
-    deletion.  ``entities``, ``periods`` and ``clusters`` carry that
-    provenance as non-negative integer codes per row, equal for equal
-    entities (periods, clusters); the fit counts and groups by them.
+    deletion.  ``response`` is one value per row, or an ``(n_rows, m)``
+    matrix of m responses fitted on the same regressors and rows.
+    ``entities``, ``periods`` and ``clusters`` carry that provenance as
+    non-negative integer codes per row, equal for equal entities
+    (periods, clusters); the fit counts and groups by them.
     Codes may have gaps: :mod:`panellp.lp` passes the panel grid
     positions, where an entity without a row at some horizon leaves its
     code unused, and passes the entity (or period) array itself as the
@@ -106,7 +113,7 @@ class DesignMatrix:
         if X.ndim != 2:
             raise PanelLPError("design matrix must be 2-D")
         n, k = X.shape
-        if y.shape != (n,):
+        if y.shape[:1] != (n,) or y.ndim > 2 or 0 in y.shape[1:]:
             raise PanelLPError(f"response shape {y.shape} does not match {n} rows")
         if len(self.columns) != k:
             raise PanelLPError(f"{len(self.columns)} names for {k} columns")
@@ -142,7 +149,10 @@ class RegressionResult:
     order; ``dropped_columns`` the ones removed by rank filtering.
     ``bread`` is ``(X'X)^-1`` over the retained columns, in that order, as
     :func:`ols_fit` builds it from its R factor.  ``covariance`` is filled
-    by :func:`cluster_covariance` (the plain fit leaves it ``None``).
+    by :func:`cluster_covariance` (the plain fit leaves it ``None``).  The
+    fit of an ``(n, m)`` response matrix keeps a trailing response axis on
+    ``coefficients`` and ``residuals``, one R-squared per response, and a
+    leading one on ``covariance``; :meth:`for_response` picks one out.
     """
 
     columns: tuple[str, ...]
@@ -169,6 +179,17 @@ class RegressionResult:
                     else f"; retained columns: {list(self.columns)}"
                 )
             ) from None
+
+    def for_response(self, j: int) -> RegressionResult:
+        """The fit of column ``j`` of a response matrix, with the shared
+        sample facts and bread."""
+        return replace(
+            self,
+            coefficients=self.coefficients[:, j],
+            residuals=self.residuals[:, j],
+            r_squared=float(self.r_squared[j]),
+            covariance=None if self.covariance is None else self.covariance[j],
+        )
 
     @property
     def df_inference(self) -> int:
@@ -215,19 +236,22 @@ def _count_codes(codes: np.ndarray) -> int:
 def _rank_filtered_triangle(
     R: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Drop the columns of ``[X | y]``'s triangle that fail the rank rule.
+    """Drop the columns of ``[X | Y]``'s triangle that fail the rank rule.
 
     ``R`` is an R factor of the ``k`` unit-norm design columns followed by
-    the response, with at most ``k + 1`` rows: from one QR of all rows or
-    from :func:`ols_fit`'s panel by panel.  The rule depends on it only
-    through ``R'R``, which every such factor shares.  A design column is
-    kept when its distance from the span of the kept columns before it,
-    the magnitude of its diagonal entry once the columns dropped before it
-    are gone, exceeds ``PIVOT_RTOL``.  Each drop re-triangularises the
-    small triangle without that column, never the n rows.  Columns past
-    the last row of a wide design lie in the span of those before them.
-    Returns the triangle of the kept columns and the response, and the
-    kept column indices in design order.
+    the m response columns, with at most ``k + m`` rows: from one QR of
+    all rows or from :func:`ols_fit`'s panel by panel.  The rule reads
+    only the design part, whose triangle is the R factor of the design
+    alone, so the responses never change what is dropped; it depends on
+    that part only through ``X'X``, which every such factor shares.  A
+    design column is kept when its distance from the span of the kept
+    columns before it, the magnitude of its diagonal entry once the
+    columns dropped before it are gone, exceeds ``PIVOT_RTOL``.  Each drop
+    re-triangularises the small triangle without that column, responses
+    included, never the n rows.  Columns past the last row of a wide
+    design lie in the span of those before them.  Returns the triangle of
+    the kept columns and the responses, and the kept column indices in
+    design order.
     """
     kept = np.arange(k)
     while True:
@@ -238,20 +262,22 @@ def _rank_filtered_triangle(
         kept = np.delete(kept, low[0])
         R = np.linalg.qr(np.delete(R, low[0], axis=1), mode="r")
     if kept.size > R.shape[0]:
+        R = np.delete(R, np.s_[R.shape[0] : kept.size], axis=1)
         kept = kept[: R.shape[0]]
-        R = np.delete(R, np.s_[kept.size : -1], axis=1)
     return R, kept
 
 
 def ols_fit(design: DesignMatrix) -> RegressionResult:
-    """Least squares via the R factor of ``[X | y]``, panel by panel.
+    """Least squares via the R factor of ``[X | Y]``, panel by panel.
 
-    TSQR (Demmel, Grigori, Hoemmen & Langou 2012): each panel of about
+    ``Y`` is the response, or the m columns of a response matrix: every
+    response is one more right-hand side of the one factorization.  TSQR
+    (Demmel, Grigori, Hoemmen & Langou 2012): each panel of about
     ``_PANEL_ROWS`` rows is reduced by an R-only LAPACK ``geqrf``
     (``np.linalg.qr(mode="r")``, which copies its input), and one more
     R-only QR of the stacked panel triangles gives the R factor of the
     whole design.  A panel is one ``np.column_stack`` of its rows of a
-    column-major ``X`` and of ``y`` (a design that is not column-major is
+    column-major ``X`` and of ``Y`` (a design that is not column-major is
     copied once to column-major); no n-row ``Q`` is formed.
 
     The column norms ``D`` are read off the triangle (``||R[:, j]|| =
@@ -262,11 +288,12 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
     kept columns before it is at most ``PIVOT_RTOL`` (all-zero columns
     among them), so of two collinear columns the later one is dropped and
     reported in ``dropped_columns``.  One solve with the kept block ``R``
-    gives ``R^-1 Q'y`` and ``R^-1``: the coefficients, unscaled by ``D``,
-    and the rows ``D^-1 R^-1`` of the bread ``(X'X)^-1``; the residuals
-    are ``y - X beta``.  Entity, period and cluster counts are the
-    distinct row codes.  R-squared is ``1 - RSS/TSS`` with TSS about the
-    response mean (the within R-squared when the design was demeaned).
+    gives ``R^-1 Q'Y`` and ``R^-1``: the coefficients of every response,
+    unscaled by ``D``, and the rows ``D^-1 R^-1`` of the bread
+    ``(X'X)^-1``; the residuals are ``Y - X B``, one matrix-vector product
+    for a single response.  Entity, period and cluster counts are the
+    distinct row codes.  Each R-squared is ``1 - RSS/TSS`` with TSS about
+    the response mean (the within R-squared when the design was demeaned).
     """
     if design.n_rows == 0:
         raise EmptySampleError("no rows in design")
@@ -275,13 +302,15 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
     n, k = X.shape
     if k == 0:
         raise DegenerateDesignError("design has no columns")
+    Y = y.reshape(n, -1)  # a single response is the one-column case
+    m = Y.shape[1]
 
-    # R of [X | y], one panel of rows at a time
-    rows = min(n, max(_PANEL_ROWS, 4 * (k + 1)))
+    # R of [X | Y], one panel of rows at a time
+    rows = min(n, max(_PANEL_ROWS, 4 * (k + m)))
     X = np.asfortranarray(X)
     triangles = []
     for start in range(0, n, rows):
-        part = np.column_stack((X[start : start + rows], y[start : start + rows]))
+        part = np.column_stack((X[start : start + rows], Y[start : start + rows]))
         triangles.append(np.linalg.qr(part, mode="r"))
     if len(triangles) > 1:
         triangles = [np.linalg.qr(np.vstack(triangles), mode="r")]
@@ -295,12 +324,13 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
         raise DegenerateDesignError(
             "design has no usable columns (every column is zero)"
         )
-    # D^-1 [R^-1 Q'y | R^-1] from one solve; the bread is W W', W = D^-1 R^-1
+    # D^-1 [R^-1 Q'Y | R^-1] from one solve; the bread is W W', W = D^-1 R^-1
     rhs = np.hstack([R[:rank, rank:], np.eye(rank)])
     solved = np.linalg.solve(R[:rank, :rank], rhs) / norms[kept][:, None]
-    beta = np.zeros(k)
-    beta[kept] = solved[:, 0]
-    resid = y - X @ beta
+    beta = np.zeros((k, m))
+    beta[kept] = solved[:, :m]
+    resid = X @ beta
+    np.subtract(Y, resid, out=resid)
     dropped = tuple(np.delete(np.asarray(design.columns, dtype=object), kept))
 
     n_entities = _count_codes(design.entities)
@@ -313,22 +343,24 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
     else:
         n_clusters = _count_codes(design.clusters)
 
-    rss = float(resid @ resid)
-    dev = y - y.mean()
-    tss = float(dev @ dev)
-    r2 = 0.0 if tss == 0.0 else 1.0 - rss / tss
+    r2 = np.zeros(m)
+    for j, (u, v) in enumerate(zip(resid.T, Y.T)):
+        dev = v - v.mean()
+        tss = float(dev @ dev)
+        if tss != 0.0:
+            r2[j] = 1.0 - float(u @ u) / tss
 
     return RegressionResult(
         columns=tuple(design.columns[j] for j in kept),
-        coefficients=beta[kept],
-        residuals=resid,
+        coefficients=beta[kept].reshape(rank, *y.shape[1:]),
+        residuals=resid.reshape(y.shape),
         n_obs=n,
         n_clusters=n_clusters,
         n_entities=n_entities,
         n_periods=n_periods,
-        r_squared=r2,
+        r_squared=float(r2[0]) if y.ndim == 1 else r2,
         dropped_columns=dropped,
-        bread=solved[:, 1:] @ solved[:, 1:].T,
+        bread=solved[:, m:] @ solved[:, m:].T,
     )
 
 
@@ -342,7 +374,9 @@ def cluster_covariance(
     factor and the score sums ``X_g' e_g`` are grouped by the design's
     integer cluster codes.  With every cluster a singleton this equals the
     HC1 heteroskedasticity-robust matrix.  Requires at least two clusters
-    and more rows than retained columns.
+    and more rows than retained columns.  The fit of a response matrix
+    gets one matrix per response, stacked: each forms its own scores and
+    reuses the one bread.
     """
     G = result.n_clusters
     if G < 2:
@@ -356,17 +390,19 @@ def cluster_covariance(
         raise DegenerateDesignError(
             f"no residual degrees of freedom ({n} rows, {k} retained columns)"
         )
-    # the kept scores X_j u as rows, summed per cluster code:
-    # S[g] = X_g' u_g (unused codes stay zero)
-    scores = X.T[kept]
-    scores *= result.residuals
     codes = design.clusters
-    S = np.stack([np.bincount(codes, weights=row) for row in scores], axis=1)
-    # per-cluster influence terms B S_g; the sandwich is their cross product,
-    # which numpy forms by a symmetric rank-k update, so V is exactly symmetric
-    M = S @ result.bread
     scale = (G / (G - 1.0)) * ((n - 1.0) / (n - k))
-    return scale * (M.T @ M)
+    covs = []
+    for u in result.residuals.reshape(n, -1).T:
+        # each kept score X_j u, summed per cluster code: S[g] = X_g' u_g
+        # (unused codes stay zero)
+        S = np.stack([np.bincount(codes, weights=X[:, j] * u) for j in kept], axis=1)
+        # per-cluster influence terms B S_g; the sandwich is their cross
+        # product, which numpy forms by a symmetric rank-k update, so V is
+        # exactly symmetric
+        M = S @ result.bread
+        covs.append(scale * (M.T @ M))
+    return covs[0] if result.residuals.ndim == 1 else np.stack(covs)
 
 
 def fit_with_covariance(design: DesignMatrix) -> RegressionResult:

@@ -19,18 +19,21 @@ built once, with every horizon's sample, and all horizons' fixed effects
 are found in one stacked pass.  Consecutive horizons whose samples are
 equal (as when the shock's leads are controls, which fixes the sample
 for the whole response window) form a run.  Per distinct sample, the
-pass builds the counts, the period system and the regressor sums once,
-and the sample's cells are gathered once into a row-major
-``(n_columns + 1, n_rows)`` block, ``[regressors | response]`` by rows
-in entity-major cell order, whose regressor rows are demeaned once.  Per
-horizon, the pass solves for that horizon's effects, the response row is
-overwritten with the horizon's demeaned response, and the block's
-transpose is fitted, the column-major ``[X | y]`` the solver factors
-panel by panel.  A run of one horizon is exactly the work of a distinct
-sample, and every horizon gets the same bits either way.  A design names
-its rows by integer codes, their grid positions, which the solver counts
-and clusters by.  Runs are independent of one another, so they may run
-in a thread pool; results are deterministic under any schedule.
+pass builds the counts, the period system and the regressor sums once;
+per horizon, it solves for that horizon's effects.  Each distinct
+sample's cells are then gathered once into a row-major
+``(n_columns + m, n_rows)`` block, ``[regressors | responses]`` by rows
+in entity-major cell order with one response row per horizon of its
+run, and demeaned.  The block's transpose, the column-major ``[X | Y]``,
+is one design, validated once and fitted by one factorization, with each
+horizon's response one more right-hand side; each horizon's own are its
+residuals, R-squared, cluster scores and intervals.  A run of one
+horizon is the single-response case of the same code and keeps the bits
+of that horizon's own design; a longer run moves each estimate by
+rounding, at most about 1e-15 relative.  A design names its rows by
+integer codes, their grid positions, which the solver counts and
+clusters by.  Runs are independent of one another, so they may run in a
+thread pool; results are deterministic under any schedule.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ class LPSpec:
     contemporaneous regressors; ``lag_order`` counts lagged first
     differences of the outcome and ``dummy_lags`` lagged copies of the
     shock.  ``kind`` picks the design: ``baseline``, ``interaction`` or
-    ``transition``.
+    ``transition``; the transition design takes no controls.
     """
 
     dependent: VariableSpec
@@ -147,6 +150,11 @@ class LPSpec:
             raise ConfigError(f"ci_dist must be 't' or 'normal', got {self.ci_dist!r}")
         if self.kind == "transition" and not self.growth:
             raise ConfigError("transition design needs a growth variable")
+        if self.kind == "transition" and self.controls:
+            raise ConfigError(
+                "the transition design takes no controls (its cycle-state "
+                "block replaces them); drop spec.controls"
+            )
         _design_columns(self)
 
 
@@ -299,10 +307,9 @@ def _design_columns(spec: LPSpec) -> tuple[str, ...]:
     (the transition design's two regime-weighted shocks; the interaction
     design's shock, its product with the group and the membership term
     unless ``group_handling`` is ``report_only``), the shock's lags, the
-    controls (the transition design's cycle-state block replaces them),
-    the lagged outcome growth, and the transition design's lags of growth
-    and of the recession weight.  A control that repeats a name is a
-    :class:`ConfigError`.
+    controls, the lagged outcome growth, and the transition design's lags
+    of growth and of the recession weight.  A control that repeats a name
+    is a :class:`ConfigError`.
     """
     lags = range(1, spec.dummy_lags + 1)
     names = [SHOCK_RECESSION, SHOCK_EXPANSION] if spec.kind == "transition" else [SHOCK]
@@ -311,8 +318,7 @@ def _design_columns(spec: LPSpec) -> tuple[str, ...]:
         if spec.group_handling == "design":
             names.append(_GROUP)
     names += [f"{SHOCK}_lag_{j}" for j in lags]
-    if spec.kind != "transition":
-        names += [ctrl.name for ctrl in spec.controls]
+    names += [ctrl.name for ctrl in spec.controls]
     names += [f"outcome_growth_lag_{j}" for j in range(1, spec.lag_order + 1)]
     if spec.kind == "transition":
         for j in lags:
@@ -342,9 +348,7 @@ def _build_study(
     """
     names = _design_columns(spec)
     kind = spec.kind
-    # the transition design replaces the level controls by its state block
-    controls = spec.controls if kind != "transition" else ()
-    for ctrl in controls:  # named against the input, before any working column
+    for ctrl in spec.controls:  # named against the input, before any working column
         for source in (ctrl.src, ctrl.population):
             if source is not None:
                 panel.column(source)
@@ -355,7 +359,7 @@ def _build_study(
     work = work.with_column(SHOCK, eventset.column(spec.shock_dummy))
     for j in range(1, spec.dummy_lags + 1):
         work = add_lag(work, SHOCK, j)
-    for ctrl in controls:
+    for ctrl in spec.controls:
         work, _ = apply_variable_spec(work, ctrl)
     work = first_difference(work, _DEP, out="__dgrow")
     for j in range(1, spec.lag_order + 1):
@@ -421,13 +425,13 @@ def _build_study(
 
 @dataclass(frozen=True)
 class _Block:
-    """One sample of a study, gathered once for every horizon of its run:
-    the row-major ``(n_columns + 1, n_rows)`` block ``[regressors |
-    response]`` in entity-major cell order, demeaned, with the sample's
-    grid positions and their entity and period codes.  Each later horizon
-    of the run overwrites the response row with its own."""
+    """One sample of a study, gathered once for the m ``horizons`` of its
+    run: the row-major ``(n_columns + m, n_rows)`` block ``[regressors |
+    responses]`` in entity-major cell order, demeaned, with the sample's
+    grid positions and their entity and period codes."""
 
     study: _Study
+    horizons: tuple[int, ...]
     flat: np.ndarray
     entities: np.ndarray
     periods: np.ndarray
@@ -436,10 +440,11 @@ class _Block:
 
 def _gather(study: _Study, k: int) -> _Block:
     """The per-sample step: gather the horizon-k sample's regressors and
-    response ``y[t+k] - y[t]`` and subtract their fixed effects.  A
-    regressor the fixed effects absorb leaves rounding noise that the
-    unit-norm rank filter would keep as a column; it is zeroed, so the fit
-    drops it."""
+    the response ``y[t+h] - y[t]`` of every horizon h of k's run, and
+    subtract their fixed effects.  A regressor the fixed effects absorb
+    leaves rounding noise that the unit-norm rank filter would keep as a
+    column; it is zeroed, so the fit drops it."""
+    run = next(r for r in study.runs if k in r)
     s = study.horizons.index(k)
     flat = np.flatnonzero(study.masks[s])
     if flat.size == 0:
@@ -449,37 +454,33 @@ def _gather(study: _Study, k: int) -> _Block:
         )
     ent_idx, per_idx = np.divmod(flat, study.masks.shape[2])
     n_cols = len(study.columns)
-    rows = np.empty((n_cols + 1, flat.size))
+    rows = np.empty((n_cols + len(run), flat.size))
     X = rows[:n_cols]
     study.regressors.reshape(n_cols, -1).take(flat, axis=1, out=X, mode="clip")
-    np.subtract(study.outcome[flat + k], study.outcome[flat], out=rows[n_cols])
+    for row, h in zip(rows[n_cols:], run):
+        np.subtract(study.outcome[flat + h], study.outcome[flat], out=row)
     raw_ss = np.einsum("ij,ij->i", X, X)
-    per_fe, ent_fe = study.effects
-    rows -= per_fe[s].take(per_idx, axis=1)
-    rows -= ent_fe[s].take(ent_idx, axis=1)
+    # the run's horizons share the regressors' effects and each has its own
+    # response effects; a row at a time, so no block-sized temporary is made
+    at = [study.horizons.index(h) for h in run]
+    for fe, codes in zip(study.effects, (per_idx, ent_idx)):
+        for row, eff in zip(rows, np.concatenate([fe[s, :-1], fe[at, -1]])):
+            row -= eff.take(codes)
     X[np.einsum("ij,ij->i", X, X) <= PIVOT_RTOL**2 * raw_ss] = 0.0
-    return _Block(study=study, flat=flat, entities=ent_idx, periods=per_idx, rows=rows)
-
-
-def _respond(block: _Block, k: int) -> None:
-    """The per-horizon step of a shared sample: overwrite the block's
-    response row with horizon k's, less its fixed effects."""
-    study = block.study
-    s = study.horizons.index(k)
-    y = block.rows[-1]
-    np.subtract(study.outcome[block.flat + k], study.outcome[block.flat], out=y)
-    per_fe, ent_fe = study.effects
-    y -= per_fe[s, -1].take(block.periods)
-    y -= ent_fe[s, -1].take(block.entities)
+    return _Block(
+        study=study, horizons=run, flat=flat, entities=ent_idx, periods=per_idx, rows=rows
+    )
 
 
 def _design(block: _Block, spec: LPSpec) -> DesignMatrix:
-    """The block's transpose, the column-major ``[X | y]`` the fit factors.
-    Its row codes are the sample's grid positions; the clusters are the
-    entity (or period) code array itself."""
+    """The block's transpose, the column-major ``[X | Y]`` the fit factors,
+    with one response column per horizon of the run.  Its row codes are the
+    sample's grid positions; the clusters are the entity (or period) code
+    array itself."""
+    n_cols = len(block.study.columns)
     return DesignMatrix(
-        response=block.rows[-1],
-        matrix=block.rows[:-1].T,
+        response=block.rows[n_cols:].T,
+        matrix=block.rows[:n_cols].T,
         columns=block.study.columns,
         entities=block.entities,
         periods=block.periods,
@@ -491,8 +492,9 @@ def _one_horizon_design(
     panel: Panel, events: EventList, spec: LPSpec, k: int, group: GroupSpec | None = None
 ) -> DesignMatrix:
     """The per-study and per-sample steps of :func:`estimate_irf` for the
-    one horizon ``k``."""
-    return _design(_gather(_build_study(panel, events, spec, (k,), group), k), spec)
+    one horizon ``k``, with its response as a vector."""
+    design = _design(_gather(_build_study(panel, events, spec, (k,), group), k), spec)
+    return replace(design, response=design.response[:, 0])
 
 
 def build_baseline_design(
@@ -556,9 +558,12 @@ def _overall_r2(result: RegressionResult, block: _Block, k: int) -> float:
     return 0.0 if tss == 0.0 else 1.0 - rss / tss
 
 
-def _estimate_horizon(block: _Block, spec: LPSpec, k: int) -> HorizonEstimate:
-    """Fit the block, which holds horizon k's response, and digest it."""
-    result = fit_with_covariance(_design(block, spec))
+def _estimate_horizon(
+    fitted: tuple[_Block, RegressionResult], spec: LPSpec, k: int
+) -> HorizonEstimate:
+    """Digest horizon k's response of its run's block and fit."""
+    block, fit = fitted
+    result = fit.for_response(block.horizons.index(k))
     level, dist = spec.conf_level, spec.ci_dist
     intervals = tuple(
         coefficient_interval(result, name, level, dist)
@@ -596,13 +601,17 @@ def estimate_irf(
     built.  Per study, the regressors, every horizon's sample and missing
     counts, and the fixed effects are built once; per distinct sample (a
     run of consecutive horizons with equal samples, as when the shock's
-    leads are controls), the regressors are gathered and demeaned once;
-    per horizon, only the response is formed and demeaned, and the design
-    fitted.  ``jobs > 1`` fans the runs out over a thread pool, so no two
-    threads share a block; the study is read-only and every run an
-    independent pure computation, so the output is identical under any
-    schedule.  A failing horizon aborts the whole run with the horizon
-    identified.
+    leads are controls), the regressors and every horizon's response are
+    gathered and demeaned once into one design, which is validated,
+    counted and factored once, with one bread; each horizon's own are its
+    residuals, R-squared, cluster scores and intervals.  A shared run's
+    estimates differ from separate per-horizon fits by rounding (at most
+    about 1e-15 relative); a distinct sample's are those of its one-horizon
+    design bit for bit.  ``jobs > 1`` fans the runs out over a thread
+    pool, so no two threads share a block; the study is read-only and
+    every run an independent pure computation, so the output is identical
+    under any schedule.  A failing horizon aborts the whole run with the
+    horizon identified.
     """
     if spec.kind == "interaction" and group is None:
         raise PanelLPError("interaction design needs a GroupSpec")
@@ -613,11 +622,11 @@ def estimate_irf(
         k = horizons[0]
         try:
             block = _gather(study, k)
-            fitted = [_estimate_horizon(block, spec, k)]
-            for k in horizons[1:]:
-                _respond(block, k)
-                fitted.append(_estimate_horizon(block, spec, k))
-            return fitted
+            fitted = block, fit_with_covariance(_design(block, spec))
+            estimates = []
+            for k in horizons:
+                estimates.append(_estimate_horizon(fitted, spec, k))
+            return estimates
         except PanelLPError as exc:
             # prefix in place, so the class and its attributes survive
             exc.args = (f"horizon {k}: {exc}",)

@@ -303,6 +303,27 @@ def test_estimate_horizons_past_the_sample_end_exit_1(tmp_path, capsys, horizons
     assert not out.exists() or os.listdir(out) == []
 
 
+def test_estimate_transition_with_controls_is_a_config_error(tmp_path, capsys):
+    # the sample config as a transition design keeps its controls, one of
+    # them misspelled and one absent from the panel: the transition design
+    # takes none, so the spec is refused before any input is read
+    cfg = (REPO_ROOT / "configs" / "sample_baseline.cfg").read_text()
+    cfg = cfg.replace("= data/", f"= {REPO_ROOT / 'data'}/")
+    cfg = cfg.replace("out/sample_baseline", str(tmp_path / "out"))
+    cfg = cfg.replace("spec.kind = baseline", "spec.kind = transition")
+    cfg = cfg.replace(
+        "spec.controls = gdp_pc:log,trade_share",
+        "spec.growth = gdp_growth\nspec.controls = trade_shar,bogus_col",
+    )
+    (tmp_path / "run.cfg").write_text(cfg)
+    assert main(["estimate", "--config", str(tmp_path / "run.cfg")]) == 1
+    assert capsys.readouterr().err == (
+        "error: config: the transition design takes no controls (its "
+        "cycle-state block replaces them); drop spec.controls\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_estimate_population_level_control_exits_0(tmp_path, capsys):
     # the sample config plus a population control of about 1e8 people
     rng = np.random.default_rng(7)

@@ -22,6 +22,7 @@ from panellp.errors import (
 )
 from panellp.estimator import (
     _PANEL_ROWS,
+    _rank_filtered_triangle,
     CoefficientInterval,
     DesignMatrix,
     RegressionResult,
@@ -237,6 +238,74 @@ def test_ols_wide_design_drops_every_column_past_the_rank(rng):
         np.testing.assert_allclose(
             d.matrix[:, :n] @ fit.coefficients, d.response, atol=1e-12
         )
+
+
+@pytest.mark.parametrize("n, k", [(40, 5), (4, 7)])
+def test_rank_filter_keeps_each_response_column_as_its_own(rng, n, k):
+    # the rule reads the design part of the triangle only: with three
+    # responses it drops what each one-response triangle drops (x2 in the
+    # loop, and on 4 rows x5 and x6 past the rank), and every response
+    # column comes out as it does alone
+    X = rng.normal(size=(n, k))
+    X[:, 2] = X[:, 0] - 0.5 * X[:, 1]
+    Y = rng.normal(size=(n, 3))
+
+    def filtered(responses):
+        R = np.linalg.qr(np.column_stack([X, responses]), mode="r")
+        R[:, :k] /= np.sqrt(np.einsum("ij,ij->j", R[:, :k], R[:, :k]))
+        return _rank_filtered_triangle(R, k)
+
+    R3, kept = filtered(Y)
+    r = kept.size
+    assert kept.tolist() == [j for j in range(min(k, n + 1)) if j != 2][:n]
+    assert R3.shape[1] == r + 3
+    for j in range(3):
+        R1, kept1 = filtered(Y[:, j])
+        assert kept1.tolist() == kept.tolist() and R1.shape[1] == r + 1
+        np.testing.assert_allclose(R3[:r, :r], R1[:r, :r], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(R3[:r, r + j], R1[:r, r], rtol=0, atol=1e-13)
+
+
+def test_a_response_matrix_fits_each_column_as_its_own_design(rng):
+    # one factorization for three responses: each column's coefficients,
+    # residuals, R-squared and CR1 covariance are those of its own fit up to
+    # rounding, and of longdouble normal equations; the bread, the counts
+    # and the dropped column are shared
+    d = make_design(rng, n=90, k=4)
+    X = d.matrix.copy()
+    X[:, 3] = 2.0 * X[:, 1]
+    Y = np.column_stack(
+        [d.response, rng.normal(size=90), X @ [1.0, 0.0, -1.0, 0.0] + rng.normal(size=90)]
+    )
+    multi = fit_with_covariance(replace(d, response=Y, matrix=X))
+    assert multi.coefficients.shape == (3, 3) and multi.residuals.shape == (90, 3)
+    assert multi.r_squared.shape == (3,) and multi.covariance.shape == (3, 3, 3)
+    for j in range(3):
+        one = fit_with_covariance(replace(d, response=Y[:, j], matrix=X))
+        got = multi.for_response(j)
+        assert got.columns == one.columns == ("x0", "x1", "x2")
+        assert got.dropped_columns == one.dropped_columns == ("x3",)
+        assert (got.n_obs, got.n_clusters) == (one.n_obs, one.n_clusters)
+        np.testing.assert_allclose(got.coefficients, one.coefficients, rtol=1e-12)
+        np.testing.assert_allclose(got.residuals, one.residuals, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.covariance, one.covariance, rtol=1e-12)
+        assert got.r_squared == pytest.approx(one.r_squared, rel=1e-12)
+        ref = normal_equations(X[:, :3], Y[:, j])
+        np.testing.assert_allclose(got.coefficients, ref, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(multi.bread, one.bread, rtol=1e-12)
+
+
+def test_a_one_column_response_matrix_keeps_the_vector_bits(rng):
+    # a single response is the one-column case of the same code: same bits
+    d = make_design(rng, n=70, k=3)
+    vec = fit_with_covariance(d)
+    col = fit_with_covariance(replace(d, response=d.response[:, None])).for_response(0)
+    for field in ("coefficients", "residuals", "covariance", "bread"):
+        assert getattr(vec, field).tobytes() == getattr(col, field).tobytes()
+    assert vec.r_squared == col.r_squared
+    for shape in ((70, 0), (70, 1, 1), (69, 2)):
+        with pytest.raises(PanelLPError, match="response shape"):
+            replace(d, response=np.ones(shape))
 
 
 def test_ols_wide_design_spanning_several_panels(rng):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import pathlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from panellp.cli import _spec_from_config
 from panellp import estimator, lp
 from panellp.errors import (
+    ConfigError,
     DataError,
     DegenerateDesignError,
     EmptySampleError,
@@ -39,6 +41,7 @@ from panellp.panel import (
     two_way_demean,
 )
 from panellp.simgen import DGPSpec, generate
+from panellp.validation import solve_normal_equations
 
 from test_estimator import brute_force_cr1
 
@@ -147,6 +150,14 @@ def test_spec_validation():
     with pytest.raises(PanelLPError):
         LPSpec(dependent=dep, r2_mode="adjusted")
     assert LPSpec(dependent=dep, lag_order=0, dummy_lags=0).lag_order == 0
+
+
+def test_transition_design_takes_no_controls():
+    # its cycle-state block replaces the controls, so any control is refused
+    dep = VariableSpec("y")
+    with pytest.raises(ConfigError, match="transition design takes no controls"):
+        LPSpec(dependent=dep, kind="transition", growth="g", controls=(VariableSpec("x"),))
+    assert LPSpec(dependent=dep, kind="transition", growth="g").controls == ()
 
 
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
@@ -594,12 +605,28 @@ def lead_case(leads, H=4, cluster="entity"):
     return panel, events, spec_y(horizons=H, controls=controls, cluster=cluster)
 
 
+def assert_relative(got, want, rtol=1e-12):
+    """``got`` within ``rtol`` of ``want``'s largest magnitude."""
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def assert_normal_equations(design, result):
+    """``result`` against longdouble normal equations on ``design``'s kept
+    columns, with the ols-oracle suite's bounds."""
+    X = design.matrix[:, [design.columns.index(c) for c in result.columns]]
+    ref = solve_normal_equations(X, design.response)
+    assert np.abs(result.coefficients - ref).max() < 1e-9
+    assert np.abs(X.T @ result.residuals).max() < 1e-8
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("cluster", ["entity", "period"])
 @pytest.mark.parametrize("leads", [4, 2])
 def test_shared_sample_horizons_match_their_build_design_bitwise(leads, cluster, jobs):
-    # every horizon of a run of equal samples is fitted from one gathered
-    # block; each must equal the design built for that horizon alone
+    # the horizons of a run of equal samples are the right-hand sides of one
+    # fit, so each matches the design built for that horizon alone to 1e-12
+    # relative, and longdouble normal equations; a horizon whose sample is
+    # its own keeps that design's bits
     panel, events, spec = lead_case(leads, cluster=cluster)
     study = lp._build_study(panel, events, spec, range(spec.horizons + 1))
     expected = [tuple(range(leads + 1))] + [(k,) for k in range(leads + 1, 5)]
@@ -607,12 +634,70 @@ def test_shared_sample_horizons_match_their_build_design_bitwise(leads, cluster,
     irf = estimate_irf(panel, events, spec, jobs=jobs)
     assert [h.horizon for h in irf.horizons] == list(range(5))
     for h in irf.horizons:
-        fit = fit_with_covariance(build_baseline_design(panel, events, spec, h.horizon))
-        assert fit.coefficients.tobytes() == h.result.coefficients.tobytes()
-        assert fit.covariance.tobytes() == h.result.covariance.tobytes()
-        assert fit.residuals.tobytes() == h.result.residuals.tobytes()
+        d = build_baseline_design(panel, events, spec, h.horizon)
+        fit = fit_with_covariance(d)
         assert fit.dropped_columns == h.dropped_columns
         assert fit.n_obs == h.n_obs
+        for field in ("coefficients", "covariance", "residuals"):
+            got, want = getattr(h.result, field), getattr(fit, field)
+            if h.horizon > leads:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert_relative(got, want)
+        assert_normal_equations(d, h.result)
+
+
+def test_an_absorbed_control_is_dropped_at_every_horizon_of_a_run():
+    # a time-invariant control is absorbed by the entity effects; the one
+    # factorization of the run drops it for every horizon, as each horizon's
+    # own design does
+    panel, events, spec = lead_case(4)
+    rng = np.random.default_rng(5)
+    fixed = rng.normal(size=(panel.n_entities, 1)).repeat(panel.n_periods, axis=1)
+    panel = panel.with_column("fixed", fixed)
+    spec = replace(spec, controls=spec.controls + (VariableSpec("fixed"),))
+    study = lp._build_study(panel, events, spec, range(spec.horizons + 1))
+    assert study.runs == (tuple(range(5)),)
+    irf = estimate_irf(panel, events, spec)
+    for h in irf.horizons:
+        d = build_baseline_design(panel, events, spec, h.horizon)
+        fit = fit_with_covariance(d)
+        assert h.dropped_columns == fit.dropped_columns == ("fixed",)
+        assert h.result.columns == fit.columns
+        for field in ("coefficients", "covariance", "residuals"):
+            assert_relative(getattr(h.result, field), getattr(fit, field))
+        assert_normal_equations(d, h.result)
+
+
+@pytest.mark.parametrize("leads", [4, 2])
+def test_one_design_and_one_factorization_per_distinct_sample(monkeypatch, leads):
+    # the run 0..leads is one design with a response per horizon, checked,
+    # counted and factored once; every later horizon has its own
+    fits, checks, counts = [], [], []
+    real_fit, real_check = estimator.ols_fit, estimator.DesignMatrix.__post_init__
+    real_count = estimator._count_codes
+
+    def counting_fit(design):
+        fits.append(design.response.shape[1])
+        return real_fit(design)
+
+    def counting_check(design):
+        checks.append(design)
+        real_check(design)
+
+    def counting_codes(codes):
+        counts.append(codes)
+        return real_count(codes)
+
+    monkeypatch.setattr(estimator, "ols_fit", counting_fit)
+    monkeypatch.setattr(estimator.DesignMatrix, "__post_init__", counting_check)
+    monkeypatch.setattr(estimator, "_count_codes", counting_codes)
+    panel, events, spec = lead_case(leads)
+    irf = estimate_irf(panel, events, spec)
+    assert fits == [leads + 1] + [1] * (4 - leads)
+    assert len(checks) == len(fits)
+    assert len(counts) == 2 * len(fits)  # entities and periods; clusters reuse one
+    assert len(irf.horizons) == 5
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
