@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Callable, Collection
 
 from . import __version__
 from .errors import ConfigError, DataError, PanelLPError
-from .events import EventList
 from .ingest import (
     carbon_to_co2,
     file_sha256,
@@ -31,6 +30,7 @@ from .ingest import (
     read_event_list,
     read_groups,
     read_panel,
+    write_event_list,
     write_irf,
     write_panel,
     write_regression_table,
@@ -274,12 +274,11 @@ def _write_manifest(
     lines.append(f"series = {','.join(irf.series_names)}")
     sweeps = irf.diagnostics["demean_sweeps"]
     for h in irf.horizons:
-        lines.append(f"horizon_{h.horizon}.n_obs = {h.n_obs}")
+        lines.append(f"horizon_{h.horizon}.n_obs = {h.result.n_obs}")
         lines.append(f"horizon_{h.horizon}.demean_sweeps = {sweeps[h.horizon]}")
-        if h.dropped_columns:
-            lines.append(
-                f"horizon_{h.horizon}.dropped_columns = {','.join(h.dropped_columns)}"
-            )
+        if h.result.dropped_columns:
+            dropped = ",".join(h.result.dropped_columns)
+            lines.append(f"horizon_{h.horizon}.dropped_columns = {dropped}")
     missing = irf.diagnostics.get("missing_counts") or {}
     for name in sorted(missing):
         lines.append(f"missing_cells.{name} = {missing[name]}")
@@ -365,17 +364,6 @@ def _write_truth(truth: SimTruth, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_events_csv(events: EventList, path: str) -> None:
-    import csv as _csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["event_name", "year", "iso3"])
-        for ev in events.events:
-            for ent in ev.entities:
-                writer.writerow([ev.name, ev.year, ent])
-
-
 def _cmd_simulate(args) -> int:
     from .simgen import DGPSpec, generate
 
@@ -387,7 +375,7 @@ def _cmd_simulate(args) -> int:
         args.out,
         {
             "panel.csv": partial(write_panel, panel),
-            "events.csv": partial(_write_events_csv, events),
+            "events.csv": partial(write_event_list, events),
             "truth.txt": partial(_write_truth, truth),
         },
     )

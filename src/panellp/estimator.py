@@ -19,8 +19,8 @@ tests and in :mod:`panellp.validation`.
 Covariances are the one-way cluster sandwich with the finite-sample scaling
 ``G/(G-1) * (N-1)/(N-K)``.  Its bread ``(X'X)^-1`` comes from the same R
 factor as the coefficients, once for every response, and its meat groups
-each response's scores by the design's integer cluster codes, so no label
-array is sorted per fit.
+each response's scores by the integer codes of the design's cluster axis
+(entity or period), so no label array is sorted per fit.
 Confidence intervals and p-values use a Student-t reference with ``G - 1``
 degrees of freedom (a normal reference is available as a switch), both
 evaluated here with numpy and the standard library alone.
@@ -87,16 +87,16 @@ class DesignMatrix:
     Rows map one-to-one onto entity-period cells that survived listwise
     deletion.  ``response`` is one value per row, or an ``(n_rows, m)``
     matrix of m responses fitted on the same regressors and rows.
-    ``entities``, ``periods`` and ``clusters`` carry that provenance as
-    non-negative integer codes per row, equal for equal entities
-    (periods, clusters); the fit counts and groups by them.
-    Codes may have gaps: :mod:`panellp.lp` passes the panel grid
-    positions, where an entity without a row at some horizon leaves its
-    code unused, and passes the entity (or period) array itself as the
-    clusters, so it is counted once.  A caller holding arbitrary labels
-    maps them to codes with ``np.unique(labels, return_inverse=True)[1]``.
-    A code array whose largest code reaches the row count is mapped that
-    way here, once, so per-code counts are sized by the rows, never by the
+    ``entities`` and ``periods`` carry that provenance as non-negative
+    integer codes per row, equal for equal entities (periods); the fit
+    counts them.  ``cluster`` names the axis whose codes group the
+    scores, ``"entity"`` or ``"period"``: the clusters are that axis's
+    codes themselves.  Codes may have gaps: :mod:`panellp.lp` passes the
+    panel grid positions, where an entity without a row at some horizon
+    leaves its code unused.  A caller holding arbitrary labels maps them
+    to codes with ``np.unique(labels, return_inverse=True)[1]``.  A code
+    array whose largest code reaches the row count is mapped that way
+    here, once, so per-code counts are sized by the rows, never by the
     largest code.
     """
 
@@ -105,7 +105,7 @@ class DesignMatrix:
     columns: tuple[str, ...]
     entities: np.ndarray
     periods: np.ndarray
-    clusters: np.ndarray
+    cluster: str = "entity"
 
     def __post_init__(self):
         y = np.asarray(self.response, dtype=float)
@@ -122,19 +122,12 @@ class DesignMatrix:
         for part, label in ((y, "response"), (X, "matrix")):
             if not np.isfinite(part).all():
                 raise PanelLPError(f"design {label} contains NaN/inf")
-        entities = _row_codes(self.entities, n, "entities")
-        periods = _row_codes(self.periods, n, "periods")
-        # clustering by entity or period passes that array: keep it one
-        # object, so ols_fit counts it once
-        if self.clusters is self.entities:
-            clusters = entities
-        elif self.clusters is self.periods:
-            clusters = periods
-        else:
-            clusters = _row_codes(self.clusters, n, "clusters")
-        object.__setattr__(self, "entities", entities)
-        object.__setattr__(self, "periods", periods)
-        object.__setattr__(self, "clusters", clusters)
+        if self.cluster not in ("entity", "period"):
+            raise PanelLPError(
+                f"cluster must be 'entity' or 'period', got {self.cluster!r}"
+            )
+        object.__setattr__(self, "entities", _row_codes(self.entities, n, "entities"))
+        object.__setattr__(self, "periods", _row_codes(self.periods, n, "periods"))
 
     @property
     def n_rows(self) -> int:
@@ -167,18 +160,22 @@ class RegressionResult:
     bread: np.ndarray | None = None
     covariance: np.ndarray | None = None
 
+    def column_index(self, name: str) -> int:
+        """The position of retained column ``name`` in ``columns`` and on
+        the coefficient axes; a dropped or unknown name is an error."""
+        if name in self.columns:
+            return self.columns.index(name)
+        raise PanelLPError(
+            f"no coefficient for {name!r}"
+            + (
+                " (dropped as collinear)"
+                if name in self.dropped_columns
+                else f"; retained columns: {list(self.columns)}"
+            )
+        )
+
     def coefficient(self, name: str) -> float:
-        try:
-            return float(self.coefficients[self.columns.index(name)])
-        except ValueError:
-            raise PanelLPError(
-                f"no coefficient for {name!r}"
-                + (
-                    f" (dropped as collinear)"
-                    if name in self.dropped_columns
-                    else f"; retained columns: {list(self.columns)}"
-                )
-            ) from None
+        return float(self.coefficients[self.column_index(name)])
 
     def for_response(self, j: int) -> RegressionResult:
         """The fit of column ``j`` of a response matrix, with the shared
@@ -291,9 +288,10 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
     gives ``R^-1 Q'Y`` and ``R^-1``: the coefficients of every response,
     unscaled by ``D``, and the rows ``D^-1 R^-1`` of the bread
     ``(X'X)^-1``; the residuals are ``Y - X B``, one matrix-vector product
-    for a single response.  Entity, period and cluster counts are the
-    distinct row codes.  Each R-squared is ``1 - RSS/TSS`` with TSS about
-    the response mean (the within R-squared when the design was demeaned).
+    for a single response.  Entity and period counts are the distinct row
+    codes, and the cluster count is that of the cluster axis.  Each
+    R-squared is ``1 - RSS/TSS`` with TSS about the response mean (the
+    within R-squared when the design was demeaned).
     """
     if design.n_rows == 0:
         raise EmptySampleError("no rows in design")
@@ -335,13 +333,6 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
 
     n_entities = _count_codes(design.entities)
     n_periods = _count_codes(design.periods)
-    # clustering by entity or period passes the same code array: count once
-    if design.clusters is design.entities:
-        n_clusters = n_entities
-    elif design.clusters is design.periods:
-        n_clusters = n_periods
-    else:
-        n_clusters = _count_codes(design.clusters)
 
     r2 = np.zeros(m)
     for j, (u, v) in enumerate(zip(resid.T, Y.T)):
@@ -355,7 +346,7 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
         coefficients=beta[kept].reshape(rank, *y.shape[1:]),
         residuals=resid.reshape(y.shape),
         n_obs=n,
-        n_clusters=n_clusters,
+        n_clusters=n_entities if design.cluster == "entity" else n_periods,
         n_entities=n_entities,
         n_periods=n_periods,
         r_squared=float(r2[0]) if y.ndim == 1 else r2,
@@ -371,8 +362,8 @@ def cluster_covariance(
 
     ``B (sum_g X_g' e_g e_g' X_g) B`` scaled by ``G/(G-1) * (N-1)/(N-K)``,
     where ``B = (X'X)^-1`` is the bread :func:`ols_fit` built from its R
-    factor and the score sums ``X_g' e_g`` are grouped by the design's
-    integer cluster codes.  With every cluster a singleton this equals the
+    factor and the score sums ``X_g' e_g`` are grouped by the codes of the
+    design's cluster axis.  With every cluster a singleton this equals the
     HC1 heteroskedasticity-robust matrix.  Requires at least two clusters
     and more rows than retained columns.  The fit of a response matrix
     gets one matrix per response, stacked: each forms its own scores and
@@ -390,7 +381,7 @@ def cluster_covariance(
         raise DegenerateDesignError(
             f"no residual degrees of freedom ({n} rows, {k} retained columns)"
         )
-    codes = design.clusters
+    codes = design.entities if design.cluster == "entity" else design.periods
     scale = (G / (G - 1.0)) * ((n - 1.0) / (n - k))
     covs = []
     for u in result.residuals.reshape(n, -1).T:
@@ -631,12 +622,7 @@ def coefficient_interval(
     default; pass ``dist="normal"`` for standard-normal critical values.
     """
     V = _require_covariance(result)
-    j = result.columns.index(name) if name in result.columns else None
-    if j is None:
-        raise PanelLPError(
-            f"no coefficient for {name!r}"
-            + (" (dropped as collinear)" if name in result.dropped_columns else "")
-        )
+    j = result.column_index(name)
     return _interval(
         name,
         float(result.coefficients[j]),
@@ -665,14 +651,7 @@ def linear_combination(
     V = _require_covariance(result)
     w = np.zeros(len(result.columns))
     for col, wt in weights.items():
-        if col in result.columns:
-            w[result.columns.index(col)] = float(wt)
-        elif col in result.dropped_columns:
-            raise PanelLPError(
-                f"column {col!r} was dropped as collinear; its weight is undefined"
-            )
-        else:
-            raise PanelLPError(f"unknown column {col!r} in linear combination")
+        w[result.column_index(col)] = float(wt)
     est = float(w @ result.coefficients)
     var = float(w @ V @ w)
     label = name if name is not None else "+".join(
@@ -725,7 +704,7 @@ def lsdv_fit(
         columns=tuple(colnames),
         entities=ent_idx,
         periods=per_idx,
-        clusters=ent_idx if cluster == "entity" else per_idx,
+        cluster=cluster,
     )
     full = fit_with_covariance(design)
     # restrict to the substantive regressors

@@ -33,6 +33,7 @@ __all__ = [
     "read_panel",
     "write_panel",
     "read_event_list",
+    "write_event_list",
     "read_groups",
     "carbon_to_co2",
     "merge",
@@ -266,6 +267,17 @@ def read_event_list(path: str, mortality_path: str | None = None) -> EventList:
     return EventList(events=events, mortality=mortality)
 
 
+def write_event_list(events: EventList, path: str) -> None:
+    """Write the events, not their mortality, as the ``event_name, year,
+    iso3`` rows that :func:`read_event_list` reads."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["event_name", "year", "iso3"])
+        for ev in events.events:
+            for ent in ev.entities:
+                writer.writerow([ev.name, ev.year, ent])
+
+
 def read_groups(path: str, name: str) -> GroupSpec:
     """Load a membership CSV (``entity, member`` with 0/1 flags).
 
@@ -373,7 +385,8 @@ _IRF_FIELDS = (
 
 
 def write_irf(irf: IRF, path: str) -> None:
-    """Write the impulse response as CSV at full float precision.
+    """Write the impulse response as CSV at full float precision: per
+    series and horizon its interval, then the horizon fit's sample facts.
 
     ``repr`` round-trips doubles exactly, so reading the file back yields
     bit-identical numbers.
@@ -382,23 +395,12 @@ def write_irf(irf: IRF, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(_IRF_FIELDS)
         for h in irf.horizons:
+            fit = h.result
+            sample = (fit.n_obs, fit.n_entities, fit.n_periods, fit.r_squared)
             for iv in h.intervals:
-                writer.writerow(
-                    [
-                        h.horizon,
-                        iv.name,
-                        repr(iv.estimate),
-                        repr(iv.se),
-                        repr(iv.ci_low),
-                        repr(iv.ci_high),
-                        repr(iv.p_value),
-                        iv.stars,
-                        h.n_obs,
-                        h.n_entities,
-                        h.n_periods,
-                        repr(h.r_squared),
-                    ]
-                )
+                est = (iv.estimate, iv.se, iv.ci_low, iv.ci_high, iv.p_value)
+                cells = [*map(repr, est), iv.stars, *map(repr, sample)]
+                writer.writerow([h.horizon, iv.name, *cells])
 
 
 def read_irf(path: str) -> list[dict[str, object]]:
@@ -414,7 +416,7 @@ def read_irf(path: str) -> list[dict[str, object]]:
             if name in ints:
                 rec[name] = _parse_int(cell, path, line, name)
             elif name in floats:
-                rec[name] = float(cell)
+                rec[name] = _parse_float(cell, path, line, name)
             else:
                 rec[name] = cell
         out.append(rec)
@@ -532,6 +534,8 @@ def load_config(path: str) -> dict[str, str]:
                 out[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read config {path}: not UTF-8 text") from None
     return out
 
 

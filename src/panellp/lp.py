@@ -31,9 +31,10 @@ residuals, R-squared, cluster scores and intervals.  A run of one
 horizon is the single-response case of the same code and keeps the bits
 of that horizon's own design; a longer run moves each estimate by
 rounding, at most about 1e-15 relative.  A design names its rows by
-integer codes, their grid positions, which the solver counts and
-clusters by.  Runs are independent of one another, so they may run in a
-thread pool; results are deterministic under any schedule.
+integer codes, their grid positions, which the solver counts, and names
+its cluster axis (``spec.cluster``), whose codes group the scores.  Runs
+are independent of one another, so they may run in a thread pool;
+results are deterministic under any schedule.
 """
 
 from __future__ import annotations
@@ -226,15 +227,12 @@ def build_transition_state(
 
 @dataclass(frozen=True)
 class HorizonEstimate:
-    """One horizon's regression digested for reporting."""
+    """One horizon's regression digested for reporting: its series'
+    intervals, and its fit, which holds the sample facts (``n_obs``,
+    ``dropped_columns``, ...) and the R-squared ``spec.r2_mode`` names."""
 
     horizon: int
     intervals: tuple[CoefficientInterval, ...]
-    n_obs: int
-    n_entities: int
-    n_periods: int
-    r_squared: float
-    dropped_columns: tuple[str, ...]
     result: RegressionResult
 
     def interval(self, name: str) -> CoefficientInterval:
@@ -423,34 +421,26 @@ def _build_study(
     )
 
 
-@dataclass(frozen=True)
-class _Block:
-    """One sample of a study, gathered once for the m ``horizons`` of its
-    run: the row-major ``(n_columns + m, n_rows)`` block ``[regressors |
-    responses]`` in entity-major cell order, demeaned, with the sample's
-    grid positions and their entity and period codes."""
-
-    study: _Study
-    horizons: tuple[int, ...]
-    flat: np.ndarray
-    entities: np.ndarray
-    periods: np.ndarray
-    rows: np.ndarray
-
-
-def _gather(study: _Study, k: int) -> _Block:
-    """The per-sample step: gather the horizon-k sample's regressors and
-    the response ``y[t+h] - y[t]`` of every horizon h of k's run, and
-    subtract their fixed effects.  A regressor the fixed effects absorb
-    leaves rounding noise that the unit-norm rank filter would keep as a
-    column; it is zeroed, so the fit drops it."""
-    run = next(r for r in study.runs if k in r)
-    s = study.horizons.index(k)
+def _gather(
+    study: _Study, run: tuple[int, ...], spec: LPSpec
+) -> tuple[DesignMatrix, np.ndarray]:
+    """The per-sample step: gather the sample of ``run``'s horizons once,
+    its regressors and the response ``y[t+h] - y[t]`` of every horizon h of
+    the run, into the row-major ``(n_columns + m, n_rows)`` block
+    ``[regressors | responses]`` in entity-major cell order, and subtract
+    their fixed effects.  A regressor the fixed effects absorb leaves
+    rounding noise that the unit-norm rank filter would keep as a column;
+    it is zeroed, so the fit drops it.  Returns the block's transpose, the
+    column-major ``[X | Y]`` design with one response column per horizon,
+    whose row codes are the sample's grid positions and whose cluster
+    axis is ``spec.cluster``, and the sample's flat grid positions."""
+    s = study.horizons.index(run[0])
     flat = np.flatnonzero(study.masks[s])
     if flat.size == 0:
         counts = {"response": int(study.response_missing[s]), **study.missing_counts}
         raise EmptySampleError(
-            f"no complete rows at horizon {k}; missing cells per variable: {counts}"
+            f"no complete rows at horizon {run[0]}; "
+            f"missing cells per variable: {counts}"
         )
     ent_idx, per_idx = np.divmod(flat, study.masks.shape[2])
     n_cols = len(study.columns)
@@ -467,25 +457,15 @@ def _gather(study: _Study, k: int) -> _Block:
         for row, eff in zip(rows, np.concatenate([fe[s, :-1], fe[at, -1]])):
             row -= eff.take(codes)
     X[np.einsum("ij,ij->i", X, X) <= PIVOT_RTOL**2 * raw_ss] = 0.0
-    return _Block(
-        study=study, horizons=run, flat=flat, entities=ent_idx, periods=per_idx, rows=rows
+    design = DesignMatrix(
+        response=rows[n_cols:].T,
+        matrix=X.T,
+        columns=study.columns,
+        entities=ent_idx,
+        periods=per_idx,
+        cluster=spec.cluster,
     )
-
-
-def _design(block: _Block, spec: LPSpec) -> DesignMatrix:
-    """The block's transpose, the column-major ``[X | Y]`` the fit factors,
-    with one response column per horizon of the run.  Its row codes are the
-    sample's grid positions; the clusters are the entity (or period) code
-    array itself."""
-    n_cols = len(block.study.columns)
-    return DesignMatrix(
-        response=block.rows[n_cols:].T,
-        matrix=block.rows[:n_cols].T,
-        columns=block.study.columns,
-        entities=block.entities,
-        periods=block.periods,
-        clusters=block.entities if spec.cluster == "entity" else block.periods,
-    )
+    return design, flat
 
 
 def _one_horizon_design(
@@ -493,7 +473,7 @@ def _one_horizon_design(
 ) -> DesignMatrix:
     """The per-study and per-sample steps of :func:`estimate_irf` for the
     one horizon ``k``, with its response as a vector."""
-    design = _design(_gather(_build_study(panel, events, spec, (k,), group), k), spec)
+    design, _ = _gather(_build_study(panel, events, spec, (k,), group), (k,), spec)
     return replace(design, response=design.response[:, 0])
 
 
@@ -548,40 +528,30 @@ def build_transition_design(
 # ---------------------------------------------------------------------------
 
 
-def _overall_r2(result: RegressionResult, block: _Block, k: int) -> float:
-    """R-squared against the horizon-k response before demeaning."""
-    outcome = block.study.outcome
-    raw = outcome[block.flat + k] - outcome[block.flat]
-    rss = float(result.residuals @ result.residuals)
-    dev = raw - raw.mean()
-    tss = float(dev @ dev)
-    return 0.0 if tss == 0.0 else 1.0 - rss / tss
-
-
 def _estimate_horizon(
-    fitted: tuple[_Block, RegressionResult], spec: LPSpec, k: int
+    study: _Study,
+    flat: np.ndarray,
+    result: RegressionResult,
+    spec: LPSpec,
+    k: int,
 ) -> HorizonEstimate:
-    """Digest horizon k's response of its run's block and fit."""
-    block, fit = fitted
-    result = fit.for_response(block.horizons.index(k))
+    """Digest horizon k's fit, its response of its run's fit on the sample
+    at grid positions ``flat``.  Under ``r2_mode = overall`` its R-squared
+    is taken against the horizon-k response before demeaning."""
+    if spec.r2_mode == "overall":
+        raw = study.outcome[flat + k] - study.outcome[flat]
+        rss = float(result.residuals @ result.residuals)
+        dev = raw - raw.mean()
+        tss = float(dev @ dev)
+        result = replace(result, r_squared=0.0 if tss == 0.0 else 1.0 - rss / tss)
     level, dist = spec.conf_level, spec.ci_dist
     intervals = tuple(
         coefficient_interval(result, name, level, dist)
         if weights is None
         else linear_combination(result, weights, name=name, level=level, dist=dist)
-        for name, weights in block.study.series
+        for name, weights in study.series
     )
-    r2 = result.r_squared if spec.r2_mode == "within" else _overall_r2(result, block, k)
-    return HorizonEstimate(
-        horizon=k,
-        intervals=intervals,
-        n_obs=result.n_obs,
-        n_entities=result.n_entities,
-        n_periods=result.n_periods,
-        r_squared=r2,
-        dropped_columns=result.dropped_columns,
-        result=replace(result, r_squared=r2),
-    )
+    return HorizonEstimate(horizon=k, intervals=intervals, result=result)
 
 
 def estimate_irf(
@@ -621,11 +591,12 @@ def estimate_irf(
     def run(horizons: tuple[int, ...]) -> list[HorizonEstimate]:
         k = horizons[0]
         try:
-            block = _gather(study, k)
-            fitted = block, fit_with_covariance(_design(block, spec))
+            design, flat = _gather(study, horizons, spec)
+            fit = fit_with_covariance(design)
             estimates = []
-            for k in horizons:
-                estimates.append(_estimate_horizon(fitted, spec, k))
+            for j, k in enumerate(horizons):
+                result = fit.for_response(j)
+                estimates.append(_estimate_horizon(study, flat, result, spec, k))
             return estimates
         except PanelLPError as exc:
             # prefix in place, so the class and its attributes survive

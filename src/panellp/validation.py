@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .estimator import (
     DesignMatrix,
     cluster_covariance,
@@ -177,7 +178,6 @@ def within_fit(
         columns=tuple(regressors),
         entities=ent_idx,
         periods=per_idx,
-        clusters=ent_idx,
     )
     return fit_with_covariance(design)
 
@@ -204,7 +204,6 @@ def ols_oracle_suite(reps: int = 40, seed: int = 20260401) -> SuiteReport:
             columns=tuple(f"x{i}" for i in range(k)),
             entities=np.arange(n),
             periods=np.arange(n),
-            clusters=np.arange(n),
         )
         fit = ols_fit(design)
         ref = solve_normal_equations(X, y)
@@ -258,20 +257,19 @@ def cluster_oracle_suite(reps: int = 20, seed: int = 20260403) -> SuiteReport:
         n = int(rng.integers(60, 160))
         k = int(rng.integers(2, 6))
         G = int(rng.integers(5, 15))
-        clusters = rng.integers(0, G, size=n)
+        codes = rng.integers(0, G, size=n)
         X = rng.normal(0, 1, size=(n, k))
         y = X @ rng.normal(0, 1, size=k) + rng.normal(0, 1, size=n)
         design = DesignMatrix(
             response=y,
             matrix=X,
             columns=tuple(f"x{i}" for i in range(k)),
-            entities=clusters,
+            entities=codes,
             periods=np.arange(n),
-            clusters=clusters,
         )
         fit = ols_fit(design)
         V = cluster_covariance(fit, design)
-        ref = brute_force_cluster_cov(X, fit.residuals, clusters)
+        ref = brute_force_cluster_cov(X, fit.residuals, codes)
         worst = max(worst, float(np.abs(V - ref).max()))
 
         singles = DesignMatrix(
@@ -280,7 +278,6 @@ def cluster_oracle_suite(reps: int = 20, seed: int = 20260403) -> SuiteReport:
             columns=tuple(f"x{i}" for i in range(k)),
             entities=np.arange(n),
             periods=np.arange(n),
-            clusters=np.arange(n),
         )
         fit_s = ols_fit(singles)
         V_s = cluster_covariance(fit_s, singles)
@@ -507,10 +504,11 @@ def run_suite(
 ) -> SuiteReport:
     """Run a named suite with optional replication/seed overrides."""
     if name not in SUITES:
-        from .errors import ConfigError
-
         raise ConfigError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)}"
         )
+    # with no replication an oracle suite would pass having checked nothing
+    if reps is not None and reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {reps}")
     kwargs = {"reps": reps, "seed": seed}
     return SUITES[name](**{k: v for k, v in kwargs.items() if v is not None})

@@ -24,6 +24,7 @@ from panellp.errors import (
 )
 from panellp.ingest import read_event_list, read_irf, read_panel
 from panellp.lp import LPSpec
+from panellp.validation import SUITES
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -206,7 +207,7 @@ def test_estimate_failure_leaves_no_partial_output(tmp_path, sim_dir, capsys):
 
 @pytest.mark.parametrize(
     "command, writer",
-    [("estimate", "write_regression_table"), ("simulate", "_write_events_csv")],
+    [("estimate", "write_regression_table"), ("simulate", "write_event_list")],
 )
 def test_a_failing_write_leaves_no_file_of_the_run(
     tmp_path, sim_dir, capsys, monkeypatch, command, writer
@@ -282,6 +283,20 @@ def test_estimate_ragged_row_exits_1(tmp_path, sim_dir, capsys, which, lines):
         f"error: data: {path}:2: row has 2 fields, header has 3\n"
     )
     assert not (tmp_path / "out").exists()
+
+
+def test_sample_horizon_zero_row_keeps_its_signed_zeros(tmp_path):
+    # the horizon-0 response is identically zero, and its estimate is the
+    # shock's own coefficient, read straight off the fit: -0.0, which a
+    # product with a one-hot weight vector would turn into 0.0.  Pinned as
+    # text, since a comparison of floats by value cannot tell the two apart
+    cfg = (REPO_ROOT / "configs" / "sample_baseline.cfg").read_text()
+    cfg = cfg.replace("= data/", f"= {REPO_ROOT / 'data'}/")
+    cfg = cfg.replace("out/sample_baseline", str(tmp_path / "out"))
+    (tmp_path / "run.cfg").write_text(cfg)
+    assert main(["estimate", "--config", str(tmp_path / "run.cfg")]) == 0
+    lines = (tmp_path / "out" / "irf.csv").read_text().splitlines()
+    assert lines[1] == "0,shock,-0.0,0.0,-0.0,-0.0,1.0,,368,10,37,0.0"
 
 
 @pytest.mark.parametrize("horizons", [45, 5000])
@@ -578,6 +593,16 @@ def test_validate_transition_separation(capsys):
     assert out.strip().endswith("suite=transition-separation PASS")
 
 
+@pytest.mark.parametrize("reps", [0, -1])
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_validate_reps_below_one_is_a_config_error(capsys, suite, reps):
+    # no suite may pass having checked nothing, nor crash on the count
+    rc = main(["validate", "--suite", suite, "--reps", str(reps)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: config: reps must be >= 1, got {reps}\n"
+
+
 def test_validate_unknown_suite(capsys):
     rc = main(["validate", "--suite", "nonsense"])
     err = capsys.readouterr().err
@@ -609,6 +634,18 @@ def test_missing_config_file(capsys):
     rc = main(["estimate", "--config", "/nonexistent/run.cfg"])
     assert rc == 1
     assert "error: config:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_a_config_that_is_not_utf8_exits_1(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    argv = [command, "--config", str(cfg)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config: cannot read config {cfg}: not UTF-8 text\n"
 
 
 VALIDATE_ARGS = ["validate", "--suite", "ols-oracle", "--reps", "2"]

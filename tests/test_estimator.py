@@ -52,7 +52,6 @@ def make_design(rng, n=60, k=3, n_clusters=12, beta=None):
         columns=tuple(f"x{i}" for i in range(k)),
         entities=clusters,
         periods=np.arange(n),
-        clusters=clusters,
     )
 
 
@@ -144,7 +143,6 @@ def test_ols_drops_a_twin_whose_rows_lie_past_the_first_panel(rng):
         columns=("x", "a", "b", "a_copy"),
         entities=np.arange(n) % 9,
         periods=np.arange(n),
-        clusters=np.arange(n) % 9,
     )
     fit = ols_fit(d)
     assert fit.columns == ("x", "a", "b")
@@ -169,9 +167,8 @@ def test_ols_zero_tss_reports_zero_r2(rng):
         response=np.zeros(20),
         matrix=X,
         columns=("x",),
-        entities=np.zeros(20, dtype=int),
+        entities=np.arange(20) % 4,
         periods=np.arange(20),
-        clusters=np.arange(20) % 4,
     )
     assert ols_fit(d).r_squared == 0.0
 
@@ -194,7 +191,6 @@ def twin_design(rng, pos, scale):
         columns=tuple(names),
         entities=np.arange(40) % 8,
         periods=np.arange(40),
-        clusters=np.arange(40) % 8,
     )
     return d, names
 
@@ -228,7 +224,6 @@ def test_ols_wide_design_drops_every_column_past_the_rank(rng):
             columns=names,
             entities=np.arange(n),
             periods=np.arange(n),
-            clusters=np.arange(n),
         )
         fit = ols_fit(d)
         assert fit.columns == names[:n]
@@ -341,7 +336,6 @@ def test_ols_fit_is_independent_of_the_matrix_layout(rng):
                     columns=("a", "b", "c", "d"),
                     entities=np.arange(n) % 5,
                     periods=np.arange(n),
-                    clusters=np.arange(n) % 5,
                 )
             )
             for name, X in views.items()
@@ -367,7 +361,6 @@ def test_ols_fit_copies_each_panel_of_a_packed_block(rng, monkeypatch):
         columns=("a", "b", "c", "d"),
         entities=np.arange(n) % 5,
         periods=np.arange(n),
-        clusters=np.arange(n) % 5,
     )
     apart = replace(
         packed, response=block[k].copy(), matrix=np.ascontiguousarray(block[:k].T)
@@ -396,7 +389,6 @@ def test_ols_fit_holds_no_copy_of_a_tall_design(rng):
         columns=tuple(f"x{j}" for j in range(10)),
         entities=np.arange(n) % 200,
         periods=np.arange(n) // 200,
-        clusters=np.arange(n) % 200,
     )
     tracemalloc.start()
     try:
@@ -419,7 +411,6 @@ def test_ols_scaling_invariance(rng):
         columns=d.columns,
         entities=d.entities,
         periods=d.periods,
-        clusters=d.clusters,
     )
     fit2 = ols_fit(d2)
     np.testing.assert_allclose(
@@ -435,7 +426,6 @@ def test_ols_empty_and_degenerate(rng):
             columns=("x",),
             entities=np.array([0]),
             periods=np.array([0]),
-            clusters=np.array([0]),
         )
     zeros = DesignMatrix(
         response=np.ones(5),
@@ -443,7 +433,6 @@ def test_ols_empty_and_degenerate(rng):
         columns=("x",),
         entities=np.arange(5),
         periods=np.arange(5),
-        clusters=np.arange(5),
     )
     with pytest.raises(DegenerateDesignError):
         ols_fit(zeros)
@@ -474,7 +463,7 @@ def test_cr1_matches_brute_force(rng):
         d = make_design(rng, n=70, k=3, n_clusters=9)
         fit = ols_fit(d)
         V = cluster_covariance(fit, d)
-        ref = brute_force_cr1(d.matrix, fit.residuals, d.clusters)
+        ref = brute_force_cr1(d.matrix, fit.residuals, d.entities)
         np.testing.assert_allclose(V, ref, atol=1e-12)
         np.testing.assert_array_equal(V, V.T)
 
@@ -487,9 +476,8 @@ def test_cr1_singleton_clusters_equal_hc1(rng):
         response=y,
         matrix=X,
         columns=("a", "b"),
-        entities=np.arange(n),
+        entities=np.arange(n),  # every row its own cluster
         periods=np.arange(n),
-        clusters=np.arange(n),  # every row its own cluster
     )
     fit = ols_fit(d)
     V = cluster_covariance(fit, d)
@@ -512,7 +500,7 @@ def test_cr1_covers_only_retained_columns(rng, pos, scale):
     full = fit_with_covariance(d)
     kept = [names.index(c) for c in full.columns]
     assert len(kept) == 3
-    ref = brute_force_cr1(d.matrix[:, kept], full.residuals, d.clusters)
+    ref = brute_force_cr1(d.matrix[:, kept], full.residuals, d.entities)
     # compare in each column's own units, so b's entries are not dwarfed
     units = np.array([scale if names[j] == "b" else 1.0 for j in kept])
     to_units = np.outer(units, units)
@@ -529,7 +517,6 @@ def test_cr1_needs_residual_degrees_of_freedom(rng):
         columns=("a", "b", "c"),
         entities=np.arange(3),
         periods=np.arange(3),
-        clusters=np.arange(3),
     )
     fit = ols_fit(d)
     with pytest.raises(DegenerateDesignError, match="no residual degrees of freedom"):
@@ -543,7 +530,7 @@ def test_cr1_needs_residual_degrees_of_freedom(rng):
 )
 def test_design_rejects_bad_codes(rng, codes):
     # labels are the caller's to map to codes; the error names the field
-    good = {"entities": np.arange(6), "periods": np.arange(6), "clusters": np.arange(6)}
+    good = {"entities": np.arange(6), "periods": np.arange(6)}
     for name in good:
         with pytest.raises(PanelLPError, match=f"^{name} must be 6 non-negative"):
             DesignMatrix(
@@ -552,6 +539,15 @@ def test_design_rejects_bad_codes(rng, codes):
                 columns=("x",),
                 **{**good, name: codes},
             )
+    # the cluster axis is one of the two code axes, named
+    with pytest.raises(PanelLPError, match="^cluster must be 'entity' or 'period'"):
+        DesignMatrix(
+            response=rng.normal(size=6),
+            matrix=rng.normal(size=(6, 1)),
+            columns=("x",),
+            cluster="region",
+            **good,
+        )
 
 
 def test_sparse_codes_cost_and_give_what_dense_codes_do(rng):
@@ -567,13 +563,13 @@ def test_sparse_codes_cost_and_give_what_dense_codes_do(rng):
         codes = entities + offset
         tracemalloc.start()
         try:
-            d = DesignMatrix(y, X, ("a", "b"), codes, periods + offset, codes)
+            d = DesignMatrix(y, X, ("a", "b"), codes, periods + offset)
             fits.append(fit_with_covariance(d))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert d.clusters is d.entities  # still counted once
+        assert d.entities.max() < d.n_rows  # mapped to dense codes
     dense, sparse = fits
     for attr in ("n_obs", "n_clusters", "n_entities", "n_periods"):
         assert getattr(sparse, attr) == getattr(dense, attr)
@@ -628,7 +624,6 @@ def test_interval_frozen_t_pvalue(rng, dist, df):
         columns=("x",),
         entities=np.repeat(np.arange(G), 3),
         periods=np.tile(np.arange(3), G),
-        clusters=np.repeat(np.arange(G), 3),
     )
     fit = fit_with_covariance(d)
     iv = coefficient_interval(fit, "x", dist=dist)
@@ -724,12 +719,13 @@ def test_linear_combination_rejects_dropped_and_unknown(rng):
         columns=("a", "b", "copy"),
         entities=np.arange(40) % 8,
         periods=np.arange(40),
-        clusters=np.arange(40) % 8,
     )
     fit = fit_with_covariance(d)
-    with pytest.raises(PanelLPError, match="dropped"):
+    # the one column lookup of RegressionResult words both errors
+    with pytest.raises(PanelLPError, match=r"^no coefficient for 'copy' \(dropped"):
         linear_combination(fit, {"a": 1.0, "copy": 1.0})
-    with pytest.raises(PanelLPError, match="unknown"):
+    unknown = r"^no coefficient for 'ghost'; retained columns: \['a', 'b'\]$"
+    with pytest.raises(PanelLPError, match=unknown):
         linear_combination(fit, {"a": 1.0, "ghost": 1.0})
     with pytest.raises(PanelLPError):
         linear_combination(fit, {})

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from panellp.errors import ConfigError, DataError, EventError
 from panellp.estimator import lsdv_fit
+from panellp.events import EventList, PandemicEvent
 from panellp.ingest import (
     carbon_to_co2,
     file_sha256,
@@ -21,6 +22,7 @@ from panellp.ingest import (
     read_groups,
     read_irf,
     read_panel,
+    write_event_list,
     write_irf,
     write_panel,
     write_regression_table,
@@ -179,6 +181,18 @@ def test_read_event_list_basic(tmp_path):
     assert events.events[0].year == 1997
     assert events.events[0].entities == ("USA", "FRA")
     assert events.mortality is None
+
+
+def test_write_event_list_round_trips_through_read_event_list(tmp_path):
+    events = EventList(
+        events=(
+            PandemicEvent(name="alpha", year=1997, entities=("USA", "FRA")),
+            PandemicEvent(name="beta, the second", year=2004, entities=("JPN",)),
+        )
+    )
+    path = str(tmp_path / "ev.csv")
+    write_event_list(events, path)
+    assert read_event_list(path) == events
 
 
 def test_read_event_list_conflicting_years(tmp_path):
@@ -411,8 +425,8 @@ def test_irf_round_trip_is_bit_exact(tmp_path):
         assert rec["ci_high"] == iv.ci_high
         assert rec["p_value"] == iv.p_value
         assert rec["stars"] == iv.stars
-        assert rec["n_obs"] == h.n_obs
-        assert rec["r_squared"] == h.r_squared
+        assert rec["n_obs"] == h.result.n_obs
+        assert rec["r_squared"] == h.result.r_squared
 
 
 def test_read_irf_rejects_foreign_header(tmp_path):
@@ -420,6 +434,23 @@ def test_read_irf_rejects_foreign_header(tmp_path):
     write_lines(path, ["a,b,c", "1,2,3"])
     with pytest.raises(DataError, match="header"):
         read_irf(path)
+
+
+def test_read_irf_names_the_file_line_and_column_of_a_bad_float(tmp_path):
+    path = str(tmp_path / "irf.csv")
+    write_lines(
+        path,
+        [
+            "horizon,series,estimate,se,ci_low,ci_high,p_value,stars,"
+            "n_obs,n_entities,n_periods,r_squared",
+            "0,shock,0.1,0.2,-0.3,0.5,0.6,,10,2,5,0.5",
+            "1,shock,0.1,abc,-0.3,0.5,0.6,,10,2,5,0.5",
+        ],
+    )
+    with pytest.raises(DataError) as info:
+        read_irf(path)
+    assert (info.value.path, info.value.line) == (path, 3)
+    assert str(info.value) == f"{path}:3: column 'se' has non-numeric value 'abc'"
 
 
 # ---------------------------------------------------------------------------

@@ -225,11 +225,11 @@ def test_baseline_design_without_fe_exposes_raw_columns():
 def test_baseline_sample_shrinks_with_horizon():
     panel, events, _ = sim_case()
     irf = estimate_irf(panel, events, spec_y(horizons=4))
-    ns = [h.n_obs for h in irf.horizons]
+    ns = [h.result.n_obs for h in irf.horizons]
     assert all(a >= b for a, b in zip(ns, ns[1:]))
     # lags cost the first rows, horizons the last ones
-    assert irf.horizons[0].n_obs == 30 * (20 - 3)
-    assert irf.horizons[4].n_obs == 30 * (20 - 7)
+    assert irf.horizons[0].result.n_obs == 30 * (20 - 3)
+    assert irf.horizons[4].result.n_obs == 30 * (20 - 7)
 
 
 def test_baseline_demeaned_design_is_group_centered():
@@ -251,7 +251,7 @@ def test_period_clustered_design_labels_and_covariance():
     irf = estimate_irf(panel, events, spec)
     for h in irf.horizons:
         d = build_baseline_design(panel, events, spec, h.horizon)
-        assert d.clusters is d.periods
+        assert d.cluster == "period"
         # the balanced sample keeps every entity from the fourth period up
         # to the last one the horizon-k lead reaches, entity by entity
         kept = panel.periods[3 : panel.n_periods - h.horizon]
@@ -281,6 +281,11 @@ def wipe(panel, entity=None, period=None):
     return panel
 
 
+def cluster_codes(design):
+    """The codes of ``design``'s cluster axis."""
+    return design.entities if design.cluster == "entity" else design.periods
+
+
 @pytest.mark.parametrize("cluster", ["entity", "period"])
 @pytest.mark.parametrize("gap", ["entity", "period"])
 def test_row_codes_with_gaps_count_and_cluster_like_labels(gap, cluster):
@@ -292,10 +297,10 @@ def test_row_codes_with_gaps_count_and_cluster_like_labels(gap, cluster):
     assert 10 not in gapped and gapped.min() < 10 < gapped.max()
     fit = fit_with_covariance(d)
     counts = (fit.n_entities, fit.n_periods, fit.n_clusters)
-    codes = (d.entities, d.periods, d.clusters)
+    codes = (d.entities, d.periods, cluster_codes(d))
     assert counts == tuple(len(np.unique(x)) for x in codes)
     X = d.matrix[:, [d.columns.index(c) for c in fit.columns]]
-    ref = brute_force_cr1(X, fit.residuals, d.clusters)
+    ref = brute_force_cr1(X, fit.residuals, cluster_codes(d))
     np.testing.assert_allclose(fit.covariance, ref, rtol=0, atol=1e-12)
 
 
@@ -324,7 +329,7 @@ def test_horizon_with_empty_and_single_row_entities_matches_lsdv():
     ent_rows = np.count_nonzero(mask, axis=1)
     assert ent_rows[[0, n_ent // 2, n_ent - 1]].tolist() == [0, 0, 0]
     assert ent_rows[4] == 1 and not mask[:, 6].any()
-    assert fit.n_obs == mask.sum() and fit.n_entities == n_ent - 3
+    assert fit.result.n_obs == mask.sum() and fit.result.n_entities == n_ent - 3
 
     ref = lsdv_fit(work, "resp", names[1:])
     assert fit.result.columns == ref.columns
@@ -353,12 +358,13 @@ def test_cluster_count_reuses_a_shared_code_array(monkeypatch, built):
         estimator, "_count_codes", lambda codes: calls.append(codes) or real(codes)
     )
     fit = estimator.ols_fit(d)
-    codes = (d.entities, d.periods, d.clusters)
+    assert d.cluster == built
+    codes = (d.entities, d.periods, cluster_codes(d))
     assert (fit.n_entities, fit.n_periods, fit.n_clusters) == tuple(
         len(np.unique(x)) for x in codes
     )
-    # lp designs pass one code array for entities (or periods) and
-    # clusters, so it is counted once
+    # the clusters are the codes of the design's cluster axis, so the
+    # entity and period codes are counted once each
     assert len(calls) == 2
 
 
@@ -370,7 +376,7 @@ def test_horizon_zero_response_is_identically_zero():
     assert iv0.se == 0.0
     assert iv0.ci_low == 0.0 and iv0.ci_high == 0.0
     assert iv0.p_value == 1.0 and iv0.stars == ""
-    assert irf.horizons[0].r_squared == 0.0
+    assert irf.horizons[0].result.r_squared == 0.0
 
 
 def test_empty_sample_reports_missing_counts():
@@ -433,7 +439,7 @@ def test_design_labels_are_the_panel_labels_of_its_rows():
             d.entities, np.repeat(np.delete(np.arange(E), 10), kept.size)
         )
         np.testing.assert_array_equal(d.periods, np.tile(kept, E - 1))
-        assert d.clusters is (d.entities if cluster == "entity" else d.periods)
+        assert d.cluster == cluster
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +478,8 @@ def test_irf_peak_memory_is_its_stacks_and_one_horizon_block():
     finally:
         tracemalloc.stop()
     first = irf.horizons[0]
-    V = len(first.result.columns) + len(first.dropped_columns)
-    n = max(h.n_obs for h in irf.horizons)
+    V = len(first.result.columns) + len(first.result.dropped_columns)
+    n = max(h.result.n_obs for h in irf.horizons)
     assert V == 10 and n > 4000
     assert peak < 8 * (4 * V * E * T + 2 * (H + 1) * E * T + 2 * n * (V + 1))
 
@@ -493,10 +499,10 @@ def test_thread_pool_matches_serial_bitwise():
 def test_horizon_failure_keeps_the_exception_and_its_attributes(monkeypatch, jobs):
     real = lp._estimate_horizon
 
-    def fail_at_two(study, spec, k):
+    def fail_at_two(study, flat, result, spec, k):
         if k == 2:
             raise DataError("bad", path="p.csv", line=3)
-        return real(study, spec, k)
+        return real(study, flat, result, spec, k)
 
     monkeypatch.setattr(lp, "_estimate_horizon", fail_at_two)
     panel, events, _ = sim_case()
@@ -581,8 +587,8 @@ def test_every_horizon_matches_its_build_design_bitwise(kind):
         fit = fit_with_covariance(d)
         assert fit.coefficients.tobytes() == h.result.coefficients.tobytes()
         assert fit.covariance.tobytes() == h.result.covariance.tobytes()
-        assert fit.dropped_columns == h.dropped_columns
-        assert fit.n_obs == h.n_obs == d.n_rows
+        assert fit.dropped_columns == h.result.dropped_columns
+        assert fit.n_obs == h.result.n_obs == d.n_rows
 
 
 def lead_case(leads, H=4, cluster="entity"):
@@ -636,8 +642,8 @@ def test_shared_sample_horizons_match_their_build_design_bitwise(leads, cluster,
     for h in irf.horizons:
         d = build_baseline_design(panel, events, spec, h.horizon)
         fit = fit_with_covariance(d)
-        assert fit.dropped_columns == h.dropped_columns
-        assert fit.n_obs == h.n_obs
+        assert fit.dropped_columns == h.result.dropped_columns
+        assert fit.n_obs == h.result.n_obs
         for field in ("coefficients", "covariance", "residuals"):
             got, want = getattr(h.result, field), getattr(fit, field)
             if h.horizon > leads:
@@ -662,7 +668,7 @@ def test_an_absorbed_control_is_dropped_at_every_horizon_of_a_run():
     for h in irf.horizons:
         d = build_baseline_design(panel, events, spec, h.horizon)
         fit = fit_with_covariance(d)
-        assert h.dropped_columns == fit.dropped_columns == ("fixed",)
+        assert h.result.dropped_columns == fit.dropped_columns == ("fixed",)
         assert h.result.columns == fit.columns
         for field in ("coefficients", "covariance", "residuals"):
             assert_relative(getattr(h.result, field), getattr(fit, field))
@@ -696,7 +702,7 @@ def test_one_design_and_one_factorization_per_distinct_sample(monkeypatch, leads
     irf = estimate_irf(panel, events, spec)
     assert fits == [leads + 1] + [1] * (4 - leads)
     assert len(checks) == len(fits)
-    assert len(counts) == 2 * len(fits)  # entities and periods; clusters reuse one
+    assert len(counts) == 2 * len(fits)  # entities and periods; clusters are either
     assert len(irf.horizons) == 5
 
 
@@ -706,9 +712,9 @@ def test_a_block_is_gathered_once_per_distinct_sample(monkeypatch, leads, jobs):
     calls = []
     real = lp._gather
 
-    def counting(study, k):
-        calls.append(k)
-        return real(study, k)
+    def counting(study, run, spec):
+        calls.append(run[0])
+        return real(study, run, spec)
 
     monkeypatch.setattr(lp, "_gather", counting)
     panel, events, spec = lead_case(leads)
@@ -721,10 +727,10 @@ def test_a_failure_inside_a_shared_sample_keeps_its_horizon(monkeypatch, jobs):
     # horizon 2 sits in the middle of the run 0..4
     real = lp._estimate_horizon
 
-    def fail_at_two(block, spec, k):
+    def fail_at_two(study, flat, result, spec, k):
         if k == 2:
             raise DataError("bad", path="p.csv", line=3)
-        return real(block, spec, k)
+        return real(study, flat, result, spec, k)
 
     monkeypatch.setattr(lp, "_estimate_horizon", fail_at_two)
     panel, events, spec = lead_case(4)
@@ -765,9 +771,9 @@ def test_shared_sample_peak_memory_is_its_stacks_and_one_block():
     finally:
         tracemalloc.stop()
     first = irf.horizons[0]
-    V = len(first.result.columns) + len(first.dropped_columns)
-    n = max(h.n_obs for h in irf.horizons)
-    assert {h.n_obs for h in irf.horizons} == {n}
+    V = len(first.result.columns) + len(first.result.dropped_columns)
+    n = max(h.result.n_obs for h in irf.horizons)
+    assert {h.result.n_obs for h in irf.horizons} == {n}
     assert V == 16 and n > 7000
     assert peak < 8 * (4 * V * E * T + 2 * (H + 1) * E * T + 2 * n * (V + 1))
 
@@ -791,8 +797,8 @@ def test_control_units_leave_rank_and_shock_unchanged(factor):
     panel, events, spec = sample_case()
     base = estimate_irf(panel, events, spec)
     scaled = estimate_irf(scale_column(panel, "trade_share", factor), events, spec)
-    assert [h.dropped_columns for h in scaled.horizons] == [
-        h.dropped_columns for h in base.horizons
+    assert [h.result.dropped_columns for h in scaled.horizons] == [
+        h.result.dropped_columns for h in base.horizons
     ]
     np.testing.assert_allclose(
         scaled.estimates("shock"), base.estimates("shock"), rtol=1e-9
@@ -813,7 +819,7 @@ def test_absorbed_controls_are_dropped_in_any_units(rng):
     spec = spec_y(controls=(VariableSpec("area"), VariableSpec("world")))
     irf = estimate_irf(panel, events, spec)
     for h in irf.horizons:
-        assert h.dropped_columns == ("area", "world")
+        assert h.result.dropped_columns == ("area", "world")
     np.testing.assert_allclose(
         irf.estimates("shock"), base.estimates("shock"), rtol=1e-12, atol=1e-15
     )
@@ -841,8 +847,8 @@ def test_r2_modes_differ_but_share_estimates():
     within = estimate_irf(panel, events, spec_y(horizons=1))
     overall = estimate_irf(panel, events, spec_y(horizons=1, r2_mode="overall"))
     assert within.estimates("shock")[1] == overall.estimates("shock")[1]
-    r2w = within.horizons[1].r_squared
-    r2o = overall.horizons[1].r_squared
+    r2w = within.horizons[1].result.r_squared
+    r2o = overall.horizons[1].result.r_squared
     assert 0.0 <= r2w <= 1.0 and 0.0 <= r2o <= 1.0
     assert r2w != r2o
 
@@ -882,7 +888,7 @@ def test_interaction_columns_and_absorbed_membership():
     irf = estimate_irf(panel, events, spec, group=group)
     # time-invariant membership is absorbed by entity effects and dropped
     for h in irf.horizons:
-        assert "group" in h.dropped_columns
+        assert "group" in h.result.dropped_columns
 
 
 def test_interaction_report_only_leaves_membership_out():
