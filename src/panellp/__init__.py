@@ -76,8 +76,8 @@ from .panel import (
     two_way_demean,
 )
 
-# every horizon frees and rebuilds a few MiB of arrays; keep that memory
-# mapped, so a run's speed does not depend on what it happened to free first
+# every run of horizons frees and rebuilds a few MiB of arrays; keep that
+# memory mapped, so a process's speed does not depend on what it freed first
 hold_freed_heap()
 
 __all__ = [

@@ -1,18 +1,20 @@
-"""Fixed glibc heap thresholds for the per-horizon allocation pattern.
+"""Fixed glibc heap thresholds for the per-run allocation pattern.
 
-Each horizon of :func:`panellp.lp.estimate_irf` builds its design from a
-few dozen entity x period grids and an n-row block, a few MiB in all, and
-frees them before the next horizon starts.  With glibc's defaults, blocks
-over 128 KiB are served by ``mmap`` and the freed top of the heap is handed
-back to the kernel, so the next horizon faults the same pages in again.
-glibc raises both thresholds whenever a process frees a large mapped block,
-which makes a run's mode depend on the sizes of the arrays it happens to
-free first: two runs of the same workload settle one in the refaulting
-mode and the other not, and their op times differ by about a fifth.
+Each run of equal-sample horizons in :func:`panellp.lp.estimate_irf`
+gathers its design into an n-row block and fits it, and each call builds
+its study from a few dozen entity x period grids, a few MiB in all; both
+are freed before the next run or call starts.  With glibc's defaults,
+blocks over 128 KiB are served by ``mmap`` and the freed top of the heap
+is handed back to the kernel, so the next run faults the same pages in
+again.  glibc raises both thresholds whenever a process frees a large
+mapped block, which makes a process's mode depend on the sizes of the
+arrays it happens to free first: two processes of the same workload
+settle one in the refaulting mode and the other not, and their op times
+differ by about a fifth.
 
 :func:`hold_freed_heap` fixes the thresholds at the ceiling glibc's own
 rule can reach on 64-bit builds (32 MiB for ``mmap``, twice that for the
-trim), so every run keeps its freed heap from the first horizon on.  It
+trim), so every process keeps its freed heap from the first run on.  It
 leaves the allocator alone off glibc and when the environment already
 tunes it (``GLIBC_TUNABLES`` or a ``MALLOC_*_`` variable).
 """

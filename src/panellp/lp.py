@@ -14,20 +14,20 @@ clustered by country.  Three designs are supported:
   function of standardized output growth, separating responses in weak
   and strong states of the cycle.
 
-Every horizon shares one right-hand side, so per study the regressors are
-built once, with every horizon's sample, and all horizons' fixed effects
-are found in one stacked pass.  Consecutive horizons whose samples are
-equal (as when the shock's leads are controls, which fixes the sample
-for the whole response window) form a run.  Per distinct sample, the
-pass builds the counts, the period system and the regressor sums once;
-per horizon, it solves for that horizon's effects.  Each distinct
-sample's cells are then gathered once into a row-major
-``(n_columns + m, n_rows)`` block, ``[regressors | responses]`` by rows
-in entity-major cell order with one response row per horizon of its
-run, and demeaned.  The block's transpose, the column-major ``[X | Y]``,
-is one design, validated once and fitted by one factorization, with each
-horizon's response one more right-hand side; each horizon's own are its
-residuals, R-squared, cluster scores and intervals.  A run of one
+Every horizon shares one right-hand side, so the work falls into three
+kinds.  Per study, the regressors are built once, every horizon's
+response ``y[t+k] - y[t]`` is formed once with its sample, and
+consecutive horizons whose samples are equal (as when the shock's leads
+are controls, which fixes the sample for the whole response window) form
+a run.  Per run, one stacked pass over all runs finds the fixed effects
+of the regressors and of the run's responses (the counts, the period
+system and one solve per run); the run's cells are gathered once into a
+row-major ``(n_columns + m, n_rows)`` block, ``[regressors | responses]``
+by rows in entity-major cell order with one response row per horizon,
+and demeaned.  The block's transpose, the column-major ``[X | Y]``, is
+one design, validated once and fitted by one factorization, with each
+horizon's response one more right-hand side.  Per horizon, what remains
+is its residuals, R-squared, cluster scores and intervals.  A run of one
 horizon is the single-response case of the same code and keeps the bits
 of that horizon's own design; a longer run moves each estimate by
 rounding, at most about 1e-15 relative.  A design names its rows by
@@ -280,20 +280,19 @@ _GROUP_SHOCK = "shock_x_group"
 class _Study:
     """What the horizons of one study share: the ``(n_columns, n_entities,
     n_periods)`` regressor stack, zero outside the cells where every
-    regressor is present, the flattened outcome grid, and the reported
-    series with their coefficient weights (``None``: that coefficient).
-    The stacked pass adds each horizon's sample to ``masks``, its missing
-    response cells and its fixed ``effects`` (:func:`panel._fe_effects`);
-    ``runs`` groups the horizons, in order, into runs of consecutive
-    horizons with equal samples.
+    regressor is present, and the reported series with their weights
+    (``None``: that coefficient).  ``runs`` groups the horizons into runs
+    of consecutive horizons with equal samples; per run ``r``: its sample
+    ``masks[r]``, its responses ``responses[r, j]`` (zero off the sample
+    and past the run's end), its first horizon's missing response cells
+    and its fixed ``effects`` (:func:`panel._fe_effects`).
     """
 
     regressors: np.ndarray
     columns: tuple[str, ...]
-    horizons: tuple[int, ...]
-    masks: np.ndarray
     runs: tuple[tuple[int, ...], ...]
-    outcome: np.ndarray
+    masks: np.ndarray
+    responses: np.ndarray
     response_missing: np.ndarray
     effects: tuple[np.ndarray, np.ndarray]
     missing_counts: Mapping[str, int]
@@ -306,7 +305,7 @@ def _design_columns(spec: LPSpec) -> tuple[str, ...]:
     design's shock, its product with the group and the membership term
     unless ``group_handling`` is ``report_only``), the shock's lags, the
     controls, the lagged outcome growth, and the transition design's lags
-    of growth and of the recession weight.  A control that repeats a name
+    of growth and of the recession weight.  A control that reuses a name
     is a :class:`ConfigError`.
     """
     lags = range(1, spec.dummy_lags + 1)
@@ -338,11 +337,12 @@ def _build_study(
     group: GroupSpec | None = None,
 ) -> _Study:
     """The per-study step: every regressor of ``spec``'s design, once, in
-    :func:`_design_columns` order, each of ``horizons``' sample, the runs
-    of equal samples, and their fixed effects.  Missing cells are counted
-    per working column, holes and log losses together; the outcome's
-    count (that of the horizon-0 response) goes under the dependent's
-    name.
+    :func:`_design_columns` order, the runs of ``horizons`` with equal
+    samples, and per run its sample, its horizons' responses (formed here
+    only, by :func:`panel.horizon_delta`) and its fixed effects.  Missing
+    cells are counted per working column, holes and log losses together;
+    the outcome's count (that of the horizon-0 response) goes under the
+    dependent's name.
     """
     names = _design_columns(spec)
     kind = spec.kind
@@ -392,73 +392,65 @@ def _build_study(
     outcome = work.select([_DEP])
     del work, eventset  # free every grid but the outcome's before the stacked pass
     deltas = (horizon_delta(outcome, _DEP, k, out="__resp") for k in horizons)
-    responses = np.stack([delta.column("__resp") for delta in deltas])
-    missing = np.isnan(responses)
+    grids = np.stack([delta.column("__resp") for delta in deltas])
+    missing = np.isnan(grids)
     masks = present & ~missing
-    responses[~masks] = 0.0
-    sums = responses.sum(axis=2), responses.sum(axis=1)
-    del responses  # a horizon takes its response from the outcome
-    # consecutive horizons with equal samples form a run, whose per-sample
-    # work is done once; distinct samples go through one by one
+    # consecutive horizons with equal samples form a run, whose work is done once
     same = (masks[1:] == masks[:-1]).all(axis=(1, 2))
     bounds = [0, *(np.flatnonzero(~same) + 1).tolist(), len(horizons)]
     runs = tuple(tuple(horizons[a:b]) for a, b in zip(bounds, bounds[1:]))
-    repeats = np.diff(bounds) if same.any() else None
-    distinct = masks if repeats is None else masks[bounds[:-1]]
+    responses = np.zeros((len(runs), max(map(len, runs)), *present.shape))
+    for stack, a, b in zip(responses, bounds, bounds[1:]):
+        np.copyto(stack[: b - a], grids[a:b], where=masks[a:b])
+    del grids
+    masks = masks[bounds[:-1]]
     return _Study(
         regressors=regressors,
         columns=names,
-        horizons=tuple(horizons),
-        masks=masks,
         runs=runs,
-        outcome=outcome.column(_DEP).ravel(),
-        response_missing=np.count_nonzero(missing, axis=(1, 2)),
-        effects=_fe_effects(
-            distinct, regressors, spec.entity_fe, spec.time_fe, sums, repeats
-        ),
+        masks=masks,
+        responses=responses,
+        response_missing=np.count_nonzero(missing[bounds[:-1]], axis=(1, 2)),
+        effects=_fe_effects(masks, regressors, spec.entity_fe, spec.time_fe, responses),
         missing_counts={n: c for n, c in counts.items() if c},
         series=series,
     )
 
 
 def _gather(
-    study: _Study, run: tuple[int, ...], spec: LPSpec
+    study: _Study, r: int, spec: LPSpec
 ) -> tuple[DesignMatrix, np.ndarray]:
-    """The per-sample step: gather the sample of ``run``'s horizons once,
-    its regressors and the response ``y[t+h] - y[t]`` of every horizon h of
-    the run, into the row-major ``(n_columns + m, n_rows)`` block
-    ``[regressors | responses]`` in entity-major cell order, and subtract
-    their fixed effects.  A regressor the fixed effects absorb leaves
-    rounding noise that the unit-norm rank filter would keep as a column;
-    it is zeroed, so the fit drops it.  Returns the block's transpose, the
-    column-major ``[X | Y]`` design with one response column per horizon,
-    whose row codes are the sample's grid positions and whose cluster
-    axis is ``spec.cluster``, and the sample's flat grid positions."""
-    s = study.horizons.index(run[0])
-    flat = np.flatnonzero(study.masks[s])
+    """The per-run step: gather run ``r``'s sample once, its regressors and
+    its horizons' responses, into the row-major ``(n_columns + m, n_rows)``
+    block ``[regressors | responses]`` in entity-major cell order, and
+    subtract the run's fixed effects, a row at a time.  A regressor the
+    fixed effects absorb leaves rounding noise that the unit-norm rank
+    filter would keep as a column; it is zeroed, so the fit drops it.
+    Returns the block's transpose, the column-major ``[X | Y]`` design with
+    one response column per horizon, whose row codes are the sample's grid
+    positions and whose cluster axis is ``spec.cluster``, and the sample's
+    flat grid positions."""
+    run = study.runs[r]
+    flat = np.flatnonzero(study.masks[r])
     if flat.size == 0:
-        counts = {"response": int(study.response_missing[s]), **study.missing_counts}
+        counts = {"response": int(study.response_missing[r]), **study.missing_counts}
         raise EmptySampleError(
             f"no complete rows at horizon {run[0]}; "
             f"missing cells per variable: {counts}"
         )
     ent_idx, per_idx = np.divmod(flat, study.masks.shape[2])
-    n_cols = len(study.columns)
-    rows = np.empty((n_cols + len(run), flat.size))
-    X = rows[:n_cols]
+    n_cols, m = len(study.columns), len(run)
+    rows = np.empty((n_cols + m, flat.size))
+    X, Y = rows[:n_cols], rows[n_cols:]
     study.regressors.reshape(n_cols, -1).take(flat, axis=1, out=X, mode="clip")
-    for row, h in zip(rows[n_cols:], run):
-        np.subtract(study.outcome[flat + h], study.outcome[flat], out=row)
+    study.responses[r, :m].reshape(m, -1).take(flat, axis=1, out=Y, mode="clip")
     raw_ss = np.einsum("ij,ij->i", X, X)
-    # the run's horizons share the regressors' effects and each has its own
-    # response effects; a row at a time, so no block-sized temporary is made
-    at = [study.horizons.index(h) for h in run]
     for fe, codes in zip(study.effects, (per_idx, ent_idx)):
-        for row, eff in zip(rows, np.concatenate([fe[s, :-1], fe[at, -1]])):
+        for row, eff in zip(rows, fe[r]):  # no block-sized temporary
             row -= eff.take(codes)
     X[np.einsum("ij,ij->i", X, X) <= PIVOT_RTOL**2 * raw_ss] = 0.0
     design = DesignMatrix(
-        response=rows[n_cols:].T,
+        response=Y.T,
         matrix=X.T,
         columns=study.columns,
         entities=ent_idx,
@@ -471,9 +463,9 @@ def _gather(
 def _one_horizon_design(
     panel: Panel, events: EventList, spec: LPSpec, k: int, group: GroupSpec | None = None
 ) -> DesignMatrix:
-    """The per-study and per-sample steps of :func:`estimate_irf` for the
+    """The per-study and per-run steps of :func:`estimate_irf` for the
     one horizon ``k``, with its response as a vector."""
-    design, _ = _gather(_build_study(panel, events, spec, (k,), group), (k,), spec)
+    design, _ = _gather(_build_study(panel, events, spec, (k,), group), 0, spec)
     return replace(design, response=design.response[:, 0])
 
 
@@ -530,16 +522,17 @@ def build_transition_design(
 
 def _estimate_horizon(
     study: _Study,
+    r: int,
+    j: int,
     flat: np.ndarray,
     result: RegressionResult,
     spec: LPSpec,
-    k: int,
 ) -> HorizonEstimate:
-    """Digest horizon k's fit, its response of its run's fit on the sample
-    at grid positions ``flat``.  Under ``r2_mode = overall`` its R-squared
-    is taken against the horizon-k response before demeaning."""
+    """Digest the fit of run ``r``'s ``j``-th horizon on the sample at grid
+    positions ``flat``.  Under ``r2_mode = overall`` its R-squared is taken
+    against its response before demeaning."""
     if spec.r2_mode == "overall":
-        raw = study.outcome[flat + k] - study.outcome[flat]
+        raw = study.responses[r, j].take(flat)
         rss = float(result.residuals @ result.residuals)
         dev = raw - raw.mean()
         tss = float(dev @ dev)
@@ -551,7 +544,7 @@ def _estimate_horizon(
         else linear_combination(result, weights, name=name, level=level, dist=dist)
         for name, weights in study.series
     )
-    return HorizonEstimate(horizon=k, intervals=intervals, result=result)
+    return HorizonEstimate(horizon=study.runs[r][j], intervals=intervals, result=result)
 
 
 def estimate_irf(
@@ -568,10 +561,10 @@ def estimate_irf(
     ``spec.z_scope``.  Horizons run from 0 to ``spec.horizons``, capped at
     ``panel.n_periods``: that horizon has no ``t + k`` cell, so its sample
     is empty and a run that reaches it fails there; later horizons are not
-    built.  Per study, the regressors, every horizon's sample and missing
-    counts, and the fixed effects are built once; per distinct sample (a
-    run of consecutive horizons with equal samples, as when the shock's
-    leads are controls), the regressors and every horizon's response are
+    built.  Per study, the regressors, every horizon's response, sample
+    and missing counts, and each run's fixed effects are built once; per
+    run (consecutive horizons with equal samples, as when the shock's
+    leads are controls), the regressors and its horizons' responses are
     gathered and demeaned once into one design, which is validated,
     counted and factored once, with one bread; each horizon's own are its
     residuals, R-squared, cluster scores and intervals.  A shared run's
@@ -588,15 +581,15 @@ def estimate_irf(
     ks = range(min(spec.horizons, panel.n_periods) + 1)
     study = _build_study(panel, events, spec, ks, group)
 
-    def run(horizons: tuple[int, ...]) -> list[HorizonEstimate]:
-        k = horizons[0]
+    def run(r: int) -> list[HorizonEstimate]:
+        k = study.runs[r][0]
         try:
-            design, flat = _gather(study, horizons, spec)
+            design, flat = _gather(study, r, spec)
             fit = fit_with_covariance(design)
             estimates = []
-            for j, k in enumerate(horizons):
+            for j, k in enumerate(study.runs[r]):
                 result = fit.for_response(j)
-                estimates.append(_estimate_horizon(study, flat, result, spec, k))
+                estimates.append(_estimate_horizon(study, r, j, flat, result, spec))
             return estimates
         except PanelLPError as exc:
             # prefix in place, so the class and its attributes survive
@@ -608,9 +601,9 @@ def estimate_irf(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            fitted = list(pool.map(run, study.runs))
+            fitted = list(pool.map(run, range(len(study.runs))))
     else:
-        fitted = [run(horizons) for horizons in study.runs]
+        fitted = [run(r) for r in range(len(study.runs))]
     horizons = tuple(h for part in fitted for h in part)
 
     diag: dict[str, object] = {

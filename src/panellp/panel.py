@@ -414,54 +414,46 @@ def _fe_effects(
     grids: np.ndarray,
     entity_fe: bool,
     time_fe: bool,
-    own_sums: tuple[np.ndarray, np.ndarray] | None = None,
-    repeats: np.ndarray | None = None,
+    own: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact period and entity effects of every variable on every sample.
 
     ``masks`` stacks the samples' ``(n_entities, n_periods)`` cells and
-    ``grids`` the variables they share, finite in every cell (zero, not NaN,
-    where missing); ``own_sums`` adds one more variable per sample by its
-    entity and period sums.  ``repeats`` counts, per mask, the consecutive
-    samples that share it (one each when ``None``): per distinct mask the
-    sums of ``grids``, the counts, the Laplacian, the pinned periods and the
-    period system are built once; per sample, the right-hand sides with its
-    own variable, the solve and the entity products.  Distinct masks repeat
-    and copy nothing.  Returns the ``(n_samples, n_vars, n_periods)`` period
-    and ``(n_samples, n_vars, n_entities)`` entity effects (zero if left
+    ``grids`` the ``(n_vars, n_entities, n_periods)`` variables they share,
+    finite in every cell (zero, not NaN, where missing); ``own`` adds ``m``
+    more variables per sample, ``(n_samples, m, n_entities, n_periods)``
+    and zero off each sample.  Per sample, the sums of every variable, the
+    counts, the Laplacian, the pinned periods and the period system are
+    built once, and one solve takes every variable's right-hand side.
+    Returns the ``(n_samples, n_vars + m, n_periods)`` period and
+    ``(n_samples, n_vars + m, n_entities)`` entity effects (zero if left
     out), whose removal leaves a sample's residuals.  Each step is
     elementwise, within one sample or one BLAS or LAPACK call per sample, so
-    a sample's effects have the same bits in any stack and with any
-    ``repeats``.  The period effects ``g`` solve ``(diag(n_t) - N'
-    diag(1/n_i) N) g = b`` (``N`` the entity x period incidence, ``b`` the
-    period sums of the entity-demeaned variables); the entity effects are
-    the entity means less those of ``g``.  That Laplacian of the period
-    graph is singular once per connected set, so each set's first period is
-    held at zero (Abowd, Creecy and Kramarz 2002): it and every period
-    without rows get an identity row, and one batched solve covers every
-    sample.
+    a sample's effects have the same bits in any stack.  The period effects
+    ``g`` solve ``(diag(n_t) - N' diag(1/n_i) N) g = b`` (``N`` the entity x
+    period incidence, ``b`` the period sums of the entity-demeaned
+    variables); the entity effects are the entity means less those of
+    ``g``.  That Laplacian of the period graph is singular once per
+    connected set, so each set's first period is held at zero (Abowd,
+    Creecy and Kramarz 2002): it and every period without rows get an
+    identity row, and one batched solve covers every sample.
     """
-
-    def per_sample(a: np.ndarray) -> np.ndarray:
-        return a if repeats is None else np.repeat(a, repeats, axis=0)
-
     N = masks.astype(float)
-    # one matrix-vector product per mask and entity, then per period
+    # one matrix-vector product per sample and entity, then per period
     ent_sums = np.matmul(grids.transpose(1, 0, 2), N[..., None])[..., 0]
     by_period = np.ascontiguousarray(grids.transpose(2, 0, 1))
     per_sums = np.matmul(by_period, N.transpose(0, 2, 1)[..., None])[..., 0]
     del by_period
-    ent_sums, per_sums = per_sample(ent_sums), per_sample(per_sums)
-    if own_sums is not None:
-        ent_sums = np.concatenate([ent_sums, own_sums[0][..., None]], axis=2)
-        per_sums = np.concatenate([per_sums, own_sums[1][..., None]], axis=2)
+    if own is not None:
+        ent_sums = np.concatenate([ent_sums, own.sum(axis=3).swapaxes(1, 2)], axis=2)
+        per_sums = np.concatenate([per_sums, own.sum(axis=2).swapaxes(1, 2)], axis=2)
     cnt_p = np.count_nonzero(masks, axis=1)
     # an entity without rows has zero sums: any count serves
     cnt_e = np.maximum(np.count_nonzero(masks, axis=2), 1)[..., None]
-    ent_fe = ent_sums / per_sample(cnt_e) if entity_fe else np.zeros_like(ent_sums)
+    ent_fe = ent_sums / cnt_e if entity_fe else np.zeros_like(ent_sums)
     per_fe = np.zeros_like(per_sums)
     if time_fe and not entity_fe:
-        per_fe = per_sums / per_sample(np.maximum(cnt_p, 1))[..., None]
+        per_fe = per_sums / np.maximum(cnt_p, 1)[..., None]
     elif time_fe:
         root = np.sqrt(cnt_e)
         N /= root  # diag(n_i)^-1/2 N, in place
@@ -472,7 +464,6 @@ def _fe_effects(
         diag = np.arange(masks.shape[2])
         schur[:, diag, diag] = np.where(free, cnt_p - shared[:, diag, diag], 1.0)
         del shared, links
-        N, root, free, schur = map(per_sample, (N, root, free, schur))
         b = per_sums - np.matmul(N.transpose(0, 2, 1), ent_sums / root)
         per_fe = np.linalg.solve(schur, np.where(free[..., None], b, 0.0))
         ent_fe -= np.matmul(N, per_fe) / root

@@ -66,6 +66,17 @@ class DGPSpec:
             raise ConfigError("need at least 2 entities")
         if self.n_periods < 3:
             raise ConfigError("need at least 3 periods")
+        for name in ("entity_sd", "time_sd", "noise_sd", "error_rho", "ar_coef",
+                     "shock_prob", "sigma", "base_level"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value}")
+        for name in ("theta", "theta_recession", "theta_expansion"):
+            path = getattr(self, name)
+            if path is not None and not np.isfinite(path).all():
+                raise ConfigError(f"{name} must hold finite numbers, got {path}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("entity_sd", "time_sd", "noise_sd"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")

@@ -510,5 +510,7 @@ def run_suite(
     # with no replication an oracle suite would pass having checked nothing
     if reps is not None and reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     kwargs = {"reps": reps, "seed": seed}
     return SUITES[name](**{k: v for k, v in kwargs.items() if v is not None})

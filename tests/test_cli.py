@@ -122,6 +122,35 @@ def test_simulate_without_shocks_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+_DGP_FLOATS = [k for k, (_, kind) in panellp.cli._DGP_FIELDS.items() if kind is float]
+
+
+@pytest.mark.parametrize(
+    "lines, flags",
+    [([f"{key} = {value}"], []) for key in _DGP_FLOATS for value in ("nan", "inf")]
+    + [
+        (["dgp.theta = nan,0"], []),
+        (["dgp.theta_recession = 0,inf", "dgp.theta_expansion = 0,0"], []),
+        (["dgp.seed = -5"], []),
+        ([], ["--seed", "-1"]),
+    ],
+    ids=lambda value: ",".join(value).replace(" ", ""),
+)
+def test_simulate_non_finite_value_or_negative_seed_is_a_config_error(
+    tmp_path, capsys, lines, flags
+):
+    # rejected before the draw: a NaN would write empty cells, an infinity
+    # fail mid-draw and a negative seed reach numpy's generator
+    cfg = tmp_path / "bad.cfg"
+    write_lines(cfg, ["dgp.entities = 5", "dgp.periods = 6", *lines])
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out), *flags])
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert rc == 1
+    assert len(errors) == 1 and errors[0].startswith("error: config:")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -601,6 +630,14 @@ def test_validate_reps_below_one_is_a_config_error(capsys, suite, reps):
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err == f"error: config: reps must be >= 1, got {reps}\n"
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_validate_negative_seed_is_a_config_error(capsys, suite):
+    rc = main(["validate", "--suite", suite, "--seed", "-1", "--reps", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: config: seed must be >= 0, got -1\n"
 
 
 def test_validate_unknown_suite(capsys):

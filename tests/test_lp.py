@@ -499,10 +499,10 @@ def test_thread_pool_matches_serial_bitwise():
 def test_horizon_failure_keeps_the_exception_and_its_attributes(monkeypatch, jobs):
     real = lp._estimate_horizon
 
-    def fail_at_two(study, flat, result, spec, k):
-        if k == 2:
+    def fail_at_two(study, r, j, *args):
+        if study.runs[r][j] == 2:
             raise DataError("bad", path="p.csv", line=3)
-        return real(study, flat, result, spec, k)
+        return real(study, r, j, *args)
 
     monkeypatch.setattr(lp, "_estimate_horizon", fail_at_two)
     panel, events, _ = sim_case()
@@ -712,9 +712,9 @@ def test_a_block_is_gathered_once_per_distinct_sample(monkeypatch, leads, jobs):
     calls = []
     real = lp._gather
 
-    def counting(study, run, spec):
-        calls.append(run[0])
-        return real(study, run, spec)
+    def counting(study, r, spec):
+        calls.append(study.runs[r][0])
+        return real(study, r, spec)
 
     monkeypatch.setattr(lp, "_gather", counting)
     panel, events, spec = lead_case(leads)
@@ -727,10 +727,10 @@ def test_a_failure_inside_a_shared_sample_keeps_its_horizon(monkeypatch, jobs):
     # horizon 2 sits in the middle of the run 0..4
     real = lp._estimate_horizon
 
-    def fail_at_two(study, flat, result, spec, k):
-        if k == 2:
+    def fail_at_two(study, r, j, *args):
+        if study.runs[r][j] == 2:
             raise DataError("bad", path="p.csv", line=3)
-        return real(study, flat, result, spec, k)
+        return real(study, r, j, *args)
 
     monkeypatch.setattr(lp, "_estimate_horizon", fail_at_two)
     panel, events, spec = lead_case(4)
@@ -740,6 +740,25 @@ def test_a_failure_inside_a_shared_sample_keeps_its_horizon(monkeypatch, jobs):
     assert type(exc) is DataError
     assert exc.path == "p.csv" and exc.line == 3
     assert str(exc) == "horizon 2: p.csv:3: bad"
+
+
+def test_overall_r2_reads_each_horizons_own_response():
+    # runs 0..2, 3 and 4: each horizon's overall R-squared is taken against
+    # its own y[t+k] - y[t] on its sample, recomputed here from the panel
+    panel, events, spec = lead_case(2)
+    spec = replace(spec, r2_mode="overall")
+    study = lp._build_study(panel, events, spec, range(spec.horizons + 1))
+    assert study.runs == ((0, 1, 2), (3,), (4,))
+    y = panel.column("y")
+    irf = estimate_irf(panel, events, spec)
+    for h in irf.horizons:
+        d = build_baseline_design(panel, events, spec, h.horizon)
+        raw = y[d.entities, d.periods + h.horizon] - y[d.entities, d.periods]
+        tss = (raw - raw.mean()) @ (raw - raw.mean())
+        assert (tss == 0.0) == (h.horizon == 0)  # horizon 0's response is zero
+        rss = h.result.residuals @ h.result.residuals
+        want = 0.0 if h.horizon == 0 else 1.0 - rss / tss
+        np.testing.assert_allclose(h.result.r_squared, want, rtol=1e-12)
 
 
 def test_shared_sample_peak_memory_is_its_stacks_and_one_block():

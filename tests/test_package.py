@@ -40,23 +40,53 @@ def test_benchmark_trace_patches_resolve():
     assert callable(panellp.EventSet.shock_count)
 
 
+def _small_op(workloads, workload: str):
+    """A small case of an in-process benchmark op, run through the calls
+    the timed loop makes: ``(panel, events, spec, irf)``."""
+    if workload == "mc_recovery":
+        return workloads.mc_replication(7, 0, n_entities=30, n_periods=15)
+    pnl, evs = workloads.unbalanced_inputs(7, 0, n_entities=30, n_periods=20)
+    spec = workloads.unbalanced_spec(horizons=3)
+    return pnl, evs, spec, panellp.lp.estimate_irf(pnl, evs, spec, jobs=1)
+
+
 @pytest.mark.parametrize("workload", ["mc_recovery", "unbalanced_transition"])
 def test_benchmark_ops_pass_their_checks(workload):
-    # a small case of each in-process benchmark op, run through the calls
-    # the timed loop makes and checked by its own checks, so a renamed
+    # each small op checked by the benchmark's own checks, so a renamed
     # function or a changed signature fails here rather than in a bench run
     workloads = _perfbench("workloads")
-    if workload == "mc_recovery":
-        pnl, evs, spec, irf = workloads.mc_replication(
-            7, 0, n_entities=30, n_periods=15
-        )
-    else:
-        pnl, evs = workloads.unbalanced_inputs(7, 0, n_entities=30, n_periods=20)
-        spec = workloads.unbalanced_spec(horizons=3)
-        irf = panellp.lp.estimate_irf(pnl, evs, spec, jobs=1)
+    pnl, evs, spec, irf = _small_op(workloads, workload)
     assert workloads.check_irf(irf, spec.horizons) is None
     for k in range(1, spec.horizons + 1):
         assert workloads.lsdv_gap(pnl, evs, spec, irf, k) <= workloads.LSDV_BOUND
+
+
+@pytest.mark.parametrize("workload", ["mc_recovery", "unbalanced_transition"])
+def test_traced_ops_record_one_fit_per_run_and_restore_every_attribute(workload):
+    # the benchmark's --trace run, on a small op of each in-process workload:
+    # one estimate_irf span with its counts, one fit per run of equal-sample
+    # horizons (mc_recovery's leads give one run, the unbalanced panel one
+    # per horizon), and every patched attribute back afterwards
+    tracing, workloads = _perfbench("tracing"), _perfbench("workloads")
+    patched = [(importlib.import_module(m), a) for m, a, _, _ in tracing.LIBRARY_PATCHES]
+    originals = [getattr(module, attr) for module, attr in patched]
+    tracer = tracing.Tracer()
+    tracer.op = 0
+    tracer.install(tracing.LIBRARY_PATCHES)
+    try:
+        *_, spec, irf = _small_op(workloads, workload)
+    finally:
+        tracer.uninstall()
+    for (module, attr), original in zip(patched, originals):
+        assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
+    n_horizons = spec.horizons + 1
+    assert len(irf.horizons) == n_horizons
+    spans = [s for s in tracer.spans if s["name"] == "lp.estimate_irf"]
+    assert len(spans) == 1
+    assert spans[0]["counts"] == {"horizons": n_horizons, "demean_sweeps": n_horizons}
+    names = [s["name"] for s in tracer.spans]
+    fits = 1 if workload == "mc_recovery" else n_horizons
+    assert names.count("estimator.ols_fit") == names.count("estimator.fit") == fits
 
 
 @pytest.mark.parametrize(

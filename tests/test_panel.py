@@ -310,12 +310,12 @@ def test_demeaned_groups_are_orthogonal_on_sparse_graphs(rng, layout):
 
 def _residuals(masks, grids, entity_fe=True, time_fe=True, own=None):
     """Each sample's cells less its effects from one stacked pass, as
-    ``(n_samples, n_vars, n_entities, n_periods)``, NaN off the sample."""
-    own_sums = None if own is None else (own.sum(axis=2), own.sum(axis=1))
-    per_fe, ent_fe = _fe_effects(masks, grids, entity_fe, time_fe, own_sums)
+    ``(n_samples, n_vars + m, n_entities, n_periods)``, NaN off the sample;
+    ``own`` holds each sample's ``m`` own variables."""
+    per_fe, ent_fe = _fe_effects(masks, grids, entity_fe, time_fe, own)
     values = np.broadcast_to(grids, (len(masks),) + grids.shape)
     if own is not None:
-        values = np.concatenate([values, own[:, None]], axis=1)
+        values = np.concatenate([values, own], axis=1)
     out = values - per_fe[:, :, None, :] - ent_fe[..., None]
     return np.where(masks[:, None], out, np.nan)
 
@@ -422,20 +422,21 @@ def sample_stacks(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sample_stacks())
-def test_stacked_effects_match_one_sample_runs_and_lsdv(case):
+@given(sample_stacks(), st.integers(1, 3))
+def test_stacked_effects_match_one_sample_runs_and_lsdv(case, m):
     masks, rng, (entity_fe, time_fe) = case
-    # shared variables are finite in every cell; each sample's own variable
-    # is zero off its sample
+    # shared variables are finite in every cell; each sample's m own
+    # variables, as a run's responses, are zero off its sample
     grids = rng.normal(size=(2,) + masks.shape[1:])
-    own = np.where(masks, rng.normal(size=masks.shape), 0.0)
+    draws = rng.normal(size=(len(masks), m) + masks.shape[1:])
+    own = np.where(masks[:, None], draws, 0.0)
     stacked = _residuals(masks, grids, entity_fe, time_fe, own)
     for s, mask in enumerate(masks):
         alone = _residuals(mask[None], grids, entity_fe, time_fe, own[s : s + 1])
         assert stacked[s].tobytes() == alone[0].tobytes()
         if not mask.any():
             continue
-        values = np.concatenate([grids, own[s][None]])
+        values = np.concatenate([grids, own[s]])
         lsdv = _lsdv_residuals(mask, values, entity_fe, time_fe)
         np.testing.assert_allclose(stacked[s][:, mask], lsdv, rtol=0, atol=1e-10)
         # with a fixed effect to absorb its intercept, the estimator's LSDV
@@ -449,7 +450,7 @@ def test_stacked_effects_match_one_sample_runs_and_lsdv(case):
             and mask.sum() > n_dummies + 1
             and x @ x > 1e-4 * (grids[0][mask] @ grids[0][mask])
         ):
-            cols = {"y": own[s], "x": grids[0]}
+            cols = {"y": own[s, -1], "x": grids[0]}
             panel = Panel(
                 [f"E{i}" for i in range(mask.shape[0])],
                 range(2000, 2000 + mask.shape[1]),
@@ -460,23 +461,6 @@ def test_stacked_effects_match_one_sample_runs_and_lsdv(case):
             np.testing.assert_allclose(
                 ref.coefficients[0], (x @ y) / (x @ x), rtol=1e-10, atol=1e-10
             )
-
-
-@settings(max_examples=100, deadline=None)
-@given(sample_stacks(), st.lists(st.integers(1, 3), min_size=4, max_size=4))
-def test_a_repeated_sample_gives_the_bits_of_its_copies(case, counts):
-    # a mask given once with its repeat count, as the horizons of one run
-    # share it, against the stack that lists it once per horizon
-    masks, rng, (entity_fe, time_fe) = case
-    repeats = np.array(counts[: len(masks)])
-    copies = np.repeat(masks, repeats, axis=0)
-    grids = rng.normal(size=(2,) + masks.shape[1:])
-    own = np.where(copies, rng.normal(size=copies.shape), 0.0)
-    own_sums = own.sum(axis=2), own.sum(axis=1)
-    shared = _fe_effects(masks, grids, entity_fe, time_fe, own_sums, repeats)
-    listed = _fe_effects(copies, grids, entity_fe, time_fe, own_sums)
-    for a, b in zip(shared, listed):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_demeaning_is_a_projection(rng):
