@@ -18,9 +18,11 @@ tests and in :mod:`panellp.validation`.
 
 Covariances are the one-way cluster sandwich with the finite-sample scaling
 ``G/(G-1) * (N-1)/(N-K)``.  Its bread ``(X'X)^-1`` comes from the same R
-factor as the coefficients, once for every response, and its meat groups
-each response's scores by the integer codes of the design's cluster axis
-(entity or period), so no label array is sorted per fit.
+factor as the coefficients, once for every response, and its meat sums
+each response's scores over contiguous segments of rows, one per code of
+the design's cluster axis (entity or period).  Rows arrive grouped by the
+cluster axis from :mod:`panellp.lp`, so no fit of it sorts; a design
+whose rows are not grouped is ordered by code once for all responses.
 Confidence intervals and p-values use a Student-t reference with ``G - 1``
 degrees of freedom (a normal reference is available as a switch), both
 evaluated here with numpy and the standard library alone.
@@ -97,7 +99,9 @@ class DesignMatrix:
     to codes with ``np.unique(labels, return_inverse=True)[1]``.  A code
     array whose largest code reaches the row count is mapped that way
     here, once, so per-code counts are sized by the rows, never by the
-    largest code.
+    largest code.  Rows may come in any order; rows grouped by the cluster
+    axis, each cluster's rows one contiguous segment, as :mod:`panellp.lp`
+    gathers them, let :func:`cluster_covariance` sum the scores in place.
     """
 
     response: np.ndarray
@@ -363,11 +367,16 @@ def cluster_covariance(
     ``B (sum_g X_g' e_g e_g' X_g) B`` scaled by ``G/(G-1) * (N-1)/(N-K)``,
     where ``B = (X'X)^-1`` is the bread :func:`ols_fit` built from its R
     factor and the score sums ``X_g' e_g`` are grouped by the codes of the
-    design's cluster axis.  With every cluster a singleton this equals the
-    HC1 heteroskedasticity-robust matrix.  Requires at least two clusters
-    and more rows than retained columns.  The fit of a response matrix
-    gets one matrix per response, stacked: each forms its own scores and
-    reuses the one bread.
+    design's cluster axis.  Each cluster's scores are summed over one
+    contiguous segment of rows (``np.add.reduceat``); the segments start
+    where the code changes, so none is empty and an unused code adds no
+    row.  Rows grouped by the cluster axis, as :mod:`panellp.lp` gathers
+    them, are read in place; otherwise one stable sort by code orders the
+    rows once for every response.  With every cluster a singleton this
+    equals the HC1 heteroskedasticity-robust matrix.  Requires at least two
+    clusters and more rows than retained columns.  The fit of a response
+    matrix gets one matrix per response, stacked: each forms its own scores
+    in one shared buffer and reuses the one bread.
     """
     G = result.n_clusters
     if G < 2:
@@ -381,13 +390,22 @@ def cluster_covariance(
         raise DegenerateDesignError(
             f"no residual degrees of freedom ({n} rows, {k} retained columns)"
         )
+    if k < X.shape[1]:
+        X = X[:, kept]
+    U = result.residuals.reshape(n, -1)
     codes = design.entities if design.cluster == "entity" else design.periods
+    starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    if starts.size + 1 != G:  # some cluster's rows are not one segment
+        order = np.argsort(codes, kind="stable")
+        X, U, codes = X[order], U[order], codes[order]
+        starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    starts = np.concatenate(([0], starts))
     scale = (G / (G - 1.0)) * ((n - 1.0) / (n - k))
+    scores = np.empty_like(X)
     covs = []
-    for u in result.residuals.reshape(n, -1).T:
-        # each kept score X_j u, summed per cluster code: S[g] = X_g' u_g
-        # (unused codes stay zero)
-        S = np.stack([np.bincount(codes, weights=X[:, j] * u) for j in kept], axis=1)
+    for u in U.T:
+        # each cluster's score sum over its segment: S[g] = X_g' u_g
+        S = np.add.reduceat(np.multiply(X, u[:, None], out=scores), starts, axis=0)
         # per-cluster influence terms B S_g; the sandwich is their cross
         # product, which numpy forms by a symmetric rank-k update, so V is
         # exactly symmetric

@@ -23,16 +23,18 @@ a run.  Per run, one stacked pass over all runs finds the fixed effects
 of the regressors and of the run's responses (the counts, the period
 system and one solve per run); the run's cells are gathered once into a
 row-major ``(n_columns + m, n_rows)`` block, ``[regressors | responses]``
-by rows in entity-major cell order with one response row per horizon,
-and demeaned.  The block's transpose, the column-major ``[X | Y]``, is
-one design, validated once and fitted by one factorization, with each
-horizon's response one more right-hand side.  Per horizon, what remains
+by rows with one response row per horizon, its cells grouped by the
+cluster axis (entity by entity, or period by period), and demeaned.  The
+block's transpose, the column-major ``[X | Y]``, is one design,
+validated once and fitted by one factorization, with each horizon's
+response one more right-hand side.  Per horizon, what remains
 is its residuals, R-squared, cluster scores and intervals.  A run of one
 horizon is the single-response case of the same code and keeps the bits
 of that horizon's own design; a longer run moves each estimate by
 rounding, at most about 1e-15 relative.  A design names its rows by
 integer codes, their grid positions, which the solver counts, and names
-its cluster axis (``spec.cluster``), whose codes group the scores.  Runs
+its cluster axis (``spec.cluster``), whose codes group the scores: each
+cluster's rows are one contiguous segment, summed in place.  Runs
 are independent of one another, so they may run in a thread pool;
 results are deterministic under any schedule.
 """
@@ -422,23 +424,31 @@ def _gather(
 ) -> tuple[DesignMatrix, np.ndarray]:
     """The per-run step: gather run ``r``'s sample once, its regressors and
     its horizons' responses, into the row-major ``(n_columns + m, n_rows)``
-    block ``[regressors | responses]`` in entity-major cell order, and
-    subtract the run's fixed effects, a row at a time.  A regressor the
-    fixed effects absorb leaves rounding noise that the unit-norm rank
-    filter would keep as a column; it is zeroed, so the fit drops it.
-    Returns the block's transpose, the column-major ``[X | Y]`` design with
-    one response column per horizon, whose row codes are the sample's grid
-    positions and whose cluster axis is ``spec.cluster``, and the sample's
-    flat grid positions."""
+    block ``[regressors | responses]`` with its rows grouped by the cluster
+    axis (entity-major cells under ``spec.cluster = "entity"``,
+    period-major under ``"period"``), and subtract the run's fixed effects,
+    a row at a time.  A regressor the fixed effects absorb leaves rounding
+    noise that the unit-norm rank filter would keep as a column; it is
+    zeroed, so the fit drops it.  Returns the block's transpose, the
+    column-major ``[X | Y]`` design with one response column per horizon,
+    whose row codes are the sample's grid positions and whose cluster axis
+    is ``spec.cluster``, so each cluster's scores are one contiguous
+    segment of rows, and the sample's flat grid positions in row order."""
     run = study.runs[r]
-    flat = np.flatnonzero(study.masks[r])
+    mask = study.masks[r]
+    E, T = mask.shape
+    if spec.cluster == "period":
+        per_idx, ent_idx = np.divmod(np.flatnonzero(mask.T), E)
+        flat = ent_idx * T + per_idx
+    else:
+        flat = np.flatnonzero(mask)
+        ent_idx, per_idx = np.divmod(flat, T)
     if flat.size == 0:
         counts = {"response": int(study.response_missing[r]), **study.missing_counts}
         raise EmptySampleError(
             f"no complete rows at horizon {run[0]}; "
             f"missing cells per variable: {counts}"
         )
-    ent_idx, per_idx = np.divmod(flat, study.masks.shape[2])
     n_cols, m = len(study.columns), len(run)
     rows = np.empty((n_cols + m, flat.size))
     X, Y = rows[:n_cols], rows[n_cols:]

@@ -7,8 +7,11 @@ The data-generating process builds log outcome levels as cumulated growth:
   idiosyncratic error that is itself AR(1) within entity — so errors are
   clustered the way the estimator assumes;
 * a shock hitting entity ``i`` in year ``s`` adds ``theta[k]`` to the
-  *level* in year ``s + k``, which makes ``theta[k]`` literally the
-  ``y[t+k] - y[t]`` estimand the projection regressions target;
+  *level* in year ``s + k``.  The projection regressions target
+  ``y[t+k] - y[t]`` at the shock date, whose shift is
+  ``theta[k] - theta[0]``: ``theta[k]`` itself only when ``theta[0] = 0``,
+  as in every shipped path, while an impact-year effect is netted out of
+  every horizon and horizon 0 estimates zero;
 * optionally the injected path depends on the business-cycle state at the
   shock date through the same logistic weight the estimator uses, with a
   recession path and an expansion path blended by ``F(z)``.

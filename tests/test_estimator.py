@@ -34,7 +34,7 @@ from panellp.estimator import (
     ols_fit,
     significance_stars,
 )
-from panellp.validation import within_fit
+from panellp.validation import brute_force_cluster_cov, hc1_covariance, within_fit
 
 from conftest import balanced_panel, punch_holes, sparse_panel
 
@@ -75,28 +75,6 @@ def normal_equations(X, y):
             if row != col:
                 M[row] = M[row] - M[row, col] * M[col]
     return np.asarray(M[:, -1], dtype=float)
-
-
-def brute_force_cr1(X, u, clusters):
-    """The CR1 sandwich written as the literal definition."""
-    n, k = X.shape
-    labels = np.unique(clusters)
-    G = len(labels)
-    meat = np.zeros((k, k))
-    for g in labels:
-        sel = clusters == g
-        s = X[sel].T @ u[sel]
-        meat += np.outer(s, s)
-    bread = np.linalg.inv(X.T @ X)
-    scale = (G / (G - 1.0)) * ((n - 1.0) / (n - k))
-    return scale * bread @ meat @ bread
-
-
-def hc1(X, u):
-    n, k = X.shape
-    bread = np.linalg.inv(X.T @ X)
-    meat = X.T @ (X * (u**2)[:, None])
-    return (n / (n - k)) * bread @ meat @ bread
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +441,7 @@ def test_cr1_matches_brute_force(rng):
         d = make_design(rng, n=70, k=3, n_clusters=9)
         fit = ols_fit(d)
         V = cluster_covariance(fit, d)
-        ref = brute_force_cr1(d.matrix, fit.residuals, d.entities)
+        ref = brute_force_cluster_cov(d.matrix, fit.residuals, d.entities)
         np.testing.assert_allclose(V, ref, atol=1e-12)
         np.testing.assert_array_equal(V, V.T)
 
@@ -481,7 +459,32 @@ def test_cr1_singleton_clusters_equal_hc1(rng):
     )
     fit = ols_fit(d)
     V = cluster_covariance(fit, d)
-    np.testing.assert_allclose(V, hc1(X, fit.residuals), atol=1e-12)
+    np.testing.assert_allclose(V, hc1_covariance(X, fit.residuals), atol=1e-12)
+
+
+def test_cr1_of_a_response_matrix_with_ungrouped_gapped_singleton_codes(rng):
+    # rows not grouped by cluster, an unused code (5), two singleton
+    # clusters and three responses: each response's covariance is the
+    # literal per-cluster loop's, and no unused code adds a score row
+    n = 40
+    codes = rng.permutation(np.r_[np.repeat([0, 1, 2, 3, 4, 6], 6), 7, 8, 9, 9])
+    X = rng.normal(size=(n, 3))
+    Y = X @ rng.normal(size=(3, 3)) + rng.normal(size=(n, 3))
+    d = DesignMatrix(
+        response=Y,
+        matrix=X,
+        columns=("a", "b", "c"),
+        entities=codes,
+        periods=np.arange(n),
+    )
+    assert (np.diff(codes) < 0).any() and 5 not in codes
+    fit = fit_with_covariance(d)
+    assert fit.n_clusters == 9 and fit.covariance.shape == (3, 3, 3)
+    for j in range(3):
+        ref = brute_force_cluster_cov(X, fit.residuals[:, j], codes)
+        np.testing.assert_allclose(fit.covariance[j], ref, atol=1e-12)
+        one = fit_with_covariance(replace(d, response=Y[:, j]))
+        np.testing.assert_allclose(fit.covariance[j], one.covariance, atol=1e-12)
 
 
 def test_cr1_needs_two_clusters(rng):
@@ -500,7 +503,7 @@ def test_cr1_covers_only_retained_columns(rng, pos, scale):
     full = fit_with_covariance(d)
     kept = [names.index(c) for c in full.columns]
     assert len(kept) == 3
-    ref = brute_force_cr1(d.matrix[:, kept], full.residuals, d.entities)
+    ref = brute_force_cluster_cov(d.matrix[:, kept], full.residuals, d.entities)
     # compare in each column's own units, so b's entries are not dwarfed
     units = np.array([scale if names[j] == "b" else 1.0 for j in kept])
     to_units = np.outer(units, units)

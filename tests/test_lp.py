@@ -41,9 +41,8 @@ from panellp.panel import (
     two_way_demean,
 )
 from panellp.simgen import DGPSpec, generate
-from panellp.validation import solve_normal_equations
+from panellp.validation import brute_force_cluster_cov, solve_normal_equations
 
-from test_estimator import brute_force_cr1
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -253,19 +252,19 @@ def test_period_clustered_design_labels_and_covariance():
         d = build_baseline_design(panel, events, spec, h.horizon)
         assert d.cluster == "period"
         # the balanced sample keeps every entity from the fourth period up
-        # to the last one the horizon-k lead reaches, entity by entity
+        # to the last one the horizon-k lead reaches, period by period
         kept = panel.periods[3 : panel.n_periods - h.horizon]
         np.testing.assert_array_equal(
             np.asarray(panel.entities)[d.entities],
-            np.repeat(panel.entities, len(kept)),
+            np.tile(panel.entities, len(kept)),
         )
         np.testing.assert_array_equal(
-            np.asarray(panel.periods)[d.periods], np.tile(kept, panel.n_entities)
+            np.asarray(panel.periods)[d.periods], np.repeat(kept, panel.n_entities)
         )
         fit = h.result
         assert fit.n_clusters == len(kept)
         X = d.matrix[:, [d.columns.index(c) for c in fit.columns]]
-        ref = brute_force_cr1(X, fit.residuals, d.periods)
+        ref = brute_force_cluster_cov(X, fit.residuals, d.periods)
         np.testing.assert_allclose(fit.covariance, ref, rtol=0, atol=1e-12)
 
 
@@ -300,7 +299,7 @@ def test_row_codes_with_gaps_count_and_cluster_like_labels(gap, cluster):
     codes = (d.entities, d.periods, cluster_codes(d))
     assert counts == tuple(len(np.unique(x)) for x in codes)
     X = d.matrix[:, [d.columns.index(c) for c in fit.columns]]
-    ref = brute_force_cr1(X, fit.residuals, cluster_codes(d))
+    ref = brute_force_cluster_cov(X, fit.residuals, cluster_codes(d))
     np.testing.assert_allclose(fit.covariance, ref, rtol=0, atol=1e-12)
 
 
@@ -426,20 +425,49 @@ def test_horizons_past_the_panel_end_keep_the_first_failure(horizons):
 
 
 def test_design_labels_are_the_panel_labels_of_its_rows():
-    # a design labels its rows by their grid positions, entity by entity;
-    # the wiped entity 10 leaves its code unused
+    # a design labels its rows by their grid positions, grouped by its
+    # cluster axis: entity by entity, or period by period; the wiped entity
+    # 10 leaves its code unused
     panel, events, _ = sim_case()
     panel = wipe(panel, entity=10)
     E, T, k = panel.n_entities, panel.n_periods, 2
+    # the lags cost the first three periods, the lead the last k
+    kept = np.arange(3, T - k)
+    entities = np.delete(np.arange(E), 10)
     for cluster in ("entity", "period"):
         d = build_baseline_design(panel, events, spec_y(cluster=cluster), k)
-        # the lags cost the first three periods, the lead the last k
-        kept = np.arange(3, T - k)
-        np.testing.assert_array_equal(
-            d.entities, np.repeat(np.delete(np.arange(E), 10), kept.size)
-        )
-        np.testing.assert_array_equal(d.periods, np.tile(kept, E - 1))
+        if cluster == "entity":
+            np.testing.assert_array_equal(d.entities, np.repeat(entities, kept.size))
+            np.testing.assert_array_equal(d.periods, np.tile(kept, E - 1))
+        else:
+            np.testing.assert_array_equal(d.entities, np.tile(entities, kept.size))
+            np.testing.assert_array_equal(d.periods, np.repeat(kept, E - 1))
         assert d.cluster == cluster
+
+
+@pytest.mark.parametrize("cluster", ["entity", "period"])
+def test_gathered_rows_are_grouped_by_the_cluster_axis(cluster):
+    # every run's design lists its rows cluster by cluster, so the cluster
+    # codes are nondecreasing, even around a wiped entity and period; each
+    # horizon's covariance still matches the per-cluster loop
+    panel, events, spec = lead_case(2, cluster=cluster)
+    panel = wipe(panel, entity=10)
+    growth = panel.column("growth").copy()
+    growth[:, 10] = np.nan  # a regressor's hole leaves the period out of every horizon
+    panel = panel.replace_column("growth", growth)
+    study = lp._build_study(panel, events, spec, range(spec.horizons + 1))
+    assert len(study.runs[0]) == 3  # a multi-response run is among them
+    for r in range(len(study.runs)):
+        d, flat = lp._gather(study, r, spec)
+        codes = cluster_codes(d)
+        assert (np.diff(codes) >= 0).all()
+        assert 10 not in d.entities and 10 not in d.periods
+        np.testing.assert_array_equal(flat, d.entities * panel.n_periods + d.periods)
+        fit = fit_with_covariance(d)
+        X = d.matrix[:, [d.columns.index(c) for c in fit.columns]]
+        for j in range(len(study.runs[r])):
+            ref = brute_force_cluster_cov(X, fit.residuals[:, j], codes)
+            np.testing.assert_allclose(fit.covariance[j], ref, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
