@@ -66,6 +66,10 @@ __all__ = [
 # collinear.
 PIVOT_RTOL = 1e-10
 
+# The largest confidence level whose upper quantile 0.5 + level / 2 is below
+# 1 in floating point: for the one float between it and 1, that rounds to 1.
+MAX_LEVEL = 1.0 - 2.0**-52
+
 # Rows per panel of the blocked factorisation in ols_fit.  A panel is
 # reduced to k + 1 rows, so the height grows with k to at least four times
 # that, and a wide dummy-variable design still shrinks fourfold per panel.
@@ -577,8 +581,10 @@ def _interval(
     level: float,
     dist: str,
 ) -> CoefficientInterval:
-    if not 0.0 < level < 1.0:
-        raise PanelLPError(f"confidence level must be in (0, 1), got {level}")
+    if not 0.0 < level <= MAX_LEVEL:
+        raise PanelLPError(
+            f"confidence level must be in (0, 1), at most 1 - 2**-52, got {level}"
+        )
     if variance < 0.0:
         # numerical dust on a PSD matrix diagonal
         variance = 0.0

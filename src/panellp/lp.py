@@ -3,7 +3,7 @@
 One regression per horizon ``k``: the k-period-ahead change in the
 (log) outcome on the shock dummy plus controls, with entity and period
 fixed effects removed by an exact two-way projection and standard errors
-clustered by country.  Three designs are supported:
+clustered by ``spec.cluster``, country by default.  Three designs:
 
 * baseline — the shock dummy, two of its lags, contemporaneous controls,
   and lagged outcome growth;
@@ -16,10 +16,10 @@ clustered by country.  Three designs are supported:
 
 Every horizon shares one right-hand side, so the work falls into three
 kinds.  Per study, the regressors are built once, every horizon's
-response ``y[t+k] - y[t]`` is formed once with its sample, and
-consecutive horizons whose samples are equal (as when the shock's leads
-are controls, which fixes the sample for the whole response window) form
-a run.  Per run, one stacked pass over all runs finds the fixed effects
+response ``y[t+k] - y[t]`` is formed once into one stack, zero off its
+sample, and consecutive horizons whose samples are equal (as when the
+shock's leads are controls) form a run, its responses a slice of the
+stack.  Per run, one stacked pass over all runs finds the fixed effects
 of the regressors and of the run's responses (the counts, the period
 system and one solve per run); the run's cells are gathered once into a
 row-major ``(n_columns + m, n_rows)`` block, ``[regressors | responses]``
@@ -49,6 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptySampleError, PanelLPError
 from .estimator import (
+    MAX_LEVEL,
     PIVOT_RTOL,
     CoefficientInterval,
     DesignMatrix,
@@ -128,8 +129,10 @@ class LPSpec:
             raise ConfigError("lag_order must be >= 0")
         if self.dummy_lags < 0:
             raise ConfigError("dummy_lags must be >= 0")
-        if not 0.0 < self.conf_level < 1.0:
-            raise ConfigError(f"conf_level must be in (0, 1), got {self.conf_level}")
+        if not 0.0 < self.conf_level <= MAX_LEVEL:
+            raise ConfigError(
+                f"conf_level must be in (0, 1), at most 1 - 2**-52, got {self.conf_level}"
+            )
         _check_sigma(self.sigma)
         if self.cluster not in ("entity", "period"):
             raise ConfigError("cluster must be 'entity' or 'period'")
@@ -283,10 +286,10 @@ class _Study:
     """What the horizons of one study share: the ``(n_columns, n_entities,
     n_periods)`` regressor stack, zero outside the cells where every
     regressor is present, and the reported series with their weights
-    (``None``: that coefficient).  ``runs`` groups the horizons into runs
-    of consecutive horizons with equal samples; per run ``r``: its sample
-    ``masks[r]``, its responses ``responses[r, j]`` (zero off the sample
-    and past the run's end), its first horizon's missing response cells
+    (``None``: that coefficient).  ``runs`` groups the horizons into runs of
+    consecutive horizons with equal samples; per run ``r``: its sample
+    ``masks[r]``, its horizons' slice ``responses[r]`` of the one response
+    stack (zero off the sample), its first horizon's missing response cells
     and its fixed ``effects`` (:func:`panel._fe_effects`).
     """
 
@@ -294,7 +297,7 @@ class _Study:
     columns: tuple[str, ...]
     runs: tuple[tuple[int, ...], ...]
     masks: np.ndarray
-    responses: np.ndarray
+    responses: tuple[np.ndarray, ...]
     response_missing: np.ndarray
     effects: tuple[np.ndarray, np.ndarray]
     missing_counts: Mapping[str, int]
@@ -340,11 +343,11 @@ def _build_study(
 ) -> _Study:
     """The per-study step: every regressor of ``spec``'s design, once, in
     :func:`_design_columns` order, the runs of ``horizons`` with equal
-    samples, and per run its sample, its horizons' responses (formed here
-    only, by :func:`panel.horizon_delta`) and its fixed effects.  Missing
-    cells are counted per working column, holes and log losses together;
-    the outcome's count (that of the horizon-0 response) goes under the
-    dependent's name.
+    samples, and per run its sample, its horizons' slice of the one response
+    stack (formed here only, by :func:`panel.horizon_delta`) and its fixed
+    effects.  Missing cells are counted per working column, holes and log
+    losses together; the outcome's count (that of the horizon-0 response)
+    goes under the dependent's name.
     """
     names = _design_columns(spec)
     kind = spec.kind
@@ -397,14 +400,12 @@ def _build_study(
     grids = np.stack([delta.column("__resp") for delta in deltas])
     missing = np.isnan(grids)
     masks = present & ~missing
+    grids[~masks] = 0.0  # each horizon's response, zero off its own sample
     # consecutive horizons with equal samples form a run, whose work is done once
     same = (masks[1:] == masks[:-1]).all(axis=(1, 2))
     bounds = [0, *(np.flatnonzero(~same) + 1).tolist(), len(horizons)]
     runs = tuple(tuple(horizons[a:b]) for a, b in zip(bounds, bounds[1:]))
-    responses = np.zeros((len(runs), max(map(len, runs)), *present.shape))
-    for stack, a, b in zip(responses, bounds, bounds[1:]):
-        np.copyto(stack[: b - a], grids[a:b], where=masks[a:b])
-    del grids
+    responses = tuple(grids[a:b] for a, b in zip(bounds, bounds[1:]))
     masks = masks[bounds[:-1]]
     return _Study(
         regressors=regressors,
@@ -423,17 +424,17 @@ def _gather(
     study: _Study, r: int, spec: LPSpec
 ) -> tuple[DesignMatrix, np.ndarray]:
     """The per-run step: gather run ``r``'s sample once, its regressors and
-    its horizons' responses, into the row-major ``(n_columns + m, n_rows)``
-    block ``[regressors | responses]`` with its rows grouped by the cluster
-    axis (entity-major cells under ``spec.cluster = "entity"``,
+    its slice of the response stack, into the row-major ``(n_columns + m,
+    n_rows)`` block ``[regressors | responses]`` with its rows grouped by
+    the cluster axis (entity-major cells under ``spec.cluster = "entity"``,
     period-major under ``"period"``), and subtract the run's fixed effects,
     a row at a time.  A regressor the fixed effects absorb leaves rounding
     noise that the unit-norm rank filter would keep as a column; it is
     zeroed, so the fit drops it.  Returns the block's transpose, the
     column-major ``[X | Y]`` design with one response column per horizon,
     whose row codes are the sample's grid positions and whose cluster axis
-    is ``spec.cluster``, so each cluster's scores are one contiguous
-    segment of rows, and the sample's flat grid positions in row order."""
+    is ``spec.cluster``, so each cluster's scores are one contiguous segment
+    of rows, and the sample's flat grid positions in row order."""
     run = study.runs[r]
     mask = study.masks[r]
     E, T = mask.shape
@@ -453,7 +454,7 @@ def _gather(
     rows = np.empty((n_cols + m, flat.size))
     X, Y = rows[:n_cols], rows[n_cols:]
     study.regressors.reshape(n_cols, -1).take(flat, axis=1, out=X, mode="clip")
-    study.responses[r, :m].reshape(m, -1).take(flat, axis=1, out=Y, mode="clip")
+    study.responses[r].reshape(m, -1).take(flat, axis=1, out=Y, mode="clip")
     raw_ss = np.einsum("ij,ij->i", X, X)
     for fe, codes in zip(study.effects, (per_idx, ent_idx)):
         for row, eff in zip(rows, fe[r]):  # no block-sized temporary
@@ -542,7 +543,7 @@ def _estimate_horizon(
     positions ``flat``.  Under ``r2_mode = overall`` its R-squared is taken
     against its response before demeaning."""
     if spec.r2_mode == "overall":
-        raw = study.responses[r, j].take(flat)
+        raw = study.responses[r][j].take(flat)
         rss = float(result.residuals @ result.residuals)
         dev = raw - raw.mean()
         tss = float(dev @ dev)

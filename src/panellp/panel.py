@@ -414,22 +414,21 @@ def _fe_effects(
     grids: np.ndarray,
     entity_fe: bool,
     time_fe: bool,
-    own: np.ndarray | None = None,
+    own: Sequence[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact period and entity effects of every variable on every sample.
 
     ``masks`` stacks the samples' ``(n_entities, n_periods)`` cells and
     ``grids`` the ``(n_vars, n_entities, n_periods)`` variables they share,
-    finite in every cell (zero, not NaN, where missing); ``own`` adds ``m``
-    more variables per sample, ``(n_samples, m, n_entities, n_periods)``
-    and zero off each sample.  Per sample, the sums of every variable, the
-    counts, the Laplacian, the pinned periods and the period system are
-    built once, and one solve takes every variable's right-hand side.
+    finite in every cell (zero, not NaN, where missing); ``own`` holds each
+    sample's own ``(m_s, n_entities, n_periods)`` variables, zero off it,
+    whose sums are zero-padded to the largest ``m_s``, ``m``.  Per sample,
+    the counts and period system are built once for every right-hand side.
     Returns the ``(n_samples, n_vars + m, n_periods)`` period and
     ``(n_samples, n_vars + m, n_entities)`` entity effects (zero if left
     out), whose removal leaves a sample's residuals.  Each step is
     elementwise, within one sample or one BLAS or LAPACK call per sample, so
-    a sample's effects have the same bits in any stack.  The period effects
+    stacks of equal ``m`` give a sample the same bits.  The period effects
     ``g`` solve ``(diag(n_t) - N' diag(1/n_i) N) g = b`` (``N`` the entity x
     period incidence, ``b`` the period sums of the entity-demeaned
     variables); the entity effects are the entity means less those of
@@ -445,8 +444,11 @@ def _fe_effects(
     per_sums = np.matmul(by_period, N.transpose(0, 2, 1)[..., None])[..., 0]
     del by_period
     if own is not None:
-        ent_sums = np.concatenate([ent_sums, own.sum(axis=3).swapaxes(1, 2)], axis=2)
-        per_sums = np.concatenate([per_sums, own.sum(axis=2).swapaxes(1, 2)], axis=2)
+        wide = ((0, 0), (0, 0), (0, max(map(len, own))))
+        ent_sums, per_sums = np.pad(ent_sums, wide), np.pad(per_sums, wide)
+        for e, p, Y in zip(ent_sums, per_sums, own):
+            e[:, len(grids) : len(grids) + len(Y)] = Y.sum(axis=2).T
+            p[:, len(grids) : len(grids) + len(Y)] = Y.sum(axis=1).T
     cnt_p = np.count_nonzero(masks, axis=1)
     # an entity without rows has zero sums: any count serves
     cnt_e = np.maximum(np.count_nonzero(masks, axis=2), 1)[..., None]

@@ -328,6 +328,25 @@ def test_sample_horizon_zero_row_keeps_its_signed_zeros(tmp_path):
     assert lines[1] == "0,shock,-0.0,0.0,-0.0,-0.0,1.0,,368,10,37,0.0"
 
 
+@pytest.mark.parametrize("dist", ["t", "normal"])
+def test_estimate_conf_level_an_ulp_below_one_is_a_config_error(tmp_path, capsys, dist):
+    # at the float just below 1, 0.5 + level / 2 rounds to 1, whose
+    # quantile has no finite value; the next float down still runs
+    cfg = (REPO_ROOT / "configs" / "sample_baseline.cfg").read_text()
+    cfg = cfg.replace("= data/", f"= {REPO_ROOT / 'data'}/")
+    cfg += f"spec.ci_dist = {dist}\n"
+    for level, rc in (("0.9999999999999999", 1), ("0.9999999999999998", 0)):
+        out = tmp_path / level
+        text = cfg.replace("out/sample_baseline", str(out))
+        (tmp_path / "run.cfg").write_text(text + f"spec.conf_level = {level}\n")
+        assert main(["estimate", "--config", str(tmp_path / "run.cfg")]) == rc
+        assert out.exists() == (rc == 0)
+    assert capsys.readouterr().err == (
+        "error: config: conf_level must be in (0, 1), at most 1 - 2**-52, "
+        "got 0.9999999999999999\n"
+    )
+
+
 @pytest.mark.parametrize("horizons", [45, 5000])
 def test_estimate_horizons_past_the_sample_end_exit_1(tmp_path, capsys, horizons):
     # horizons past the end of the 40-period sample: every horizon from 40

@@ -1,8 +1,9 @@
 """Least-squares engine: QR fit, rank filtering, CR1 sandwich, intervals.
 
-Reference values here come from independent routes computed inside the
-test: extended-precision normal equations for coefficients, a literal
-per-cluster loop for the sandwich, and frozen distribution constants.
+Reference values here come from independent routes: extended-precision
+normal equations for coefficients and a literal per-cluster loop for the
+sandwich (the oracles of :mod:`panellp.validation`), and frozen
+distribution constants.
 """
 
 from __future__ import annotations
@@ -34,7 +35,12 @@ from panellp.estimator import (
     ols_fit,
     significance_stars,
 )
-from panellp.validation import brute_force_cluster_cov, hc1_covariance, within_fit
+from panellp.validation import (
+    brute_force_cluster_cov,
+    hc1_covariance,
+    solve_normal_equations,
+    within_fit,
+)
 
 from conftest import balanced_panel, punch_holes, sparse_panel
 
@@ -55,28 +61,6 @@ def make_design(rng, n=60, k=3, n_clusters=12, beta=None):
     )
 
 
-def normal_equations(X, y):
-    """Coefficients via extended-precision normal equations.
-
-    Gauss-Jordan with partial pivoting in longdouble, since numpy's linalg
-    does not accept float128 inputs.
-    """
-    Xl = np.asarray(X, dtype=np.longdouble)
-    yl = np.asarray(y, dtype=np.longdouble)
-    A = Xl.T @ Xl
-    b = Xl.T @ yl
-    k = A.shape[0]
-    M = np.column_stack([A, b])
-    for col in range(k):
-        pivot = col + int(np.argmax(np.abs(M[col:, col])))
-        M[[col, pivot]] = M[[pivot, col]]
-        M[col] = M[col] / M[col, col]
-        for row in range(k):
-            if row != col:
-                M[row] = M[row] - M[row, col] * M[col]
-    return np.asarray(M[:, -1], dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # ols_fit
 # ---------------------------------------------------------------------------
@@ -86,7 +70,7 @@ def test_ols_matches_normal_equations(rng):
     for _ in range(10):
         d = make_design(rng, n=rng.integers(30, 90), k=rng.integers(1, 5))
         fit = ols_fit(d)
-        ref = normal_equations(d.matrix, d.response)
+        ref = solve_normal_equations(d.matrix, d.response)
         np.testing.assert_allclose(fit.coefficients, ref, atol=1e-9)
         # residuals orthogonal to the design
         assert np.abs(d.matrix.T @ fit.residuals).max() < 1e-8
@@ -102,7 +86,7 @@ def test_ols_matches_normal_equations_across_panels(rng, n):
     # one that spans several panels with a ragged last one
     d = make_design(rng, n=n, k=4)
     fit = ols_fit(d)
-    ref = normal_equations(d.matrix, d.response)
+    ref = solve_normal_equations(d.matrix, d.response)
     np.testing.assert_allclose(fit.coefficients, ref, rtol=0, atol=1e-12)
     assert np.abs(d.matrix.T @ fit.residuals).max() < 1e-8
 
@@ -125,7 +109,7 @@ def test_ols_drops_a_twin_whose_rows_lie_past_the_first_panel(rng):
     fit = ols_fit(d)
     assert fit.columns == ("x", "a", "b")
     assert fit.dropped_columns == ("a_copy",)
-    ref = normal_equations(X[:, :3], y)
+    ref = solve_normal_equations(X[:, :3], y)
     np.testing.assert_allclose(fit.coefficients, ref, rtol=0, atol=1e-12)
 
 
@@ -183,7 +167,7 @@ def test_ols_drops_duplicated_column(rng, pos, scale):
     assert fit.dropped_columns == (("a",) if pos == 0 else ("a_copy",))
     kept = [j for j, name in enumerate(names) if name not in fit.dropped_columns]
     assert fit.columns == tuple(names[j] for j in kept)
-    ref = normal_equations(X[:, kept], y)
+    ref = solve_normal_equations(X[:, kept], y)
     # compare in each column's own units, so b's tolerance scales with it
     units = np.array([scale if names[j] == "b" else 1.0 for j in kept])
     np.testing.assert_allclose(fit.coefficients * units, ref * units, atol=1e-9)
@@ -263,7 +247,7 @@ def test_a_response_matrix_fits_each_column_as_its_own_design(rng):
         np.testing.assert_allclose(got.residuals, one.residuals, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.covariance, one.covariance, rtol=1e-12)
         assert got.r_squared == pytest.approx(one.r_squared, rel=1e-12)
-        ref = normal_equations(X[:, :3], Y[:, j])
+        ref = solve_normal_equations(X[:, :3], Y[:, j])
         np.testing.assert_allclose(got.coefficients, ref, rtol=0, atol=1e-9)
     np.testing.assert_allclose(multi.bread, one.bread, rtol=1e-12)
 
@@ -671,8 +655,10 @@ def test_interval_normal_reference_is_tighter(rng):
     assert z_iv.ci_high - z_iv.ci_low < t_iv.ci_high - t_iv.ci_low
     with pytest.raises(PanelLPError):
         coefficient_interval(fit, "x0", dist="bootstrap")
-    with pytest.raises(PanelLPError):
-        coefficient_interval(fit, "x0", level=1.0)
+    for level in (1.0, 1.0 - 2.0**-53):  # 0.5 + level / 2 rounds to 1 at both
+        for dist in ("t", "normal"):
+            with pytest.raises(PanelLPError, match="level"):
+                coefficient_interval(fit, "x0", level=level, dist=dist)
 
 
 def test_interval_requires_covariance(rng):

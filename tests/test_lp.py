@@ -789,12 +789,15 @@ def test_overall_r2_reads_each_horizons_own_response():
         np.testing.assert_allclose(h.result.r_squared, want, rtol=1e-12)
 
 
-def test_shared_sample_peak_memory_is_its_stacks_and_one_block():
-    # A 190 x 60 panel whose design controls for the shock's leads 1..10,
-    # so all eleven horizons share one sample, held to the bound of
+@pytest.mark.parametrize("H, L", [(10, 10), (20, 10)])
+def test_shared_sample_peak_memory_is_its_stacks_and_one_block(H, L):
+    # A 190 x 60 panel whose design controls for the shock's leads 1..L,
+    # so horizons 0..L share one sample and each later horizon is a run of
+    # its own, held to the bound of
     # test_irf_peak_memory_is_its_stacks_and_one_horizon_block: the run
-    # keeps one block for all its horizons, never one per horizon.
-    E, T, H = 190, 60, 10
+    # keeps one block for all its horizons, never one per horizon, and each
+    # horizon's response is kept once, never once more per run.
+    E, T = 190, 60
     panel, events, _ = generate(
         DGPSpec(n_entities=E, n_periods=T, theta=(0.0, -0.03), shock_prob=0.1, seed=17)
     )
@@ -802,12 +805,12 @@ def test_shared_sample_peak_memory_is_its_stacks_and_one_block():
     grid = np.where(rng.random((E, T)) < 0.05, np.nan, panel.column("growth"))
     panel = panel.replace_column("growth", grid)
     shock = build_dummies(events, panel).dummy
-    for j in range(1, H + 1):
+    for j in range(1, L + 1):
         lead = np.full_like(shock, np.nan)
         lead[:, :-j] = shock[:, j:]
         panel = panel.with_column(f"shock_lead_{j}", lead)
     controls = (VariableSpec("growth"),) + tuple(
-        VariableSpec(f"shock_lead_{j}") for j in range(1, H + 1)
+        VariableSpec(f"shock_lead_{j}") for j in range(1, L + 1)
     )
     spec = spec_y(horizons=H, controls=controls)
     estimate_irf(panel, events, spec)  # first-call caches stay out of the peak
@@ -819,8 +822,9 @@ def test_shared_sample_peak_memory_is_its_stacks_and_one_block():
         tracemalloc.stop()
     first = irf.horizons[0]
     V = len(first.result.columns) + len(first.result.dropped_columns)
-    n = max(h.result.n_obs for h in irf.horizons)
-    assert {h.result.n_obs for h in irf.horizons} == {n}
+    n_obs = [h.result.n_obs for h in irf.horizons]
+    n = max(n_obs)
+    assert n_obs[: L + 1] == [n] * (L + 1) and len(set(n_obs[L:])) == H - L + 1
     assert V == 16 and n > 7000
     assert peak < 8 * (4 * V * E * T + 2 * (H + 1) * E * T + 2 * n * (V + 1))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import math
 import os
 import pathlib
 import subprocess
@@ -12,6 +13,7 @@ import sys
 import pytest
 
 import panellp
+from panellp.cli import main
 
 
 def test_every_export_resolves():
@@ -59,6 +61,19 @@ def test_benchmark_ops_pass_their_checks(workload):
     assert workloads.check_irf(irf, spec.horizons) is None
     for k in range(1, spec.horizons + 1):
         assert workloads.lsdv_gap(pnl, evs, spec, irf, k) <= workloads.LSDV_BOUND
+
+
+def test_benchmark_sample_run_passes_its_check(tmp_path, monkeypatch):
+    # the cli_sample workload's check: estimate on the sample config from
+    # the checkout root, its output.dir moved, and irf.csv within the
+    # benchmark's tolerance of the committed reference
+    workloads = _perfbench("workloads")
+    monkeypatch.chdir(ROOT)
+    text = pathlib.Path(workloads.SAMPLE_CONFIG).read_text(encoding="utf-8")
+    cfg = tmp_path / "sample_baseline.cfg"
+    cfg.write_text(text.replace("out/sample_baseline", str(tmp_path / "out")))
+    assert main(["estimate", "--config", str(cfg)]) == 0
+    assert math.isfinite(workloads.irf_csv_gap(str(tmp_path / "out" / "irf.csv")))
 
 
 @pytest.mark.parametrize("workload", ["mc_recovery", "unbalanced_transition"])

@@ -308,14 +308,21 @@ def test_demeaned_groups_are_orthogonal_on_sparse_graphs(rng, layout):
         assert np.abs(per_sums[per_cnt > 0] / per_cnt[per_cnt > 0]).max() < 1e-10
 
 
+def _padded(own, m):
+    """``own``'s variables and zero ones after them, ``m`` in all."""
+    return np.concatenate([own, np.zeros((m - len(own),) + own.shape[1:])])
+
+
 def _residuals(masks, grids, entity_fe=True, time_fe=True, own=None):
     """Each sample's cells less its effects from one stacked pass, as
     ``(n_samples, n_vars + m, n_entities, n_periods)``, NaN off the sample;
-    ``own`` holds each sample's ``m`` own variables."""
+    ``own`` holds each sample's ``m_s`` own variables, zero-padded here to
+    the largest, ``m``, as their sums are in the pass."""
     per_fe, ent_fe = _fe_effects(masks, grids, entity_fe, time_fe, own)
     values = np.broadcast_to(grids, (len(masks),) + grids.shape)
     if own is not None:
-        values = np.concatenate([values, own], axis=1)
+        m = per_fe.shape[1] - len(grids)
+        values = np.concatenate([values, [_padded(Y, m) for Y in own]], axis=1)
     out = values - per_fe[:, :, None, :] - ent_fe[..., None]
     return np.where(masks[:, None], out, np.nan)
 
@@ -422,27 +429,35 @@ def sample_stacks(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sample_stacks(), st.integers(1, 3))
-def test_stacked_effects_match_one_sample_runs_and_lsdv(case, m):
+@given(sample_stacks(), st.integers(1, 3), st.booleans())
+def test_stacked_effects_match_one_sample_runs_and_lsdv(case, m, ragged):
     masks, rng, (entity_fe, time_fe) = case
     # shared variables are finite in every cell; each sample's m own
-    # variables, as a run's responses, are zero off its sample
+    # variables, as a run's responses, are zero off its sample, or, ragged,
+    # 1..m of them, as runs of different lengths are
     grids = rng.normal(size=(2,) + masks.shape[1:])
     draws = rng.normal(size=(len(masks), m) + masks.shape[1:])
     own = np.where(masks[:, None], draws, 0.0)
+    if ragged:
+        own = [Y[:w] for Y, w in zip(own, rng.integers(1, m + 1, size=len(masks)))]
     stacked = _residuals(masks, grids, entity_fe, time_fe, own)
+    width = max(map(len, own))
     for s, mask in enumerate(masks):
-        alone = _residuals(mask[None], grids, entity_fe, time_fe, own[s : s + 1])
+        # the same bits alone at the stack's width: the number of
+        # right-hand sides moves LAPACK's rounding
+        padded = [_padded(own[s], width)]
+        alone = _residuals(mask[None], grids, entity_fe, time_fe, padded)
         assert stacked[s].tobytes() == alone[0].tobytes()
         if not mask.any():
             continue
         values = np.concatenate([grids, own[s]])
         lsdv = _lsdv_residuals(mask, values, entity_fe, time_fe)
-        np.testing.assert_allclose(stacked[s][:, mask], lsdv, rtol=0, atol=1e-10)
+        resid = stacked[s, : len(values)][:, mask]
+        np.testing.assert_allclose(resid, lsdv, rtol=0, atol=1e-10)
         # with a fixed effect to absorb its intercept, the estimator's LSDV
         # fit gives the demeaned slope, where the sample has two clusters,
         # residual degrees of freedom and within variation
-        x, y = stacked[s, 0][mask], stacked[s, -1][mask]
+        x, y = stacked[s, 0][mask], stacked[s, len(values) - 1][mask]
         n_dummies = mask.any(axis=1).sum() * entity_fe + mask.any(axis=0).sum() * time_fe
         if (
             (entity_fe or time_fe)
@@ -450,7 +465,7 @@ def test_stacked_effects_match_one_sample_runs_and_lsdv(case, m):
             and mask.sum() > n_dummies + 1
             and x @ x > 1e-4 * (grids[0][mask] @ grids[0][mask])
         ):
-            cols = {"y": own[s, -1], "x": grids[0]}
+            cols = {"y": own[s][-1], "x": grids[0]}
             panel = Panel(
                 [f"E{i}" for i in range(mask.shape[0])],
                 range(2000, 2000 + mask.shape[1]),
