@@ -346,8 +346,9 @@ def _build_study(
     samples, and per run its sample, its horizons' slice of the one response
     stack (formed here only, by :func:`panel.horizon_delta`) and its fixed
     effects.  Missing cells are counted per working column, holes and log
-    losses together; the outcome's count (that of the horizon-0 response)
-    goes under the dependent's name.
+    losses together, from the one ``np.isnan`` of the regressor stack that
+    also gives the present cells; the outcome's count (that of the
+    horizon-0 response) goes under the dependent's name.
     """
     names = _design_columns(spec)
     kind = spec.kind
@@ -371,9 +372,9 @@ def _build_study(
     series = ((SHOCK, None),)
     if kind == "interaction":
         gcol = group.indicator(work)
-        work = work.with_column(_GROUP_SHOCK, gcol * work.column(SHOCK))
+        work = work._stored(_GROUP_SHOCK, gcol * work.column(SHOCK))
         if spec.group_handling == "design":
-            work = work.with_column(_GROUP, gcol)
+            work = work._stored(_GROUP, gcol)
         series = (
             (f"effect_outside_{group.name}", {SHOCK: 1.0}),
             (f"effect_in_{group.name}", {SHOCK: 1.0, _GROUP_SHOCK: 1.0}),
@@ -381,18 +382,19 @@ def _build_study(
     elif kind == "transition":
         F = build_transition_state(panel, spec.growth, spec.sigma, spec.z_scope).weight
         shock = work.column(SHOCK)
-        work = work.with_column(SHOCK_RECESSION, F * shock)
-        work = work.with_column(SHOCK_EXPANSION, (1.0 - F) * shock)
-        work = work.with_column("__fz", F)
+        work = work._stored(SHOCK_RECESSION, F * shock)
+        work = work._stored(SHOCK_EXPANSION, (1.0 - F) * shock)
+        work = work._stored("__fz", F)
         for j in range(1, spec.dummy_lags + 1):
             work = add_lag(work, spec.growth, j, out=f"growth_lag_{j}")
             work = add_lag(work, "__fz", j, out=f"recession_weight_lag_{j}")
         series = ((SHOCK_RECESSION, None), (SHOCK_EXPANSION, None))
 
-    counts = {spec.dependent.name: work.missing_count(_DEP)}
-    counts.update((n, work.missing_count(n)) for n in names)
-    present = work.present_mask(names)
     regressors = np.stack([work.column(n) for n in names])
+    holes = np.isnan(regressors)
+    counts = {spec.dependent.name: work.missing_count(_DEP)}
+    counts.update(zip(names, np.count_nonzero(holes, axis=(1, 2)).tolist()))
+    present = ~holes.any(axis=0)
     regressors[:, ~present] = 0.0  # the samples read only present cells
     outcome = work.select([_DEP])
     del work, eventset  # free every grid but the outcome's before the stacked pass

@@ -1,11 +1,14 @@
 """Immutable country-year panel container and the transforms used by the
 projection engine.
 
-A :class:`Panel` stores one float array per variable on a dense
+A :class:`Panel` stores one read-only float array per variable on a dense
 entity-by-period grid.  Cells are either finite numbers or missing (NaN
-internally); infinities are rejected at construction so they can never leak
-into downstream arithmetic.  All transforms are pure: they return a new
-``Panel`` and never mutate their input.
+internally); infinities are rejected whenever a grid is stored, so they can
+never leak into downstream arithmetic.  All transforms are pure: they return
+a new ``Panel`` and never mutate their input.  An array a caller passes in
+(to the constructor, :meth:`Panel.with_column` or
+:meth:`Panel.replace_column`) is copied; a grid a transform builds is
+stored as built, with no second copy.
 
 Grids are C-ordered, so cell ``(i, t)`` sits at flat offset
 ``i * n_periods + t`` and a flattened grid lists cells entity by entity.
@@ -21,7 +24,8 @@ misaligned one.  Shifts never cross entity boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -49,17 +53,32 @@ __all__ = [
 
 
 def _as_grid(values, n_entities: int, n_periods: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    """A C-ordered float copy of a caller's ``values``, of the grid's shape."""
+    arr = np.array(values, dtype=float, order="C")
     if arr.shape != (n_entities, n_periods):
         raise PanelLPError(
             f"column {name!r} has shape {arr.shape}, expected "
             f"({n_entities}, {n_periods})"
         )
-    if np.isinf(arr).any():
-        raise PanelLPError(f"column {name!r} contains non-finite values (inf)")
-    arr = arr.copy()
-    arr.flags.writeable = False
     return arr
+
+
+def _frozen(grid: np.ndarray, name: str) -> np.ndarray:
+    """``grid`` itself, made read-only once it holds no infinity."""
+    if np.isinf(grid).any():
+        raise PanelLPError(f"column {name!r} contains non-finite values (inf)")
+    grid.flags.writeable = False
+    return grid
+
+
+def _period(label) -> int:
+    """An integer period label; a float passes only with an integral value."""
+    try:
+        return operator.index(label)
+    except TypeError:
+        if isinstance(label, (float, np.floating)) and float(label).is_integer():
+            return int(label)
+    raise PanelLPError(f"period {label!r} is not an integer")
 
 
 class Panel:
@@ -76,6 +95,13 @@ class Panel:
     columns : mapping of str -> array-like
         One ``(n_entities, n_periods)`` array per variable.  ``NaN`` marks a
         missing cell; infinities are rejected.
+
+    Each column is stored read-only: a copy of what the caller passes
+    here or to :meth:`with_column` and :meth:`replace_column`, and the
+    grid itself, as built, for the package's transforms.  A period label
+    that is not an integer (``1980.5``, ``"1980"``) is a
+    :class:`PanelLPError`; a float of integral value is taken as that
+    integer.
     """
 
     __slots__ = ("_entities", "_periods", "_columns", "_entity_index")
@@ -86,23 +112,25 @@ class Panel:
         periods: Sequence[int],
         columns: Mapping[str, object],
     ):
-        ents = tuple(str(e) for e in entities)
+        ents = tuple(map(str, entities))
         if len(ents) == 0:
             raise PanelLPError("panel needs at least one entity")
-        if len(set(ents)) != len(ents):
+        index = dict(zip(ents, range(len(ents))))
+        if len(index) != len(ents):
             raise PanelLPError("duplicate entity labels")
-        pers = tuple(int(p) for p in periods)
+        pers = tuple(map(_period, periods))
         if len(pers) == 0:
             raise PanelLPError("panel needs at least one period")
-        if any(b - a != 1 for a, b in zip(pers, pers[1:])):
+        if pers != tuple(range(pers[0], pers[0] + len(pers))):
             raise PanelLPError("periods must be consecutive integers")
         self._entities = ents
         self._periods = pers
-        self._entity_index = {e: i for i, e in enumerate(ents)}
-        self._columns = {
-            str(name): _as_grid(vals, len(ents), len(pers), str(name))
-            for name, vals in columns.items()
-        }
+        self._entity_index = index
+        self._columns = {}
+        for name, vals in columns.items():
+            name = str(name)
+            grid = _as_grid(vals, len(ents), len(pers), name)
+            self._columns[name] = _frozen(grid, name)
 
     # -- basic introspection -------------------------------------------------
 
@@ -176,20 +204,27 @@ class Panel:
         return out
 
     def with_column(self, name: str, values) -> "Panel":
-        """Return a new panel with an added column; rejects name collisions."""
+        """Return a new panel with a copy of ``values`` as an added column;
+        rejects name collisions."""
         name = str(name)
-        if name in self._columns:
-            raise PanelLPError(f"column {name!r} already exists")
-        cols = dict(self._columns)
-        cols[name] = _as_grid(values, self.n_entities, self.n_periods, name)
-        return self._new(cols)
+        grid = _as_grid(values, self.n_entities, self.n_periods, name)
+        return self._stored(name, grid)
 
     def replace_column(self, name: str, values) -> "Panel":
-        if name not in self._columns:
+        """Return a new panel with a copy of ``values`` in place of ``name``."""
+        grid = _as_grid(values, self.n_entities, self.n_periods, name)
+        return self._stored(name, grid, replace=True)
+
+    def _stored(self, name: str, grid: np.ndarray, replace: bool = False) -> "Panel":
+        """:meth:`with_column`, or :meth:`replace_column` if ``replace``, for
+        a fresh C-ordered float grid that nothing else writes to, as the
+        package's transforms build: ``grid`` is stored as built, not copied,
+        once it is checked for infinities and made read-only."""
+        if replace and name not in self._columns:
             raise MissingVariableError(f"no variable named {name!r}")
-        cols = dict(self._columns)
-        cols[name] = _as_grid(values, self.n_entities, self.n_periods, name)
-        return self._new(cols)
+        if not replace and name in self._columns:
+            raise PanelLPError(f"column {name!r} already exists")
+        return self._new({**self._columns, name: _frozen(grid, name)})
 
     def select(self, names: Iterable[str]) -> "Panel":
         names = [str(n) for n in names]
@@ -232,9 +267,9 @@ class VariableSpec:
 
 def _shifted(grid: np.ndarray, offset: int) -> np.ndarray:
     """Value at t+offset aligned to t, NaN where t+offset leaves the axis."""
-    out = np.full_like(grid, np.nan)
     if offset == 0:
         return grid.copy()
+    out = np.full_like(grid, np.nan)
     if offset > 0:
         out[:, :-offset] = grid[:, offset:]
     else:
@@ -251,7 +286,7 @@ def add_lag(panel: Panel, var: str, j: int, out: str | None = None) -> Panel:
     if j < 1:
         raise PanelLPError(f"lag order must be >= 1, got {j}")
     name = out if out is not None else f"{var}_lag_{j}"
-    return panel.with_column(name, _shifted(panel.column(var), -j))
+    return panel._stored(name, _shifted(panel.column(var), -j))
 
 
 def horizon_delta(panel: Panel, var: str, k: int, out: str | None = None) -> Panel:
@@ -264,14 +299,17 @@ def horizon_delta(panel: Panel, var: str, k: int, out: str | None = None) -> Pan
         raise PanelLPError(f"horizon must be >= 0, got {k}")
     name = out if out is not None else f"{var}_h{k}"
     grid = panel.column(var)
-    return panel.with_column(name, _shifted(grid, k) - grid)
+    delta = _shifted(grid, k)
+    delta -= grid
+    return panel._stored(name, delta)
 
 
 def first_difference(panel: Panel, var: str, out: str | None = None) -> Panel:
     """Add ``x[t] - x[t-1]`` as ``{var}_diff``."""
     name = out if out is not None else f"{var}_diff"
     grid = panel.column(var)
-    return panel.with_column(name, grid - _shifted(grid, -1))
+    lagged = _shifted(grid, -1)
+    return panel._stored(name, np.subtract(grid, lagged, out=lagged))
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +360,8 @@ def standardize(
     else:
         raise PanelLPError(f"unknown standardize scope {scope!r}")
     if out is None or out == var:
-        return panel.replace_column(var, z)
-    return panel.with_column(out, z)
+        return panel._stored(var, z, replace=True)
+    return panel._stored(str(out), z)
 
 
 def log_column(panel: Panel, var: str, out: str | None = None) -> tuple[Panel, int]:
@@ -339,9 +377,7 @@ def log_column(panel: Panel, var: str, out: str | None = None) -> tuple[Panel, i
     good = ok & (grid > 0.0)
     vals[good] = np.log(grid[good])
     name = out if out is not None else f"log_{var}"
-    if name == var:
-        return panel.replace_column(var, vals), int(bad.sum())
-    return panel.with_column(name, vals), int(bad.sum())
+    return panel._stored(str(name), vals, replace=name == var), int(bad.sum())
 
 
 def per_capita(panel: Panel, var: str, population: str, out: str) -> Panel:
@@ -352,13 +388,12 @@ def per_capita(panel: Panel, var: str, population: str, out: str) -> Panel:
     vals = np.full_like(grid, np.nan)
     ok = ~np.isnan(grid) & ~np.isnan(pop) & (pop > 0.0)
     vals[ok] = grid[ok] / pop[ok]
-    return panel.with_column(out, vals)
+    return panel._stored(str(out), vals)
 
 
 def scale_column(panel: Panel, var: str, factor: float) -> Panel:
     """Multiply every non-missing cell of ``var`` by ``factor`` in place."""
-    grid = panel.column(var)
-    return panel.replace_column(var, grid * float(factor))
+    return panel._stored(var, panel.column(var) * float(factor), replace=True)
 
 
 def apply_variable_spec(panel: Panel, spec: VariableSpec) -> tuple[Panel, int]:
@@ -398,14 +433,21 @@ def _pinned_periods(links: np.ndarray) -> np.ndarray:
     rows in both, and a period with rows is linked to itself.  Every period
     starts with its own index as label and takes the lowest label among its
     links until no label changes, which labels each connected set by its
-    first period.  Periods without rows are never pinned.
+    first period.  Periods without rows are never pinned.  When every
+    sample's first period with rows links directly to each of its periods
+    with rows, as on a balanced panel, each sample is one set and that
+    period is its only pin, with no iteration.
     """
     first = np.arange(links.shape[-1])
+    has_rows = np.diagonal(links, axis1=1, axis2=2)
+    start = has_rows.argmax(axis=1)
+    if np.array_equal(links[np.arange(len(links)), start], has_rows):
+        return has_rows & (first == start[:, None])
     label = np.broadcast_to(first, links.shape[:-1])
     while True:
         lowest = np.where(links, label[:, None], first.size).min(axis=2)
         if np.array_equal(lowest, label):
-            return np.diagonal(links, axis1=1, axis2=2) & (label == first)
+            return has_rows & (label == first)
         label = lowest
 
 
@@ -444,8 +486,12 @@ def _fe_effects(
     per_sums = np.matmul(by_period, N.transpose(0, 2, 1)[..., None])[..., 0]
     del by_period
     if own is not None:
-        wide = ((0, 0), (0, 0), (0, max(map(len, own))))
-        ent_sums, per_sums = np.pad(ent_sums, wide), np.pad(per_sums, wide)
+        # room for each sample's own sums after the shared ones, zero past m_s
+        pad = max(map(len, own))
+        ent_sums, per_sums = (
+            np.concatenate((sums, np.zeros(sums.shape[:2] + (pad,))), axis=2)
+            for sums in (ent_sums, per_sums)
+        )
         for e, p, Y in zip(ent_sums, per_sums, own):
             e[:, len(grids) : len(grids) + len(Y)] = Y.sum(axis=2).T
             p[:, len(grids) : len(grids) + len(Y)] = Y.sum(axis=1).T

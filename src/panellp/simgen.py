@@ -18,10 +18,19 @@ The data-generating process builds log outcome levels as cumulated growth:
 
 ``generate`` returns the panel, the matching event list, and a truth record
 carrying the exact shock locations and injected paths.
+
+A draw costs little beyond its arithmetic: the two AR recursions step
+together over contiguous period rows, a fixed schedule is set with one
+indexed assignment (``DGPSpec`` rejects cells off the grid), and the
+events, shock cells and state weights come from one ``np.nonzero`` pass
+over the shock grid, split where the period changes.  The outputs are
+those of the cell-by-cell loops bit for bit; the tests keep those loops
+as the reference.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -44,7 +53,8 @@ class DGPSpec:
     state dependence: each shock injects the two paths blended by the
     logistic recession weight evaluated at the shock date.  ``shock_prob``
     draws shock cells i.i.d.; a fixed ``shock_schedule`` of
-    ``(entity_index, period_index)`` pairs overrides it.
+    ``(entity_index, period_index)`` pairs overrides it, each pair inside
+    the ``n_entities x n_periods`` grid (a repeated pair is one shock).
     """
 
     n_entities: int = 50
@@ -91,6 +101,16 @@ class DGPSpec:
             raise ConfigError("shock_prob must lie in [0, 1]")
         if not self.theta:
             raise ConfigError("theta path is empty")
+        if self.shock_schedule is not None:
+            cells = _schedule_cells(self.shock_schedule)
+            inside = (cells >= 0) & (cells < (self.n_entities, self.n_periods))
+            outside = cells[~inside.all(axis=1)]
+            if outside.size:
+                i, t = outside[0].tolist()
+                raise ConfigError(
+                    f"shock_schedule cell ({i}, {t}) lies outside the "
+                    f"{self.n_entities} x {self.n_periods} grid"
+                )
         state = (self.theta_recession is not None, self.theta_expansion is not None)
         if any(state) and not all(state):
             raise ConfigError(
@@ -124,8 +144,21 @@ class SimTruth:
     recession_weights: Mapping[tuple[str, int], float] | None = None
 
 
-def _entity_labels(n: int) -> list[str]:
-    return [f"C{i:03d}" for i in range(n)]
+def _schedule_cells(schedule) -> np.ndarray:
+    """A shock schedule's ``(entity_index, period_index)`` pairs as an
+    ``(n, 2)`` integer array."""
+    try:
+        return np.array(schedule, dtype=np.intp).reshape(len(schedule), 2)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            "shock_schedule must list (entity_index, period_index) pairs"
+        ) from None
+
+
+@functools.lru_cache(maxsize=8)
+def _entity_labels(n: int) -> tuple[str, ...]:
+    """``C000``, ``C001``, ...: built once per panel size."""
+    return tuple(f"C{i:03d}" for i in range(n))
 
 
 def generate(dgp: DGPSpec) -> tuple[Panel, EventList, SimTruth]:
@@ -140,35 +173,50 @@ def generate(dgp: DGPSpec) -> tuple[Panel, EventList, SimTruth]:
     rng = np.random.default_rng(dgp.seed)
     E, T = dgp.n_entities, dgp.n_periods
     labels = _entity_labels(E)
-    years = np.arange(dgp.start_year, dgp.start_year + T)
 
     alpha = rng.normal(0.0, dgp.entity_sd, size=E)
     tau = rng.normal(0.0, dgp.time_sd, size=T)
     eta = rng.normal(0.0, dgp.noise_sd, size=(E, T))
 
-    # idiosyncratic error, AR(1) within entity
-    w = np.empty((E, T))
-    w[:, 0] = eta[:, 0]
-    for t in range(1, T):
-        w[:, t] = dgp.error_rho * w[:, t - 1] + eta[:, t]
-
-    # baseline growth with its own AR component
-    g0 = np.empty((E, T))
-    g0[:, 0] = alpha + tau[0] + w[:, 0]
-    for t in range(1, T):
-        g0[:, t] = dgp.ar_coef * g0[:, t - 1] + alpha + tau[t] + w[:, t]
+    # Both AR recursions step over contiguous period rows of (T, E) grids,
+    # in one loop and in the order the formulas read: the idiosyncratic
+    # error w, AR(1) within entity, and baseline growth with its own AR
+    # component.  Each step writes its row in place.
+    mul, add = np.multiply, np.add
+    etaT = np.ascontiguousarray(eta.T)
+    w = np.empty((T, E))
+    gT = np.empty((T, E))
+    w[0] = etaT[0]
+    add(add(alpha, tau[0], out=gT[0]), w[0], out=gT[0])
+    steps = zip(w, w[1:], gT, gT[1:], etaT[1:], tau[1:].tolist())
+    for w_prev, w_t, g_prev, g_t, eta_t, tau_t in steps:
+        add(mul(w_prev, dgp.error_rho, out=w_t), eta_t, out=w_t)
+        mul(g_prev, dgp.ar_coef, out=g_t)
+        add(g_t, alpha, out=g_t)
+        add(g_t, tau_t, out=g_t)
+        add(g_t, w_t, out=g_t)
+    g0 = np.ascontiguousarray(gT.T)  # C order: its moments sum as they always did
 
     # shock locations
     if dgp.shock_schedule is not None:
         D = np.zeros((E, T))
-        for i, t in dgp.shock_schedule:
-            D[int(i), int(t)] = 1.0
+        cells = _schedule_cells(dgp.shock_schedule)
+        D[cells[:, 0], cells[:, 1]] = 1.0
     else:
         D = (rng.random((E, T)) < dgp.shock_prob).astype(float)
     if D.sum() == 0:
         raise ConfigError(
             "the draw produced no shocks; raise shock_prob or fix a schedule"
         )
+
+    # shocked cells period by period, entities ascending within a period;
+    # each period's cells are one segment [starts[j], ends[j])
+    per_idx, ent_idx = np.nonzero(D.T)
+    starts = np.flatnonzero(np.diff(per_idx, prepend=-1)).tolist()
+    ends = [*starts[1:], per_idx.size]
+    ents = [labels[i] for i in ent_idx.tolist()]
+    years = (per_idx + dgp.start_year).tolist()
+    shock_cells = tuple(zip(ents, years))
 
     # level injections
     weights: dict[tuple[str, int], float] | None = None
@@ -181,62 +229,55 @@ def generate(dgp: DGPSpec) -> tuple[Panel, EventList, SimTruth]:
         # The state weight is read off realized growth at the shock date.
         # Both paths must start at zero impact so the weight never depends
         # on the injection it scales; injections from earlier shocks are
-        # folded in by walking time forward.  The standardization moments
-        # are refined in a second pass so they match what an estimator
-        # standardizing the realized growth series will compute.
+        # folded in by walking the shock periods forward.  The
+        # standardization moments are refined in a second pass so they
+        # match what an estimator standardizing the realized growth series
+        # will compute.
         thL = np.asarray(dgp.theta_recession)
         thH = np.asarray(dgp.theta_expansion)
         K = len(thL)
 
         def _inject(mean: float, sd: float):
             inj = np.zeros((E, T))
-            wts: dict[tuple[str, int], float] = {}
-            for t in range(T):
-                g_real_t = g0[:, t] + inj[:, t] - (inj[:, t - 1] if t else 0.0)
-                hit = np.flatnonzero(D[:, t])
-                if hit.size == 0:
-                    continue
-                z = (g_real_t[hit] - mean) / sd
-                F = smooth_transition(z, dgp.sigma)
+            wts = np.empty(per_idx.size)
+            for a, b in zip(starts, ends):
+                t, hit = int(per_idx[a]), ent_idx[a:b]
+                g_real = g0[hit, t] + inj[hit, t] - (inj[hit, t - 1] if t else 0.0)
+                F = smooth_transition((g_real - mean) / sd, dgp.sigma)
                 paths = (
                     F[:, None] * thL[None, :]
                     + (1.0 - F[:, None]) * thH[None, :]
                 )
                 L = min(K, T - t)
-                for row, i in enumerate(hit):
-                    inj[i, t : t + L] += paths[row, :L]
-                    wts[(labels[i], int(years[t]))] = float(F[row])
+                inj[hit, t : t + L] += paths[:, :L]  # one entity per row
+                wts[a:b] = F
             return inj, wts
 
         inj, _ = _inject(g0.mean(), g0.std(ddof=1))
         g_pass1 = np.empty((E, T))
         g_pass1[:, 0] = g0[:, 0] + inj[:, 0]
         g_pass1[:, 1:] = g0[:, 1:] + np.diff(inj, axis=1)
-        inj, weights = _inject(g_pass1.mean(), g_pass1.std(ddof=1))
+        inj, wts = _inject(g_pass1.mean(), g_pass1.std(ddof=1))
+        weights = dict(zip(shock_cells, wts.tolist()))
 
     y = dgp.base_level + np.cumsum(g0, axis=1) + inj
     growth = np.empty((E, T))
     growth[:, 0] = g0[:, 0] + inj[:, 0]
     growth[:, 1:] = g0[:, 1:] + np.diff(inj, axis=1)
 
-    panel = Panel(labels, years.tolist(), {"y": y, "growth": growth})
-
-    shock_cells: list[tuple[str, int]] = []
-    events: list[PandemicEvent] = []
-    for t in range(T):
-        hit = np.flatnonzero(D[:, t])
-        if hit.size == 0:
-            continue
-        ents = tuple(labels[i] for i in hit)
-        events.append(PandemicEvent(f"sim{years[t]}", int(years[t]), ents))
-        shock_cells.extend((labels[i], int(years[t])) for i in hit)
+    years_axis = range(dgp.start_year, dgp.start_year + T)
+    panel = Panel(labels, years_axis, {"y": y, "growth": growth})
+    events = tuple(
+        PandemicEvent(f"sim{years[a]}", years[a], tuple(ents[a:b]))
+        for a, b in zip(starts, ends)
+    )
 
     truth = SimTruth(
         spec=dgp,
-        shock_cells=tuple(shock_cells),
+        shock_cells=shock_cells,
         theta=dgp.theta,
         theta_recession=dgp.theta_recession,
         theta_expansion=dgp.theta_expansion,
         recession_weights=weights,
     )
-    return panel, EventList(events=tuple(events)), truth
+    return panel, EventList(events=events), truth

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from panellp.errors import (
     DegenerateVariableError,
@@ -67,6 +69,54 @@ def test_construction_rejects_bad_shapes_and_values():
         Panel(["A"], [2000, 2001], {"y": [[1.0, np.inf]]})
     with pytest.raises(PanelLPError):
         Panel(["A"], [2000, 2001], {"y": [[1.0, 2.0, 3.0]]})
+
+
+def test_periods_must_be_integers():
+    # an integral float is an integer label; any other value is named
+    p = Panel(["A"], [1980.0, 1981.0], {"y": [[1.0, 2.0]]})
+    assert p.periods == (1980, 1981) and all(type(t) is int for t in p.periods)
+    for bad in (1980.5, "1980.5", "1980", None, float("nan")):
+        with pytest.raises(PanelLPError, match=f"period {bad!r} is not an integer"):
+            Panel(["A", "B"], [bad, 1981, 1982], {})
+    with pytest.raises(PanelLPError, match="period 1980.5 is not an integer"):
+        Panel(["A", "B"], [1980.5, 1981.5, 1982.5], {})
+
+
+def test_caller_arrays_are_copied():
+    y = np.array([[1.0, 2.0]])
+    p = Panel(["A"], [2000, 2001], {"y": y})
+    q = p.with_column("x", y).replace_column("y", y)
+    y[0, 0] = 9.0
+    for panel in (p, q):
+        assert panel.column("y")[0, 0] == 1.0
+    assert q.column("x")[0, 0] == 1.0
+
+
+def test_derived_grids_are_stored_once():
+    # a transform's output is stored as built: the peak holds the lagged
+    # grid and little else, where a second copy would make it two grids
+    p = Panel(
+        [f"E{i}" for i in range(2000)],
+        range(1950, 2000),
+        {"y": np.arange(100_000, dtype=float).reshape(2000, 50)},
+    )
+    grid_bytes = p.column("y").nbytes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        q = add_lag(p, "y", 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * grid_bytes
+    lag = q.column("y_lag_1")
+    with pytest.raises(ValueError):
+        lag[0, 1] = 0.0
+    np.testing.assert_array_equal(lag[:, 1:], p.column("y")[:, :-1])
+    # the stored path still rejects an infinity a transform produces
+    huge = Panel(["A"], [2000, 2001], {"x": [[-1e308, 1e308]]})
+    with np.errstate(over="ignore"), pytest.raises(PanelLPError, match="non-finite"):
+        first_difference(huge, "x")
 
 
 def test_columns_are_read_only():
@@ -374,14 +424,19 @@ def _bfs_first_periods(mask):
     return firsts
 
 
+@st.composite
+def incidence_stacks(draw):
+    """Up to four samples of at most 12 x 15 cells: sparse, most of them
+    in several connected sets, or dense, most of them one set whose first
+    period links to every other (the labelling's early return)."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 12), st.integers(1, 15)))
+    density = draw(st.sampled_from([0.25, 0.6, 0.95]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random(shape) < density
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    arrays(
-        bool,
-        st.tuples(st.integers(1, 4), st.integers(1, 12), st.integers(1, 15)),
-        elements=st.sampled_from([False, False, False, True]),
-    )
-)
+@given(incidence_stacks())
 def test_pinned_periods_match_breadth_first_search(masks):
     # one batched labelling of a stack of samples, each against its own search
     incidence = masks.astype(float)

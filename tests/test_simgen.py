@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from panellp.errors import ConfigError, PanelLPError
+from panellp.events import PandemicEvent
 from panellp.lp import smooth_transition
 from panellp.simgen import DGPSpec, generate
 
@@ -25,6 +26,12 @@ def test_spec_validation():
         DGPSpec(theta_recession=(0.0, -0.05), theta_expansion=(0.0,))
     with pytest.raises(PanelLPError):
         DGPSpec(sigma=0.0)
+    # schedule cells outside the 5 x 6 grid, which an index would wrap or miss
+    for cell in ((-1, 2), (1, -1), (1, 9), (5, 0)):
+        with pytest.raises(ConfigError, match="outside the 5 x 6 grid"):
+            DGPSpec(n_entities=5, n_periods=6, shock_schedule=(cell,))
+    with pytest.raises(ConfigError, match="pairs"):
+        DGPSpec(n_entities=5, n_periods=6, shock_schedule=((1, 2, 3),))
 
 
 def test_same_seed_reproduces_bitwise():
@@ -175,3 +182,109 @@ def test_state_injection_blends_the_two_paths():
     # and the level change itself is strongly decreasing in the weight
     corr = np.corrcoef(weights, drops)[0, 1]
     assert corr < -0.5
+
+
+def _reference_draw(dgp):
+    """The generator cell by cell: both AR recursions column by column, the
+    schedule pair by pair, and the shocks, events and state weights period
+    by period.  Returns ``y``, ``growth``, the events, the shock cells and
+    the recession weights."""
+    rng = np.random.default_rng(dgp.seed)
+    E, T = dgp.n_entities, dgp.n_periods
+    labels = [f"C{i:03d}" for i in range(E)]
+    years = np.arange(dgp.start_year, dgp.start_year + T)
+    alpha = rng.normal(0.0, dgp.entity_sd, size=E)
+    tau = rng.normal(0.0, dgp.time_sd, size=T)
+    eta = rng.normal(0.0, dgp.noise_sd, size=(E, T))
+    w = np.empty((E, T))
+    w[:, 0] = eta[:, 0]
+    for t in range(1, T):
+        w[:, t] = dgp.error_rho * w[:, t - 1] + eta[:, t]
+    g0 = np.empty((E, T))
+    g0[:, 0] = alpha + tau[0] + w[:, 0]
+    for t in range(1, T):
+        g0[:, t] = dgp.ar_coef * g0[:, t - 1] + alpha + tau[t] + w[:, t]
+    if dgp.shock_schedule is not None:
+        D = np.zeros((E, T))
+        for i, t in dgp.shock_schedule:
+            D[int(i), int(t)] = 1.0
+    else:
+        D = (rng.random((E, T)) < dgp.shock_prob).astype(float)
+    weights = None
+    if not dgp.state_dependent:
+        inj = np.zeros((E, T))
+        for k, th in enumerate(dgp.theta):
+            if th != 0.0 and k < T:
+                inj[:, k:] += th * D[:, : T - k]
+    else:
+        thL = np.asarray(dgp.theta_recession)
+        thH = np.asarray(dgp.theta_expansion)
+
+        def inject(mean, sd):
+            inj = np.zeros((E, T))
+            wts = {}
+            for t in range(T):
+                g_real_t = g0[:, t] + inj[:, t] - (inj[:, t - 1] if t else 0.0)
+                hit = np.flatnonzero(D[:, t])
+                if hit.size == 0:
+                    continue
+                F = smooth_transition((g_real_t[hit] - mean) / sd, dgp.sigma)
+                paths = F[:, None] * thL[None, :] + (1.0 - F[:, None]) * thH[None, :]
+                L = min(len(thL), T - t)
+                for row, i in enumerate(hit):
+                    inj[i, t : t + L] += paths[row, :L]
+                    wts[(labels[i], int(years[t]))] = float(F[row])
+            return inj, wts
+
+        inj, _ = inject(g0.mean(), g0.std(ddof=1))
+        g1 = np.empty((E, T))
+        g1[:, 0] = g0[:, 0] + inj[:, 0]
+        g1[:, 1:] = g0[:, 1:] + np.diff(inj, axis=1)
+        inj, weights = inject(g1.mean(), g1.std(ddof=1))
+    y = dgp.base_level + np.cumsum(g0, axis=1) + inj
+    growth = np.empty((E, T))
+    growth[:, 0] = g0[:, 0] + inj[:, 0]
+    growth[:, 1:] = g0[:, 1:] + np.diff(inj, axis=1)
+    cells, events = [], []
+    for t in range(T):
+        hit = np.flatnonzero(D[:, t])
+        if hit.size:
+            ents = tuple(labels[i] for i in hit)
+            events.append(PandemicEvent(f"sim{years[t]}", int(years[t]), ents))
+            cells.extend((labels[i], int(years[t])) for i in hit)
+    return y, growth, tuple(events), tuple(cells), weights
+
+
+@pytest.mark.parametrize(
+    "dgp",
+    [
+        DGPSpec(n_entities=23, n_periods=17, shock_prob=0.2, seed=5),
+        DGPSpec(
+            n_entities=7,
+            n_periods=9,
+            shock_schedule=((3, 4), (0, 8), (3, 4), (6, 0), (0, 2), (0, 8)),
+            seed=6,
+        ),
+        DGPSpec(
+            n_entities=31,
+            n_periods=22,
+            theta=(0.0,),
+            theta_recession=(0.0, -0.05, -0.02),
+            theta_expansion=(0.0, 0.02, 0.01),
+            shock_prob=0.15,
+            seed=12,
+        ),
+    ],
+    ids=["shock_prob", "repeated_schedule_cell", "state_dependent"],
+)
+def test_generate_matches_cell_by_cell_reference(dgp):
+    y, growth, events, cells, weights = _reference_draw(dgp)
+    panel, evs, truth = generate(dgp)
+    assert panel.column("y").tobytes() == y.tobytes()
+    assert panel.column("growth").tobytes() == growth.tobytes()
+    assert evs.events == events
+    assert truth.shock_cells == cells
+    if weights is None:
+        assert truth.recession_weights is None
+    else:
+        assert list(truth.recession_weights.items()) == list(weights.items())
