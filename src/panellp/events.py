@@ -7,7 +7,9 @@ countries are split into high / medium / low severity by comparing each
 country's mortality with the event's 70th and 30th percentiles (strict
 inequalities; linear-interpolation percentiles by default, nearest-rank as
 an option).  Countries without a usable class fall back to medium and are
-counted in the diagnostics rather than dropped.
+counted in the diagnostics rather than dropped.  The events are laid onto
+a panel's grid as one severity rank per cell; the plain dummy and the
+three severity dummies are derived from it on read.
 """
 
 from __future__ import annotations
@@ -169,44 +171,39 @@ def severity_terciles(
 
 @dataclass(frozen=True)
 class EventSet:
-    """Shock dummies aligned to a panel's entity x period grid.
+    """Shock dummies aligned to a panel's entity x period grid, kept as one
+    severity grid.
 
-    ``dummy`` is the plain outbreak indicator; ``high``/``medium``/``low``
-    partition it cell-by-cell wherever severity was assigned (countries
-    without a class land in ``medium``).  Diagnostics record countries in
-    the event list that the panel does not contain, event years outside the
+    ``severity`` holds an int8 rank per cell: -1 where no event hits, and
+    0, 1 or 2 (low, medium, high) where one does; countries without a
+    class rank medium.  :meth:`column` derives each 0/1 dummy on read: the
+    plain outbreak indicator ``all``, and ``high``/``medium``/``low``,
+    which partition it cell by cell.  Diagnostics record countries in the
+    event list that the panel does not contain, event years outside the
     panel's period range, and how many dummy cells took the
     medium-by-fallback route.
     """
 
-    entities: tuple[str, ...]
-    periods: tuple[int, ...]
-    dummy: np.ndarray
-    high: np.ndarray
-    medium: np.ndarray
-    low: np.ndarray
+    severity: np.ndarray
     unresolved_entities: tuple[tuple[str, str], ...] = ()
     out_of_range_years: tuple[tuple[str, int], ...] = ()
     fallback_medium_cells: int = 0
     unclassifiable_events: tuple[str, ...] = ()
 
     def shock_count(self) -> int:
-        return int(self.dummy.sum())
+        return int(np.count_nonzero(self.severity >= 0))
 
     def column(self, which: str) -> np.ndarray:
-        """One of the four dummies by name: all, high, medium, low."""
-        table = {
-            "all": self.dummy,
-            "high": self.high,
-            "medium": self.medium,
-            "low": self.low,
-        }
-        try:
-            return table[which]
-        except KeyError:
-            raise EventError(
-                f"unknown shock dummy {which!r}; pick one of {sorted(table)}"
-            ) from None
+        """A fresh 0/1 float grid of one dummy by name: all, high, medium,
+        low."""
+        if which == "all":
+            return (self.severity >= 0).astype(float)
+        if which in _SEVERITY_RANK:
+            return (self.severity == _SEVERITY_RANK[which]).astype(float)
+        raise EventError(
+            f"unknown shock dummy {which!r}; "
+            f"pick one of {sorted(('all', *_SEVERITY_RANK))}"
+        )
 
 
 _SEVERITY_RANK = {"high": 2, "medium": 1, "low": 0}
@@ -215,14 +212,14 @@ _SEVERITY_RANK = {"high": 2, "medium": 1, "low": 0}
 def build_dummies(
     events: EventList, panel: Panel, rule: str = "linear"
 ) -> EventSet:
-    """Lay the event list onto a panel grid as 0/1 shock dummies.
+    """Lay the event list onto a panel grid as a severity rank per cell.
 
-    Every affected country found in the panel gets a 1 in the event year.
-    Severity dummies are filled from :func:`severity_terciles` when the
-    event list carries mortality; without mortality the whole dummy goes to
-    ``medium`` (and is counted as fallback).  If two events hit the same
-    cell with different classes the more severe one wins, keeping the
-    high/medium/low split an exact partition of the dummy.
+    Every affected country found in the panel is hit in the event year.
+    Its rank comes from :func:`severity_terciles` when the event list
+    carries mortality; without mortality every hit ranks medium (and is
+    counted as fallback).  If two events hit the same cell with different
+    classes the more severe one wins, keeping the high/medium/low dummies
+    an exact partition of the plain one.
     """
     pmin, pmax = panel.periods[0], panel.periods[-1]
     out_of_range, keys, cols = [], [], []
@@ -239,27 +236,17 @@ def build_dummies(
         # every hit is medium by fallback
         fallback, ranks, unclassifiable = int(found.sum()), _SEVERITY_RANK["medium"], ()
     else:
-        severity = severity_terciles(events, rule=rule)
+        terciles = severity_terciles(events, rule=rule)
         hits = [key for key, ok in zip(keys, found.tolist()) if ok]
         fallback = sum(key not in events.mortality for key in hits)
-        ranks = [_SEVERITY_RANK[severity.classes[key]] for key in hits]
-        unclassifiable = severity.unclassifiable_events
+        ranks = [_SEVERITY_RANK[terciles.classes[key]] for key in hits]
+        unclassifiable = terciles.unclassifiable_events
 
     cells = (rows[found], np.asarray(cols, dtype=np.intp)[found])
-    dummy = np.zeros((panel.n_entities, panel.n_periods))
-    dummy[cells] = 1.0
-    rank = np.full(dummy.shape, -1)  # severity rank per hit cell
-    np.maximum.at(rank, cells, np.asarray(ranks, dtype=rank.dtype))
-    high = (rank == 2).astype(float)
-    medium = (rank == 1).astype(float)
-    low = (rank == 0).astype(float)
+    severity = np.full((panel.n_entities, panel.n_periods), -1, dtype=np.int8)
+    np.maximum.at(severity, cells, np.asarray(ranks, dtype=np.int8))
     return EventSet(
-        entities=panel.entities,
-        periods=panel.periods,
-        dummy=dummy,
-        high=high,
-        medium=medium,
-        low=low,
+        severity=severity,
         unresolved_entities=tuple(unresolved),
         out_of_range_years=tuple(out_of_range),
         fallback_medium_cells=fallback,

@@ -63,13 +63,14 @@ def _read_table(
     its names must be distinct and include ``required``; other columns
     are allowed.  Every data row must have the header's field count.
     Returns the header's ``{name: position}`` in file order and one
-    ``(line, cells)`` pair per data row.  Each breach, an unreadable file
-    included, is a :class:`DataError` naming the file and, where there is
-    one, the line.
+    ``(line, cells)`` pair per data row.  The file is UTF-8 text; a
+    leading byte-order mark, as spreadsheet programs write, is skipped.
+    Each breach, an unreadable file included, is a :class:`DataError`
+    naming the file and, where there is one, the line.
     """
     rows: list[tuple[int, list[str]]] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             for row in reader:
                 cells = [c.strip() for c in row]
@@ -511,11 +512,12 @@ def load_config(path: str) -> dict[str, str]:
 
     Blank lines and ``#`` comments are skipped; keys must be unique; a line
     without ``=`` is an error naming the line.  Values are returned as
-    strings for the caller to interpret.
+    strings for the caller to interpret.  The file is UTF-8 text, with or
+    without a leading byte-order mark.
     """
     out: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

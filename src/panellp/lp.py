@@ -345,22 +345,27 @@ def _build_study(
     :func:`_design_columns` order, the runs of ``horizons`` with equal
     samples, and per run its sample, its horizons' slice of the one response
     stack (formed here only, by :func:`panel.horizon_delta`) and its fixed
-    effects.  Missing cells are counted per working column, holes and log
-    losses together, from the one ``np.isnan`` of the regressor stack that
-    also gives the present cells; the outcome's count (that of the
-    horizon-0 response) goes under the dependent's name.
+    effects.  The working panel starts from :meth:`Panel.select` of the
+    input columns ``spec`` reads (the dependent's and each control's source
+    and population, and the transition design's growth): no other input
+    column is read, and a missing one is reported before any work.
+    Missing cells are counted per working column, holes and log losses
+    together, from the one ``np.isnan`` of the regressor stack that also
+    gives the present cells; the outcome's count (that of the horizon-0
+    response) goes under the dependent's name.
     """
     names = _design_columns(spec)
     kind = spec.kind
-    for ctrl in spec.controls:  # named against the input, before any working column
-        for source in (ctrl.src, ctrl.population):
-            if source is not None:
-                panel.column(source)
+    read = (spec.dependent, *spec.controls)
+    sources = [s for v in read for s in (v.src, v.population) if s is not None]
+    if kind == "transition":
+        sources.append(spec.growth)
+    inputs = panel.select(sources)
     dep = replace(spec.dependent, name=_DEP, source=spec.dependent.src)
-    work, _ = apply_variable_spec(panel, dep)
+    work, _ = apply_variable_spec(inputs, dep)
 
     eventset = build_dummies(events, work, rule=spec.percentile_rule)
-    work = work.with_column(SHOCK, eventset.column(spec.shock_dummy))
+    work = work._stored(SHOCK, eventset.column(spec.shock_dummy))
     for j in range(1, spec.dummy_lags + 1):
         work = add_lag(work, SHOCK, j)
     for ctrl in spec.controls:
@@ -380,7 +385,7 @@ def _build_study(
             (f"effect_in_{group.name}", {SHOCK: 1.0, _GROUP_SHOCK: 1.0}),
         )
     elif kind == "transition":
-        F = build_transition_state(panel, spec.growth, spec.sigma, spec.z_scope).weight
+        F = build_transition_state(inputs, spec.growth, spec.sigma, spec.z_scope).weight
         shock = work.column(SHOCK)
         work = work._stored(SHOCK_RECESSION, F * shock)
         work = work._stored(SHOCK_EXPANSION, (1.0 - F) * shock)

@@ -227,11 +227,10 @@ class Panel:
         return self._new({**self._columns, name: _frozen(grid, name)})
 
     def select(self, names: Iterable[str]) -> "Panel":
-        names = [str(n) for n in names]
-        for n in names:
-            if n not in self._columns:
-                raise MissingVariableError(f"no variable named {n!r}")
-        return self._new({n: self._columns[n] for n in names})
+        """A panel of only the named columns, sharing their grids; each name
+        is looked up by :meth:`column`, so a missing one is its
+        :class:`MissingVariableError`.  A repeated name is kept once."""
+        return self._new({str(n): self.column(str(n)) for n in names})
 
 
 @dataclass(frozen=True)

@@ -398,7 +398,7 @@ def irf_recovery_suite(reps: int = 200, seed: int = 20260404) -> SuiteReport:
         panel, events, _ = generate(
             _recovery_dgp(seed + rep, shock_schedule=sched)
         )
-        grid = build_dummies(events, panel).dummy
+        grid = build_dummies(events, panel).column("all")
         for j in range(1, H + 1):
             lead = np.full_like(grid, np.nan)
             lead[:, : grid.shape[1] - j] = grid[:, j:]

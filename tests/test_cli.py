@@ -406,26 +406,43 @@ def test_estimate_population_level_control_exits_0(tmp_path, capsys):
     assert [r["horizon"] for r in irf_rows] == [0, 1, 2, 3, 4, 5]
 
 
+def sample_run(tmp_path, lines):
+    """Run the sample config on the panel ``lines`` and return its exit
+    code; the outputs go to ``tmp_path / "out"``."""
+    tmp_path.mkdir(exist_ok=True)
+    write_lines(tmp_path / "panel.csv", lines)
+    cfg = (REPO_ROOT / "configs" / "sample_baseline.cfg").read_text()
+    cfg = cfg.replace("data/sample_panel.csv", str(tmp_path / "panel.csv"))
+    cfg = cfg.replace("= data/", f"= {REPO_ROOT / 'data'}/")
+    cfg = cfg.replace("out/sample_baseline", str(tmp_path / "out"))
+    (tmp_path / "run.cfg").write_text(cfg)
+    return main(["estimate", "--config", str(tmp_path / "run.cfg")])
+
+
 def sample_manifest(tmp_path, edits=()):
     """Run the sample config on a copy of the sample panel whose cells
     ``(entity, year, column)`` are set to the given text; return the
     manifest as a dict."""
-    tmp_path.mkdir(exist_ok=True)
     lines = (REPO_ROOT / "data" / "sample_panel.csv").read_text().splitlines()
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     for entity, year, column, text in edits:
         (row,) = [r for r in rows if r[:2] == [entity, str(year)]]
         row[header.index(column)] = text
-    write_lines(tmp_path / "panel.csv", [lines[0]] + [",".join(r) for r in rows])
-    cfg = (REPO_ROOT / "configs" / "sample_baseline.cfg").read_text()
-    cfg = cfg.replace("data/sample_panel.csv", str(tmp_path / "panel.csv"))
-    cfg = cfg.replace("= data/", f"= {REPO_ROOT / 'data'}/")
-    cfg = cfg.replace("out/sample_baseline", str(tmp_path / "out"))
-    (tmp_path / "run.cfg").write_text(cfg)
-    assert main(["estimate", "--config", str(tmp_path / "run.cfg")]) == 0
+    assert sample_run(tmp_path, [lines[0]] + [",".join(r) for r in rows]) == 0
     text = (tmp_path / "out" / "manifest.txt").read_text()
     return dict(line.split(" = ", 1) for line in text.splitlines())
+
+
+def test_an_input_column_named_shock_is_not_read(tmp_path):
+    # the study reads only the columns its config names, so an input
+    # column sharing a working column's name changes no output byte
+    lines = (REPO_ROOT / "data" / "sample_panel.csv").read_text().splitlines()
+    shocked = [lines[0] + ",shock"] + [line + ",1" for line in lines[1:]]
+    assert sample_run(tmp_path / "plain", lines) == 0
+    assert sample_run(tmp_path / "shocked", shocked) == 0
+    plain, shocked = (tmp_path / d / "out" / "irf.csv" for d in ("plain", "shocked"))
+    assert plain.read_bytes() == shocked.read_bytes()
 
 
 def test_manifest_counts_log_control_holes_and_log_losses_together(tmp_path):

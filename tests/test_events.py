@@ -173,11 +173,12 @@ def test_build_dummies_basic_placement():
     assert es.shock_count() == 6
     j98 = 1998 - 1995
     j02 = 2002 - 1995
-    assert es.dummy[:3, j98].sum() == 3
-    assert es.dummy[2:5, j02].sum() == 3
+    dummy = es.column("all")
+    assert dummy[:3, j98].sum() == 3
+    assert dummy[2:5, j02].sum() == 3
     # without mortality, everything lands in medium by fallback
-    np.testing.assert_array_equal(es.medium, es.dummy)
-    assert es.high.sum() == 0 and es.low.sum() == 0
+    np.testing.assert_array_equal(es.column("medium"), dummy)
+    assert es.column("high").sum() == 0 and es.column("low").sum() == 0
     assert es.fallback_medium_cells == 6
 
 
@@ -187,8 +188,9 @@ def test_severity_dummies_partition_the_shock_dummy():
     ev = PandemicEvent("flu", 2003, ents)
     mort = {("flu", e): float(i) for i, e in enumerate(ents)}
     es = build_dummies(EventList((ev,), mort), panel)
-    np.testing.assert_array_equal(es.high + es.medium + es.low, es.dummy)
-    assert es.high.sum() > 0 and es.low.sum() > 0
+    high, medium, low = (es.column(n) for n in ("high", "medium", "low"))
+    np.testing.assert_array_equal(high + medium + low, es.column("all"))
+    assert high.sum() > 0 and low.sum() > 0
 
 
 def test_same_cell_overlap_takes_max_severity():
@@ -205,10 +207,11 @@ def test_same_cell_overlap_takes_max_severity():
     es = build_dummies(EventList((high_for_c0, low_for_c0), mort), panel)
     i = panel.entity_rows(["C9"])[0]
     j = 2001 - panel.periods[0]
-    assert es.dummy[i, j] == 1.0
-    assert es.high[i, j] == 1.0 and es.low[i, j] == 0.0
+    high, medium, low = (es.column(n) for n in ("high", "medium", "low"))
+    assert es.column("all")[i, j] == 1.0
+    assert high[i, j] == 1.0 and low[i, j] == 0.0
     # still a partition
-    np.testing.assert_array_equal(es.high + es.medium + es.low, es.dummy)
+    np.testing.assert_array_equal(high + medium + low, es.column("all"))
 
 
 def test_unresolved_entities_and_out_of_range_years():
@@ -229,8 +232,20 @@ def test_eventset_column_names():
     panel = grid_panel(("A", "B", "C"), [2000])
     ev = EventList((PandemicEvent("e", 2000, ("A",)),))
     es = build_dummies(ev, panel)
-    np.testing.assert_array_equal(es.column("all"), es.dummy)
-    np.testing.assert_array_equal(es.column("medium"), es.medium)
+    np.testing.assert_array_equal(es.column("all"), [[1.0], [0.0], [0.0]])
+    np.testing.assert_array_equal(es.column("medium"), es.column("all"))
+    np.testing.assert_array_equal(es.column("high"), np.zeros((3, 1)))
+    # each call returns a fresh grid: freezing one, as Panel._stored does,
+    # touches neither the other nor the EventSet
+    first, second = es.column("all"), es.column("all")
+    assert first is not second and not np.shares_memory(first, second)
+    assert not np.shares_memory(first, es.severity)
+    severity, writeable = es.severity.copy(), es.severity.flags.writeable
+    first.flags.writeable = False
+    assert second.flags.writeable
+    assert es.severity.flags.writeable == writeable
+    np.testing.assert_array_equal(es.severity, severity)
+    np.testing.assert_array_equal(es.column("all"), second)
     with pytest.raises(EventError, match="unknown shock dummy"):
         es.column("extreme")
 
@@ -326,7 +341,9 @@ def test_build_dummies_matches_per_cell_reference(case):
     got = build_dummies(events, panel, rule=rule)
     want = reference_dummies(events, panel, rule=rule)
     for name in ("dummy", "high", "medium", "low"):
-        np.testing.assert_array_equal(getattr(got, name), want[name], err_msg=name)
+        which = "all" if name == "dummy" else name
+        np.testing.assert_array_equal(got.column(which), want[name], err_msg=name)
+    assert got.shock_count() == int(want["dummy"].sum())
     for name in (
         "unresolved_entities",
         "out_of_range_years",

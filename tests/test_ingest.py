@@ -160,6 +160,34 @@ def test_unreadable_input_is_a_data_error(tmp_path, name, content, message):
         assert str(err.value).startswith(f"{path}: ")
 
 
+def test_a_byte_order_mark_reads_as_its_absence(tmp_path):
+    # spreadsheet programs save "CSV UTF-8" with a leading byte-order mark
+    texts = {
+        "panel.csv": "entity,year,y\nA,2000,1.5\nB,2001,2.0\n",
+        "events.csv": "event_name,year,iso3\nflu,2000,A\nflu,2000,B\n",
+        "mortality.csv": "event_name,iso3,mortality\nflu,A,1.0\nflu,B,2.5\n",
+        "groups.csv": "entity,member\nA,1\nB,0\n",
+        "run.cfg": "input.panel = panel.csv\nspec.kind = baseline\n",
+    }
+
+    def read(bom):
+        folder = tmp_path / ("bom" if bom else "plain")
+        folder.mkdir()
+        for name, text in texts.items():
+            (folder / name).write_text(bom + text, encoding="utf-8")
+        panel = read_panel(str(folder / "panel.csv"))
+        grids = {v: panel.column(v).tobytes() for v in panel.variables}
+        events = read_event_list(
+            str(folder / "events.csv"), str(folder / "mortality.csv")
+        )
+        group = read_groups(str(folder / "groups.csv"), "g")
+        config = load_config(str(folder / "run.cfg"))
+        return panel.entities, panel.periods, grids, events, group, config
+
+    assert read("\ufeff") == read("")
+    assert (tmp_path / "bom" / "run.cfg").read_bytes()[:3] == b"\xef\xbb\xbf"
+
+
 # ---------------------------------------------------------------------------
 # event and group CSVs
 # ---------------------------------------------------------------------------

@@ -321,7 +321,7 @@ def test_horizon_with_empty_and_single_row_entities_matches_lsdv():
     k = 1
     fit = estimate_irf(panel, events, spec).horizons[k]
 
-    shock = lp.build_dummies(events, panel).dummy
+    shock = lp.build_dummies(events, panel).column("all")
     work = horizon_delta(panel, "y", k, out="resp").with_column("shock", shock)
     names = ["resp", "shock", "growth"]
     mask = work.present_mask(names)
@@ -604,6 +604,34 @@ def test_dummies_are_built_once_per_irf(monkeypatch, kind, jobs):
     assert len(calls) == 1
 
 
+# every working column a study builds; an input column of one of these
+# names is not among the spec's inputs, so it is never read
+WORKING_NAMES = (
+    "shock", "group", "shock_x_group", "shock_lag_1", "outcome_growth_lag_1",
+    "growth_lag_1", "recession_weight_lag_1", "shock_recession",
+    "__dep", "__dgrow", "__fz", "__z",
+)
+
+
+@pytest.mark.parametrize("kind", ["baseline", "interaction", "transition"])
+def test_input_columns_named_like_working_columns_change_nothing(kind, rng):
+    panel, events, spec, extra, _ = kind_case(kind)
+    if kind != "transition":
+        spec = replace(spec, controls=(VariableSpec("growth"),))
+    want = estimate_irf(panel, events, spec, **extra)
+    for name in WORKING_NAMES:
+        grid = rng.normal(size=(panel.n_entities, panel.n_periods))
+        grid[0] = np.nan
+        got = estimate_irf(panel.with_column(name, grid), events, spec, **extra)
+        assert got.diagnostics == want.diagnostics, name
+        assert len(got.horizons) == len(want.horizons)
+        for g, w in zip(got.horizons, want.horizons):
+            assert g.intervals == w.intervals, name
+            for field in ("coefficients", "covariance"):
+                a, b = getattr(g.result, field), getattr(w.result, field)
+                assert a.tobytes() == b.tobytes(), (name, field)
+
+
 @pytest.mark.parametrize("kind", ["baseline", "interaction", "transition"])
 def test_every_horizon_matches_its_build_design_bitwise(kind):
     panel, events, spec, extra, design = kind_case(kind)
@@ -628,7 +656,7 @@ def lead_case(leads, H=4, cluster="entity"):
     grid = panel.column("growth").copy()
     grid[5, 9] = np.nan
     panel = panel.replace_column("growth", grid)
-    shock = build_dummies(events, panel).dummy
+    shock = build_dummies(events, panel).column("all")
     for j in range(1, leads + 1):
         lead = np.full_like(shock, np.nan)
         lead[:, :-j] = shock[:, j:]
@@ -804,7 +832,7 @@ def test_shared_sample_peak_memory_is_its_stacks_and_one_block(H, L):
     rng = np.random.default_rng(17)
     grid = np.where(rng.random((E, T)) < 0.05, np.nan, panel.column("growth"))
     panel = panel.replace_column("growth", grid)
-    shock = build_dummies(events, panel).dummy
+    shock = build_dummies(events, panel).column("all")
     for j in range(1, L + 1):
         lead = np.full_like(shock, np.nan)
         lead[:, :-j] = shock[:, j:]

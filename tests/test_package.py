@@ -33,13 +33,28 @@ def _perfbench(name: str):
 
 def test_benchmark_trace_patches_resolve():
     # perfbench's --trace run swaps these module attributes by name and
-    # counts shock cells through EventSet.shock_count; a rename in the
-    # package must not leave a traced run failing on a missing name
+    # counts an EventSet's shock cells, unresolved pairs and out-of-range
+    # events (tracing._dummies_counts); its checks rebuild the shock column
+    # through EventSet.column (workloads.design_columns).  A rename in the
+    # package must not leave a traced or checked run failing on a name
     tracing = _perfbench("tracing")
     for module_name, attr, _, _ in tracing.LIBRARY_PATCHES + tracing.CLI_PATCHES:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
-    assert callable(panellp.EventSet.shock_count)
+    events = panellp.EventList(
+        (
+            panellp.PandemicEvent("now", 2000, ("A", "C")),
+            panellp.PandemicEvent("old", 1918, ("A",)),
+        )
+    )
+    eventset = panellp.build_dummies(events, panellp.Panel(("A", "B"), (2000, 2001), {}))
+    assert tracing._dummies_counts((), {}, eventset) == {
+        "shock_cells": 1,
+        "unresolved_pairs": 1,
+        "out_of_range_events": 1,
+    }
+    for which in ("all", "high", "medium", "low"):
+        assert eventset.column(which).shape == (2, 2)
 
 
 def _small_op(workloads, workload: str):
