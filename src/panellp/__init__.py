@@ -14,6 +14,7 @@ from .errors import (
     InsufficientClustersError,
     MissingVariableError,
     PanelLPError,
+    UnidentifiedShockError,
 )
 from .estimator import (
     CoefficientInterval,
@@ -91,6 +92,7 @@ __all__ = [
     "EmptySampleError",
     "DegenerateDesignError",
     "InsufficientClustersError",
+    "UnidentifiedShockError",
     "EventError",
     # panel
     "Panel",

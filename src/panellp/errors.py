@@ -48,6 +48,11 @@ class DegenerateDesignError(PanelLPError):
     """The design matrix has no usable columns after rank filtering."""
 
 
+class UnidentifiedShockError(PanelLPError):
+    """A horizon's sample cannot identify the shock: it holds no shocked
+    cell, or the year effects absorb every shocked one."""
+
+
 class InsufficientClustersError(PanelLPError):
     """Cluster-robust inference needs at least two clusters."""
 

@@ -14,6 +14,7 @@ three severity dummies are derived from it on read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -82,7 +83,7 @@ class EventList:
                         f"mortality entry {key!r} does not match any "
                         "(event, affected country) pair"
                     )
-                if not np.isfinite(value) or value < 0:
+                if not math.isfinite(value) or value < 0:
                     raise EventError(f"mortality for {key!r} must be >= 0")
 
     @property

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from typing import Sequence
 
 import numpy as np
@@ -118,7 +119,7 @@ def _parse_float(
             path=path,
             line=line,
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataError(
             f"column {column!r} has non-finite value {cell!r}",
             path=path,

@@ -34,9 +34,8 @@ of that horizon's own design; a longer run moves each estimate by
 rounding, at most about 1e-15 relative.  A design names its rows by
 integer codes, their grid positions, which the solver counts, and names
 its cluster axis (``spec.cluster``), whose codes group the scores: each
-cluster's rows are one contiguous segment, summed in place.  Runs
-are independent of one another, so they may run in a thread pool;
-results are deterministic under any schedule.
+cluster's rows are one contiguous segment, summed in place.  The runs
+go in one serial loop.
 """
 
 from __future__ import annotations
@@ -47,7 +46,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptySampleError, PanelLPError
+from .errors import (
+    ConfigError,
+    EmptySampleError,
+    PanelLPError,
+    UnidentifiedShockError,
+)
 from .estimator import (
     MAX_LEVEL,
     PIVOT_RTOL,
@@ -88,6 +92,7 @@ __all__ = [
 SHOCK = "shock"
 SHOCK_RECESSION = "shock_recession"
 SHOCK_EXPANSION = "shock_expansion"
+_SHOCK_COLUMNS = (SHOCK, SHOCK_RECESSION, SHOCK_EXPANSION)
 
 
 @dataclass(frozen=True)
@@ -304,6 +309,14 @@ class _Study:
     series: tuple[tuple[str, Mapping[str, float] | None], ...]
 
 
+def _input(name: str | None) -> str | None:
+    """The working panel's name for input column ``name``, which is what a
+    transform's error message names.  No working column has it: the
+    package's own names hold no colon, nor does a control parsed from a
+    config."""
+    return None if name is None else f"input:{name}"
+
+
 def _design_columns(spec: LPSpec) -> tuple[str, ...]:
     """The regressors of ``spec``'s design, in reporting order: the shock
     (the transition design's two regime-weighted shocks; the interaction
@@ -345,10 +358,11 @@ def _build_study(
     :func:`_design_columns` order, the runs of ``horizons`` with equal
     samples, and per run its sample, its horizons' slice of the one response
     stack (formed here only, by :func:`panel.horizon_delta`) and its fixed
-    effects.  The working panel starts from :meth:`Panel.select` of the
-    input columns ``spec`` reads (the dependent's and each control's source
-    and population, and the transition design's growth): no other input
-    column is read, and a missing one is reported before any work.
+    effects.  The working panel starts from the input columns ``spec``
+    reads (the dependent's and each control's source and population, and
+    the transition design's growth), each under its :func:`_input` name,
+    which no working column shares: no other input column is read, and a
+    missing one is reported before any work.
     Missing cells are counted per working column, holes and log losses
     together, from the one ``np.isnan`` of the regressor stack that also
     gives the present cells; the outcome's count (that of the horizon-0
@@ -360,8 +374,10 @@ def _build_study(
     sources = [s for v in read for s in (v.src, v.population) if s is not None]
     if kind == "transition":
         sources.append(spec.growth)
-    inputs = panel.select(sources)
-    dep = replace(spec.dependent, name=_DEP, source=spec.dependent.src)
+    inputs = panel._new({_input(s): panel.column(s) for s in sources})
+    growth = _input(spec.growth)
+    dep = spec.dependent
+    dep = replace(dep, name=_DEP, source=_input(dep.src), population=_input(dep.population))
     work, _ = apply_variable_spec(inputs, dep)
 
     eventset = build_dummies(events, work, rule=spec.percentile_rule)
@@ -369,6 +385,7 @@ def _build_study(
     for j in range(1, spec.dummy_lags + 1):
         work = add_lag(work, SHOCK, j)
     for ctrl in spec.controls:
+        ctrl = replace(ctrl, source=_input(ctrl.src), population=_input(ctrl.population))
         work, _ = apply_variable_spec(work, ctrl)
     work = first_difference(work, _DEP, out="__dgrow")
     for j in range(1, spec.lag_order + 1):
@@ -385,13 +402,13 @@ def _build_study(
             (f"effect_in_{group.name}", {SHOCK: 1.0, _GROUP_SHOCK: 1.0}),
         )
     elif kind == "transition":
-        F = build_transition_state(inputs, spec.growth, spec.sigma, spec.z_scope).weight
+        F = build_transition_state(inputs, growth, spec.sigma, spec.z_scope).weight
         shock = work.column(SHOCK)
         work = work._stored(SHOCK_RECESSION, F * shock)
         work = work._stored(SHOCK_EXPANSION, (1.0 - F) * shock)
         work = work._stored("__fz", F)
         for j in range(1, spec.dummy_lags + 1):
-            work = add_lag(work, spec.growth, j, out=f"growth_lag_{j}")
+            work = add_lag(work, growth, j, out=f"growth_lag_{j}")
             work = add_lag(work, "__fz", j, out=f"recession_weight_lag_{j}")
         series = ((SHOCK_RECESSION, None), (SHOCK_EXPANSION, None))
 
@@ -565,6 +582,53 @@ def _estimate_horizon(
     return HorizonEstimate(horizon=study.runs[r][j], intervals=intervals, result=result)
 
 
+def _check_shock_identified(
+    panel: Panel,
+    events: EventList,
+    study: _Study,
+    flat: np.ndarray,
+    fit: RegressionResult,
+    spec: LPSpec,
+) -> None:
+    """Name the shock as the cause when ``fit`` dropped a reported series
+    column: the sample at grid positions ``flat`` holds no shocked cell, or
+    the plain shock column is dropped while every shocked sample cell sits
+    in a year whose sample rows are all shocked, so the year effects absorb
+    it (naming the events that hit those cells).  Either is an
+    :class:`UnidentifiedShockError`; on any other drop this returns, and
+    the series' interval reports the drop."""
+    T = panel.n_periods
+    shock = [i for i, c in enumerate(study.columns) if c in _SHOCK_COLUMNS]
+    shocked = study.regressors[shock].reshape(len(shock), -1)[:, flat].any(axis=0)
+    periods = flat % T
+    if not shocked.any():
+        first, last = panel.periods[periods.min()], panel.periods[periods.max()]
+        raise UnidentifiedShockError(
+            f"the sample ({first}-{last}) holds no shocked cell, "
+            "so no event identifies the shock"
+        )
+    if SHOCK not in fit.dropped_columns or not spec.time_fe:
+        return
+    rows = np.bincount(periods, minlength=T)
+    hits = np.bincount(periods[shocked], minlength=T)
+    years = np.flatnonzero(hits)
+    if (hits[years] < rows[years]).any():
+        return
+    hit = {
+        (panel.entities[e], panel.periods[p])
+        for e, p in zip(*np.divmod(flat[shocked], T))
+    }
+    named = [
+        f"{ev.name} {ev.year}"
+        for ev in events.events
+        if any((e, ev.year) in hit for e in ev.entities)
+    ]
+    raise UnidentifiedShockError(
+        "the year effects absorb the shock: every shocked cell of the sample "
+        f"sits in a year whose sample rows are all shocked ({', '.join(named)})"
+    )
+
+
 def estimate_irf(
     panel: Panel,
     events: EventList,
@@ -588,41 +652,34 @@ def estimate_irf(
     residuals, R-squared, cluster scores and intervals.  A shared run's
     estimates differ from separate per-horizon fits by rounding (at most
     about 1e-15 relative); a distinct sample's are those of its one-horizon
-    design bit for bit.  ``jobs > 1`` fans the runs out over a thread
-    pool, so no two threads share a block; the study is read-only and
-    every run an independent pure computation, so the output is identical
-    under any schedule.  A failing horizon aborts the whole run with the
-    horizon identified.
+    design bit for bit.  A failing horizon aborts the whole run with the
+    horizon identified; a shock coefficient lost for want of a shocked
+    cell, or to the year effects, is an :class:`UnidentifiedShockError`.
+    ``jobs`` is accepted and has no effect: the runs go in one serial
+    loop.  It goes once the benchmark harness stops passing it (ROADMAP
+    item 1).
     """
     if spec.kind == "interaction" and group is None:
         raise PanelLPError("interaction design needs a GroupSpec")
     ks = range(min(spec.horizons, panel.n_periods) + 1)
     study = _build_study(panel, events, spec, ks, group)
-
-    def run(r: int) -> list[HorizonEstimate]:
-        k = study.runs[r][0]
+    reported = {c for name, weights in study.series for c in weights or (name,)}
+    horizons = []
+    for r, run in enumerate(study.runs):
+        k = run[0]
         try:
             design, flat = _gather(study, r, spec)
             fit = fit_with_covariance(design)
-            estimates = []
-            for j, k in enumerate(study.runs[r]):
+            del design  # the run's block is freed before the next one is gathered
+            if not reported.isdisjoint(fit.dropped_columns):
+                _check_shock_identified(panel, events, study, flat, fit, spec)
+            for j, k in enumerate(run):
                 result = fit.for_response(j)
-                estimates.append(_estimate_horizon(study, r, j, flat, result, spec))
-            return estimates
+                horizons.append(_estimate_horizon(study, r, j, flat, result, spec))
         except PanelLPError as exc:
             # prefix in place, so the class and its attributes survive
             exc.args = (f"horizon {k}: {exc}",)
             raise
-
-    if jobs > 1 and len(study.runs) > 1:
-        # imported only here, so a serial run never loads concurrent.futures
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            fitted = list(pool.map(run, range(len(study.runs))))
-    else:
-        fitted = [run(r) for r in range(len(study.runs))]
-    horizons = tuple(h for part in fitted for h in part)
 
     diag: dict[str, object] = {
         "demean_sweeps": dict.fromkeys(ks, int(spec.entity_fe or spec.time_fe)),
@@ -630,7 +687,7 @@ def estimate_irf(
     }
     return IRF(
         kind=spec.kind,
-        horizons=horizons,
+        horizons=tuple(horizons),
         series_names=tuple(name for name, _ in study.series),
         diagnostics=diag,
     )

@@ -406,7 +406,8 @@ def apply_variable_spec(panel: Panel, spec: VariableSpec) -> tuple[Panel, int]:
         if spec.name == src:
             panel.column(src)  # existence check
             return panel, 0
-        return panel.with_column(spec.name, panel.column(src)), 0
+        # a stored grid is read-only, so the new name shares it
+        return panel._stored(spec.name, panel.column(src)), 0
     if spec.transform == "log":
         return log_column(panel, src, out=spec.name)
     if spec.transform == "per_capita_log":

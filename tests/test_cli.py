@@ -21,6 +21,7 @@ from panellp.errors import (
     DegenerateDesignError,
     InsufficientClustersError,
     PanelLPError,
+    UnidentifiedShockError,
 )
 from panellp.ingest import read_event_list, read_irf, read_panel
 from panellp.lp import LPSpec
@@ -351,7 +352,9 @@ def test_estimate_conf_level_an_ulp_below_one_is_a_config_error(tmp_path, capsys
 def test_estimate_horizons_past_the_sample_end_exit_1(tmp_path, capsys, horizons):
     # horizons past the end of the 40-period sample: every horizon from 40
     # on has an empty sample, and the run fails cleanly at the first
-    # horizon whose shock coefficient is lost, with nothing written
+    # horizon whose shock coefficient is lost, with nothing written: at
+    # horizon 17 the sample's rows end in 2002, and the events the panel's
+    # years reach start in 2003
     cfg = (REPO_ROOT / "configs" / "sample_baseline.cfg").read_text()
     cfg = cfg.replace("= data/", f"= {REPO_ROOT / 'data'}/")
     cfg = cfg.replace("out/sample_baseline", str(tmp_path / "out"))
@@ -359,8 +362,8 @@ def test_estimate_horizons_past_the_sample_end_exit_1(tmp_path, capsys, horizons
     (tmp_path / "run.cfg").write_text(cfg)
     assert main(["estimate", "--config", str(tmp_path / "run.cfg")]) == 1
     assert capsys.readouterr().err == (
-        "error: panel-lp: horizon 17: no coefficient for 'shock' "
-        "(dropped as collinear)\n"
+        "error: unidentified-shock: horizon 17: the sample (1983-2002) holds "
+        "no shocked cell, so no event identifies the shock\n"
     )
     out = tmp_path / "out"
     assert not out.exists() or os.listdir(out) == []
@@ -406,12 +409,16 @@ def test_estimate_population_level_control_exits_0(tmp_path, capsys):
     assert [r["horizon"] for r in irf_rows] == [0, 1, 2, 3, 4, 5]
 
 
-def sample_run(tmp_path, lines):
-    """Run the sample config on the panel ``lines`` and return its exit
+def sample_run(tmp_path, lines, cfg_edits=()):
+    """Run the sample config, with each ``(old, new)`` text of
+    ``cfg_edits`` replaced, on the panel ``lines`` and return its exit
     code; the outputs go to ``tmp_path / "out"``."""
     tmp_path.mkdir(exist_ok=True)
     write_lines(tmp_path / "panel.csv", lines)
     cfg = (REPO_ROOT / "configs" / "sample_baseline.cfg").read_text()
+    for old, new in cfg_edits:
+        assert old in cfg
+        cfg = cfg.replace(old, new)
     cfg = cfg.replace("data/sample_panel.csv", str(tmp_path / "panel.csv"))
     cfg = cfg.replace("= data/", f"= {REPO_ROOT / 'data'}/")
     cfg = cfg.replace("out/sample_baseline", str(tmp_path / "out"))
@@ -443,6 +450,40 @@ def test_an_input_column_named_shock_is_not_read(tmp_path):
     assert sample_run(tmp_path / "shocked", shocked) == 0
     plain, shocked = (tmp_path / d / "out" / "irf.csv" for d in ("plain", "shocked"))
     assert plain.read_bytes() == shocked.read_bytes()
+
+
+def test_a_control_may_read_an_input_column_named_shock(tmp_path):
+    # the control log_shock reads an input column named like the shock
+    # dummy; its bytes are those of the same column under another name
+    lines = (REPO_ROOT / "data" / "sample_panel.csv").read_text().splitlines()
+    trade = lines[0].split(",").index("trade_share")
+    for name in ("shock", "extra"):
+        panel = [f"{lines[0]},{name}"] + [f"{x},{x.split(',')[trade]}" for x in lines[1:]]
+        edit = ("gdp_pc:log,trade_share", f"gdp_pc:log,{name}:log")
+        assert sample_run(tmp_path / name, panel, [edit]) == 0
+    shock, extra = (tmp_path / d / "out" / "irf.csv" for d in ("shock", "extra"))
+    assert shock.read_bytes() == extra.read_bytes()
+
+
+def test_a_shock_the_year_effects_absorb_exits_1_naming_its_event(tmp_path, capsys):
+    # H1N1 2009 hits all 10 sample countries, so with only its rows of the
+    # event list every shocked cell sits in a year with no unshocked row
+    events = (REPO_ROOT / "data" / "pandemic_events.csv").read_text().splitlines()
+    events = [line for line in events if line.startswith(("event_name,", "H1N1,"))]
+    write_lines(tmp_path / "events.csv", events)
+    lines = (REPO_ROOT / "data" / "sample_panel.csv").read_text().splitlines()
+    edits = [
+        ("data/pandemic_events.csv", str(tmp_path / "events.csv")),
+        ("input.mortality = data/pandemic_mortality_stub.csv\n", ""),
+    ]
+    assert sample_run(tmp_path, lines, edits) == 1
+    assert capsys.readouterr().err == (
+        "error: unidentified-shock: horizon 0: the year effects absorb the "
+        "shock: every shocked cell of the sample sits in a year whose sample "
+        "rows are all shocked (H1N1 2009)\n"
+    )
+    out = tmp_path / "out"
+    assert not out.exists() or os.listdir(out) == []
 
 
 def test_manifest_counts_log_control_holes_and_log_losses_together(tmp_path):
@@ -614,6 +655,7 @@ def test_every_dataclass_field_has_a_config_key():
         (DataError, "data"),
         (DegenerateDesignError, "degenerate-design"),
         (InsufficientClustersError, "insufficient-clusters"),
+        (UnidentifiedShockError, "unidentified-shock"),
     ],
 )
 def test_error_kind_is_the_class_name_in_kebab_case(

@@ -45,6 +45,11 @@ def test_event_list_validation():
         EventList(events=(ev,), mortality={("flu", "FRA"): 1.0})
     with pytest.raises(EventError, match=">= 0"):
         EventList(events=(ev,), mortality={("flu", "USA"): -1.0})
+    for bad in (float("nan"), float("inf"), np.float64("-inf")):
+        with pytest.raises(EventError, match=">= 0"):
+            EventList(events=(ev,), mortality={("flu", "USA"): bad})
+    for fine in (0, 3, np.float64(1.5), np.float32(2.0)):
+        EventList(events=(ev,), mortality={("flu", "USA"): fine})
     ok = EventList(events=(ev,), mortality={("flu", "USA"): 2.0})
     assert ok.names == ("flu",)
     assert sum(len(ev.entities) for ev in ok.events) == 2

@@ -481,6 +481,23 @@ def test_read_irf_names_the_file_line_and_column_of_a_bad_float(tmp_path):
     assert str(info.value) == f"{path}:3: column 'se' has non-numeric value 'abc'"
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e400", "-1e999"])
+def test_a_non_finite_cell_is_rejected_with_its_text(tmp_path, cell):
+    path = str(tmp_path / "p.csv")
+    write_lines(path, ["entity,year,y", "A,2000,1.5", f"A,2001,{cell}"])
+    with pytest.raises(DataError) as info:
+        read_panel(path)
+    assert str(info.value) == f"{path}:3: column 'y' has non-finite value {cell!r}"
+
+
+def test_finite_extremes_are_read_as_written(tmp_path):
+    cells = ["1.7976931348623157e308", "-5e-324", "-0.0", "1e-310"]
+    path = str(tmp_path / "p.csv")
+    write_lines(path, ["entity,year,y"] + [f"A,{2000 + i},{c}" for i, c in enumerate(cells)])
+    got = read_panel(path).column("y")[0]
+    assert got.tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # regression table rendering
 # ---------------------------------------------------------------------------

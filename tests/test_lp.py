@@ -18,6 +18,7 @@ from panellp.errors import (
     DegenerateDesignError,
     EmptySampleError,
     PanelLPError,
+    UnidentifiedShockError,
 )
 from panellp.estimator import fit_with_covariance, lsdv_fit
 from panellp.events import EventList, PandemicEvent, build_dummies
@@ -512,15 +513,14 @@ def test_irf_peak_memory_is_its_stacks_and_one_horizon_block():
     assert peak < 8 * (4 * V * E * T + 2 * (H + 1) * E * T + 2 * n * (V + 1))
 
 
-def test_thread_pool_matches_serial_bitwise():
-    panel, events, _ = sim_case()
-    spec = spec_y(horizons=4)
-    serial = estimate_irf(panel, events, spec, jobs=1)
-    pooled = estimate_irf(panel, events, spec, jobs=4)
-    for a, b in zip(serial.series("shock"), pooled.series("shock")):
-        assert a.estimate == b.estimate
-        assert a.se == b.se
-        assert a.ci_low == b.ci_low and a.ci_high == b.ci_high
+def test_jobs_changes_no_output_bit():
+    # jobs is accepted and has no effect: a study of several runs gives the
+    # default call's bits under any value
+    panel, events, spec = lead_case(2)
+    want = estimate_irf(panel, events, spec)
+    assert len(lp._build_study(panel, events, spec, range(5)).runs) == 3
+    for jobs in (1, 2, 4):
+        assert_same_bits(estimate_irf(panel, events, spec, jobs=jobs), want, jobs)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -613,6 +613,18 @@ WORKING_NAMES = (
 )
 
 
+def assert_same_bits(got, want, label=None):
+    """Two impulse responses with equal diagnostics, intervals and fit
+    arrays, bit for bit."""
+    assert got.diagnostics == want.diagnostics, label
+    assert len(got.horizons) == len(want.horizons), label
+    for g, w in zip(got.horizons, want.horizons):
+        assert g.intervals == w.intervals, label
+        for field in ("coefficients", "covariance", "residuals"):
+            a, b = getattr(g.result, field), getattr(w.result, field)
+            assert a.tobytes() == b.tobytes(), (label, field)
+
+
 @pytest.mark.parametrize("kind", ["baseline", "interaction", "transition"])
 def test_input_columns_named_like_working_columns_change_nothing(kind, rng):
     panel, events, spec, extra, _ = kind_case(kind)
@@ -623,13 +635,94 @@ def test_input_columns_named_like_working_columns_change_nothing(kind, rng):
         grid = rng.normal(size=(panel.n_entities, panel.n_periods))
         grid[0] = np.nan
         got = estimate_irf(panel.with_column(name, grid), events, spec, **extra)
-        assert got.diagnostics == want.diagnostics, name
-        assert len(got.horizons) == len(want.horizons)
-        for g, w in zip(got.horizons, want.horizons):
-            assert g.intervals == w.intervals, name
-            for field in ("coefficients", "covariance"):
-                a, b = getattr(g.result, field), getattr(w.result, field)
-                assert a.tobytes() == b.tobytes(), (name, field)
+        assert_same_bits(got, want, name)
+
+
+@pytest.mark.parametrize("kind", ["baseline", "interaction", "transition"])
+def test_input_columns_the_spec_reads_may_take_working_names(kind):
+    # the dependent's source, and the growth column (a control's source, or
+    # the transition design's growth), under a working column's name give
+    # the bits of the same columns under their own names
+    panel, events, spec, extra, _ = kind_case(kind)
+    if kind != "transition":
+        spec = replace(spec, controls=(VariableSpec("g", source="growth"),))
+    want = estimate_irf(panel, events, spec, **extra)
+    for name in WORKING_NAMES:
+        for old in ("y", "growth"):
+            cols = {name if v == old else v: panel.column(v) for v in panel.variables}
+            renamed = Panel(panel.entities, panel.periods, cols)
+            if old == "y":
+                reads = replace(spec, dependent=VariableSpec("y", source=name))
+            elif kind == "transition":
+                reads = replace(spec, growth=name)
+            else:
+                reads = replace(spec, controls=(VariableSpec("g", source=name),))
+            got = estimate_irf(renamed, events, reads, **extra)
+            assert_same_bits(got, want, (name, old))
+
+
+@pytest.mark.parametrize("kind", ["baseline", "interaction", "transition"])
+def test_a_sample_without_a_shocked_cell_leaves_the_shock_unidentified(kind):
+    # the one event hits the panel's last year: horizon 0 sees it, and
+    # from horizon 1 on no sample row reaches that year
+    panel, _, spec, extra, _ = kind_case(kind)
+    events = EventList((PandemicEvent("late", panel.periods[-1], panel.entities[10:20]),))
+    with pytest.raises(UnidentifiedShockError) as info:
+        estimate_irf(panel, events, spec, **extra)
+    first, last = panel.periods[3], panel.periods[-2]
+    assert str(info.value) == (
+        f"horizon 1: the sample ({first}-{last}) holds no shocked cell, "
+        "so no event identifies the shock"
+    )
+
+
+@pytest.mark.parametrize("kind", ["baseline", "interaction"])
+def test_a_shock_the_year_effects_absorb_names_its_events(kind):
+    # both events hit every entity, so each shocked year is shocked in
+    # every sample row and the year effects absorb the shock
+    panel, _, spec, extra, _ = kind_case(kind)
+    years = panel.periods[10], panel.periods[14]
+    events = EventList(
+        tuple(PandemicEvent(n, y, panel.entities) for n, y in zip(("flu", "sars"), years))
+    )
+    with pytest.raises(UnidentifiedShockError) as info:
+        estimate_irf(panel, events, spec, **extra)
+    assert str(info.value) == (
+        "horizon 0: the year effects absorb the shock: every shocked cell of the "
+        f"sample sits in a year whose sample rows are all shocked "
+        f"(flu {years[0]}, sars {years[1]})"
+    )
+    # without year effects nothing absorbs it
+    estimate_irf(panel, events, replace(spec, time_fe=False), **extra)
+
+
+def test_a_series_lost_for_another_cause_keeps_the_generic_message():
+    # no group member is ever shocked, so the product term is zero and
+    # dropped while the shock itself is identified
+    panel, _, _ = sim_case()
+    events = EventList(
+        (
+            PandemicEvent("a", panel.periods[8], panel.entities[:5]),
+            PandemicEvent("b", panel.periods[12], panel.entities[3:9]),
+        )
+    )
+    group = GroupSpec("calm", frozenset(panel.entities[10:]))
+    with pytest.raises(PanelLPError) as info:
+        estimate_irf(panel, events, spec_y(kind="interaction"), group=group)
+    assert type(info.value) is PanelLPError
+    assert str(info.value) == (
+        "horizon 0: no coefficient for 'shock_x_group' (dropped as collinear)"
+    )
+
+
+@pytest.mark.parametrize("kind", ["baseline", "interaction", "transition"])
+def test_a_run_that_keeps_its_series_looks_for_no_cause(monkeypatch, kind):
+    def unexpected(*args):
+        raise AssertionError("looked for a cause")
+
+    monkeypatch.setattr(lp, "_check_shock_identified", unexpected)
+    panel, events, spec, extra, _ = kind_case(kind)
+    estimate_irf(panel, events, spec, **extra)
 
 
 @pytest.mark.parametrize("kind", ["baseline", "interaction", "transition"])

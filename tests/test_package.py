@@ -64,7 +64,7 @@ def _small_op(workloads, workload: str):
         return workloads.mc_replication(7, 0, n_entities=30, n_periods=15)
     pnl, evs = workloads.unbalanced_inputs(7, 0, n_entities=30, n_periods=20)
     spec = workloads.unbalanced_spec(horizons=3)
-    return pnl, evs, spec, panellp.lp.estimate_irf(pnl, evs, spec, jobs=1)
+    return pnl, evs, spec, panellp.lp.estimate_irf(pnl, evs, spec)
 
 
 @pytest.mark.parametrize("workload", ["mc_recovery", "unbalanced_transition"])
@@ -199,6 +199,35 @@ def test_estimate_run_loads_only_the_estimate_path(tmp_path):
     )
     report = f"[m for m in {unused!r} if m in sys.modules]"
     assert _run_sample_estimate(tmp_path, report) == "0 []"
+
+
+def test_estimate_irf_with_jobs_loads_no_thread_pool():
+    # jobs has no effect: the sample study's six horizons are six runs, and
+    # jobs=2 still runs them in one serial loop
+    code = (
+        "import sys\n"
+        "from panellp.cli import _spec_from_config\n"
+        "from panellp.ingest import load_config, read_event_list, read_panel\n"
+        "from panellp.lp import _build_study, estimate_irf\n"
+        f"root = {str(ROOT)!r}\n"
+        "cfg = load_config(root + '/configs/sample_baseline.cfg')\n"
+        "panel = read_panel(root + '/' + cfg['input.panel'])\n"
+        "events = read_event_list(\n"
+        "    root + '/' + cfg['input.events'], root + '/' + cfg['input.mortality']\n"
+        ")\n"
+        "spec = _spec_from_config(cfg)\n"
+        "runs = _build_study(panel, events, spec, range(spec.horizons + 1)).runs\n"
+        "irf = estimate_irf(panel, events, spec, jobs=2)\n"
+        "print(len(runs), len(irf.horizons), 'concurrent.futures' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["6", "6", "False"]
 
 
 def test_simulator_names_load_on_first_use():
