@@ -394,8 +394,6 @@ def cluster_covariance(
         raise DegenerateDesignError(
             f"no residual degrees of freedom ({n} rows, {k} retained columns)"
         )
-    if k < X.shape[1]:
-        X = X[:, kept]
     U = result.residuals.reshape(n, -1)
     codes = design.entities if design.cluster == "entity" else design.periods
     starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
@@ -409,7 +407,8 @@ def cluster_covariance(
     covs = []
     for u in U.T:
         # each cluster's score sum over its segment: S[g] = X_g' u_g
-        S = np.add.reduceat(np.multiply(X, u[:, None], out=scores), starts, axis=0)
+        np.multiply(X, u[:, None], out=scores)
+        S = np.add.reduceat(scores, starts, axis=0)[:, kept]  # retained columns
         # per-cluster influence terms B S_g; the sandwich is their cross
         # product, which numpy forms by a symmetric rank-k update, so V is
         # exactly symmetric

@@ -32,7 +32,9 @@ __all__ = [
     "build_dummies",
 ]
 
-SEVERITY_LEVELS = ("high", "medium", "low")
+_SEVERITY_RANK = {"high": 2, "medium": 1, "low": 0}
+# the shock dummies a study may pick: the plain indicator, then the classes
+SHOCK_DUMMIES = ("all", *_SEVERITY_RANK)
 
 
 @dataclass(frozen=True)
@@ -195,19 +197,16 @@ class EventSet:
         return int(np.count_nonzero(self.severity >= 0))
 
     def column(self, which: str) -> np.ndarray:
-        """A fresh 0/1 float grid of one dummy by name: all, high, medium,
-        low."""
+        """A fresh 0/1 float grid of one dummy by name, one of
+        :data:`SHOCK_DUMMIES`."""
         if which == "all":
             return (self.severity >= 0).astype(float)
         if which in _SEVERITY_RANK:
             return (self.severity == _SEVERITY_RANK[which]).astype(float)
         raise EventError(
             f"unknown shock dummy {which!r}; "
-            f"pick one of {sorted(('all', *_SEVERITY_RANK))}"
+            f"pick one of {sorted(SHOCK_DUMMIES)}"
         )
-
-
-_SEVERITY_RANK = {"high": 2, "medium": 1, "low": 0}
 
 
 def build_dummies(

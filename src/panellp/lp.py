@@ -62,7 +62,7 @@ from .estimator import (
     fit_with_covariance,
     linear_combination,
 )
-from .events import EventList, build_dummies
+from .events import SHOCK_DUMMIES, EventList, build_dummies
 from .panel import (
     Panel,
     VariableSpec,
@@ -147,10 +147,10 @@ class LPSpec:
             raise ConfigError("group_handling must be 'design' or 'report_only'")
         if self.r2_mode not in ("within", "overall"):
             raise ConfigError("r2_mode must be 'within' or 'overall'")
-        if self.shock_dummy not in ("all", "high", "medium", "low"):
+        if self.shock_dummy not in SHOCK_DUMMIES:
             raise ConfigError(
                 f"unknown shock dummy {self.shock_dummy!r}; "
-                "pick one of all, high, medium, low"
+                f"pick one of {', '.join(SHOCK_DUMMIES)}"
             )
         if self.percentile_rule not in ("linear", "nearest_rank"):
             raise ConfigError(
@@ -591,11 +591,11 @@ def _check_shock_identified(
     spec: LPSpec,
 ) -> None:
     """Name the shock as the cause when ``fit`` dropped a reported series
-    column: the sample at grid positions ``flat`` holds no shocked cell, or
-    the plain shock column is dropped while every shocked sample cell sits
-    in a year whose sample rows are all shocked, so the year effects absorb
-    it (naming the events that hit those cells).  Either is an
-    :class:`UnidentifiedShockError`; on any other drop this returns, and
+    column, in any design: the sample at grid positions ``flat`` holds no
+    shocked cell, or a shock column (either regime shock, too) is dropped
+    while no sample row of a shocked year is unshocked, so the year effects
+    absorb the shock (naming the events that hit those cells).  Either is
+    an :class:`UnidentifiedShockError`; on any other drop this returns, and
     the series' interval reports the drop."""
     T = panel.n_periods
     shock = [i for i, c in enumerate(study.columns) if c in _SHOCK_COLUMNS]
@@ -607,21 +607,16 @@ def _check_shock_identified(
             f"the sample ({first}-{last}) holds no shocked cell, "
             "so no event identifies the shock"
         )
-    if SHOCK not in fit.dropped_columns or not spec.time_fe:
+    if not spec.time_fe or set(_SHOCK_COLUMNS).isdisjoint(fit.dropped_columns):
         return
-    rows = np.bincount(periods, minlength=T)
-    hits = np.bincount(periods[shocked], minlength=T)
-    years = np.flatnonzero(hits)
-    if (hits[years] < rows[years]).any():
+    if np.isin(periods[~shocked], periods[shocked]).any():
         return
-    hit = {
-        (panel.entities[e], panel.periods[p])
-        for e, p in zip(*np.divmod(flat[shocked], T))
-    }
+    p0, cells = panel.periods[0], flat[shocked]
     named = [
         f"{ev.name} {ev.year}"
         for ev in events.events
-        if any((e, ev.year) in hit for e in ev.entities)
+        if 0 <= ev.year - p0 < T
+        and np.isin(panel.entity_rows(ev.entities) * T + (ev.year - p0), cells).any()
     ]
     raise UnidentifiedShockError(
         "the year effects absorb the shock: every shocked cell of the sample "
@@ -653,7 +648,7 @@ def estimate_irf(
     estimates differ from separate per-horizon fits by rounding (at most
     about 1e-15 relative); a distinct sample's are those of its one-horizon
     design bit for bit.  A failing horizon aborts the whole run with the
-    horizon identified; a shock coefficient lost for want of a shocked
+    horizon identified; in any design, a shock lost for want of a shocked
     cell, or to the year effects, is an :class:`UnidentifiedShockError`.
     ``jobs`` is accepted and has no effect: the runs go in one serial
     loop.  It goes once the benchmark harness stops passing it (ROADMAP

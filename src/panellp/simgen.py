@@ -21,7 +21,7 @@ carrying the exact shock locations and injected paths.
 
 A draw costs little beyond its arithmetic: the two AR recursions step
 together over contiguous period rows, a fixed schedule is set with one
-indexed assignment (``DGPSpec`` rejects cells off the grid), and the
+indexed assignment (``DGPSpec`` converts and checks its cells once), and the
 events, shock cells and state weights come from one ``np.nonzero`` pass
 over the shock grid, split where the period changes.  The outputs are
 those of the cell-by-cell loops bit for bit; the tests keep those loops
@@ -101,16 +101,16 @@ class DGPSpec:
             raise ConfigError("shock_prob must lie in [0, 1]")
         if not self.theta:
             raise ConfigError("theta path is empty")
-        if self.shock_schedule is not None:
-            cells = _schedule_cells(self.shock_schedule)
-            inside = (cells >= 0) & (cells < (self.n_entities, self.n_periods))
-            outside = cells[~inside.all(axis=1)]
-            if outside.size:
-                i, t = outside[0].tolist()
-                raise ConfigError(
-                    f"shock_schedule cell ({i}, {t}) lies outside the "
-                    f"{self.n_entities} x {self.n_periods} grid"
-                )
+        cells = _schedule_cells(self.shock_schedule or ())  # no schedule: no cell
+        inside = (cells >= 0) & (cells < (self.n_entities, self.n_periods))
+        outside = cells[~inside.all(axis=1)]
+        if outside.size:
+            i, t = outside[0].tolist()
+            raise ConfigError(
+                f"shock_schedule cell ({i}, {t}) lies outside the "
+                f"{self.n_entities} x {self.n_periods} grid"
+            )
+        object.__setattr__(self, "_schedule", cells)  # checked once, for generate
         state = (self.theta_recession is not None, self.theta_expansion is not None)
         if any(state) and not all(state):
             raise ConfigError(
@@ -200,8 +200,7 @@ def generate(dgp: DGPSpec) -> tuple[Panel, EventList, SimTruth]:
     # shock locations
     if dgp.shock_schedule is not None:
         D = np.zeros((E, T))
-        cells = _schedule_cells(dgp.shock_schedule)
-        D[cells[:, 0], cells[:, 1]] = 1.0
+        D[dgp._schedule[:, 0], dgp._schedule[:, 1]] = 1.0
     else:
         D = (rng.random((E, T)) < dgp.shock_prob).astype(float)
     if D.sum() == 0:

@@ -167,7 +167,9 @@ def within_fit(
     entity_fe: bool = True,
     time_fe: bool = True,
 ):
-    """Demean-then-fit: the production route packaged for direct use."""
+    """Demean-then-fit on one sample through :func:`panel.two_way_demean`:
+    the fe-oracle's route.  ``estimate`` takes another, the stacked
+    ``panel._fe_effects`` pass and ``lp._gather``."""
     names = [response] + regressors
     dm = two_way_demean(panel, names, entity_fe=entity_fe, time_fe=time_fe)
     mask = dm.present_mask(names)

@@ -465,9 +465,11 @@ def test_a_control_may_read_an_input_column_named_shock(tmp_path):
     assert shock.read_bytes() == extra.read_bytes()
 
 
-def test_a_shock_the_year_effects_absorb_exits_1_naming_its_event(tmp_path, capsys):
-    # H1N1 2009 hits all 10 sample countries, so with only its rows of the
-    # event list every shocked cell sits in a year with no unshocked row
+def h1n1_only_run(tmp_path, edits=()):
+    """Run the sample config, with ``edits``, on the H1N1 rows of its
+    event list alone and no mortality; H1N1 2009 hits all 10 sample
+    countries, so every shocked cell sits in a year with no unshocked row.
+    Returns the exit code."""
     events = (REPO_ROOT / "data" / "pandemic_events.csv").read_text().splitlines()
     events = [line for line in events if line.startswith(("event_name,", "H1N1,"))]
     write_lines(tmp_path / "events.csv", events)
@@ -475,13 +477,36 @@ def test_a_shock_the_year_effects_absorb_exits_1_naming_its_event(tmp_path, caps
     edits = [
         ("data/pandemic_events.csv", str(tmp_path / "events.csv")),
         ("input.mortality = data/pandemic_mortality_stub.csv\n", ""),
+        *edits,
     ]
-    assert sample_run(tmp_path, lines, edits) == 1
-    assert capsys.readouterr().err == (
-        "error: unidentified-shock: horizon 0: the year effects absorb the "
-        "shock: every shocked cell of the sample sits in a year whose sample "
-        "rows are all shocked (H1N1 2009)\n"
-    )
+    return sample_run(tmp_path, lines, edits)
+
+
+ABSORBED_H1N1 = (
+    "error: unidentified-shock: horizon 0: the year effects absorb the "
+    "shock: every shocked cell of the sample sits in a year whose sample "
+    "rows are all shocked (H1N1 2009)\n"
+)
+
+
+def test_a_shock_the_year_effects_absorb_exits_1_naming_its_event(tmp_path, capsys):
+    assert h1n1_only_run(tmp_path) == 1
+    assert capsys.readouterr().err == ABSORBED_H1N1
+    out = tmp_path / "out"
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_a_transition_shock_the_year_effects_absorb_exits_1_naming_its_event(
+    tmp_path, capsys
+):
+    # the two regime shocks sum to the plain one, which the year effects
+    # absorb: the transition design names the cause as the others do
+    edits = [
+        ("spec.kind = baseline", "spec.kind = transition"),
+        ("spec.controls = gdp_pc:log,trade_share", "spec.growth = gdp_growth"),
+    ]
+    assert h1n1_only_run(tmp_path, edits) == 1
+    assert capsys.readouterr().err == ABSORBED_H1N1
     out = tmp_path / "out"
     assert not out.exists() or os.listdir(out) == []
 

@@ -39,6 +39,7 @@ from panellp.panel import (
     VariableSpec,
     horizon_delta,
     scale_column,
+    standardize,
     two_way_demean,
 )
 from panellp.simgen import DGPSpec, generate
@@ -676,7 +677,7 @@ def test_a_sample_without_a_shocked_cell_leaves_the_shock_unidentified(kind):
     )
 
 
-@pytest.mark.parametrize("kind", ["baseline", "interaction"])
+@pytest.mark.parametrize("kind", ["baseline", "interaction", "transition"])
 def test_a_shock_the_year_effects_absorb_names_its_events(kind):
     # both events hit every entity, so each shocked year is shocked in
     # every sample row and the year effects absorb the shock
@@ -694,6 +695,41 @@ def test_a_shock_the_year_effects_absorb_names_its_events(kind):
     )
     # without year effects nothing absorbs it
     estimate_irf(panel, events, replace(spec, time_fe=False), **extra)
+
+
+def test_a_shock_its_entity_effect_absorbs_keeps_the_generic_message():
+    # the one shocked country has a single sample row (a row needs y at
+    # t-3..t), in its shock year, so its entity effect absorbs the shock;
+    # the other countries' rows of that year are unshocked, so the year
+    # effects do not, and the drop is reported as one
+    panel, _, _ = sim_case()
+    y = panel.column("y").copy()
+    y[0, :3] = y[0, 7:] = np.nan
+    panel = panel.replace_column("y", y)
+    events = EventList((PandemicEvent("solo", panel.periods[6], panel.entities[:1]),))
+    with pytest.raises(PanelLPError) as info:
+        estimate_irf(panel, events, spec_y(horizons=0))
+    assert type(info.value) is PanelLPError
+    assert str(info.value) == "horizon 0: no coefficient for 'shock' (dropped as collinear)"
+
+
+@pytest.mark.parametrize("role", ["dependent", "control"])
+def test_a_standardized_input_gives_the_bits_of_its_standardized_grid(role):
+    # the standardize transform, applied by the study, equals a level input
+    # that already holds panel.standardize's grid
+    panel, events, spec = sample_case()
+    src = "co2_pc" if role == "dependent" else "trade_share"
+    panel = panel.with_column("held", standardize(panel, src, out="z").column("z"))
+    via, held = (
+        VariableSpec(f"standardize_{src}", "standardize", source=src),
+        VariableSpec(f"standardize_{src}", source="held"),
+    )
+    if role == "dependent":
+        specs = (replace(spec, dependent=v) for v in (via, held))
+    else:
+        specs = (replace(spec, controls=(spec.controls[0], v)) for v in (via, held))
+    got, want = (estimate_irf(panel, events, s) for s in specs)
+    assert_same_bits(got, want)
 
 
 def test_a_series_lost_for_another_cause_keeps_the_generic_message():
