@@ -7,6 +7,19 @@ data/usage failures from genuine bugs.
 
 from __future__ import annotations
 
+__all__ = [
+    "PanelLPError",
+    "DataError",
+    "ConfigError",
+    "MissingVariableError",
+    "DegenerateVariableError",
+    "EmptySampleError",
+    "DegenerateDesignError",
+    "InsufficientClustersError",
+    "UnidentifiedShockError",
+    "EventError",
+]
+
 
 class PanelLPError(Exception):
     """Base class for all errors raised by this package."""

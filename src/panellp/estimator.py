@@ -52,6 +52,7 @@ __all__ = [
     "CoefficientInterval",
     "ols_fit",
     "cluster_covariance",
+    "fit_with_covariance",
     "coefficient_interval",
     "linear_combination",
     "lsdv_fit",

@@ -7,9 +7,12 @@ import pathlib
 import numpy as np
 import pytest
 
+from panellp.cli import _spec_from_config
+from panellp.ingest import load_config, read_event_list, read_panel
 from panellp.panel import Panel
 
-DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "data"
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+DATA_DIR = REPO_ROOT / "data"
 
 
 @pytest.fixture
@@ -94,6 +97,28 @@ def sparse_panel(
         list(range(2000, 2000 + n_periods)),
         cols,
     )
+
+
+def sample_case():
+    """The shipped sample panel, events and baseline spec."""
+    cfg = load_config(str(REPO_ROOT / "configs" / "sample_baseline.cfg"))
+    panel = read_panel(str(REPO_ROOT / cfg["input.panel"]))
+    events = read_event_list(
+        str(REPO_ROOT / cfg["input.events"]), str(REPO_ROOT / cfg["input.mortality"])
+    )
+    return panel, events, _spec_from_config(cfg)
+
+
+def assert_same_bits(got, want, label=None):
+    """Two impulse responses with equal diagnostics, intervals and fit
+    arrays, bit for bit."""
+    assert got.diagnostics == want.diagnostics, label
+    assert len(got.horizons) == len(want.horizons), label
+    for g, w in zip(got.horizons, want.horizons):
+        assert g.intervals == w.intervals, label
+        for field in ("coefficients", "covariance", "residuals"):
+            a, b = getattr(g.result, field), getattr(w.result, field)
+            assert a.tobytes() == b.tobytes(), (label, field)
 
 
 @pytest.fixture

@@ -123,6 +123,29 @@ def test_simulate_without_shocks_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_state_dependent_truth_lists_each_shock_weight(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    write_lines(
+        cfg,
+        [
+            "dgp.entities = 20",
+            "dgp.periods = 15",
+            "dgp.theta_recession = 0,-0.03",
+            "dgp.theta_expansion = 0,-0.01",
+            "dgp.seed = 3",
+        ],
+    )
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "truth.txt").read_text().splitlines()
+    assert "theta_recession = 0.0,-0.03" in lines
+    assert "theta_expansion = 0.0,-0.01" in lines
+    shocks = [l.split(" = ")[1] for l in lines if l.startswith("shock = ")]
+    weights = [l.split(" = ")[1] for l in lines if l.startswith("recession_weight = ")]
+    assert len(shocks) == 40
+    assert [w.rpartition(",")[0] for w in weights] == shocks
+
+
 _DGP_FLOATS = [k for k, (_, kind) in panellp.cli._DGP_FIELDS.items() if kind is float]
 
 
@@ -315,6 +338,37 @@ def test_estimate_ragged_row_exits_1(tmp_path, sim_dir, capsys, which, lines):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "which, line, message",
+    [
+        ("panel", ",2000,1.0", "{path}:2: empty entity label"),
+        (
+            "panel",
+            "E0,2000," + "1" * 131_073,
+            "{path}:2: field larger than field limit (131072)",
+        ),
+        ("config", " = 5", "{path}:2: empty key"),
+    ],
+    ids=["empty-entity", "huge-cell", "empty-key"],
+)
+def test_an_unreadable_input_line_exits_1_naming_it(
+    tmp_path, sim_dir, capsys, which, line, message
+):
+    path = tmp_path / f"bad_{which}.{'cfg' if which == 'config' else 'csv'}"
+    if which == "panel":
+        write_lines(path, ["entity,year,y", line])
+        cfg = estimate_config(tmp_path, sim_dir, [f"input.panel = {path}"])
+    else:
+        write_lines(path, [f"input.panel = {sim_dir / 'panel.csv'}", line])
+        cfg = path
+    assert main(["estimate", "--config", str(cfg)]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    kind = "config" if which == "config" else "data"
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: {kind}: {message.format(path=path)}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sample_horizon_zero_row_keeps_its_signed_zeros(tmp_path):
     # the horizon-0 response is identically zero, and its estimate is the
     # shock's own coefficient, read straight off the fit: -0.0, which a
@@ -426,6 +480,12 @@ def sample_run(tmp_path, lines, cfg_edits=()):
     return main(["estimate", "--config", str(tmp_path / "run.cfg")])
 
 
+def run_manifest(out):
+    """The manifest of the run written to ``out``, as a dict."""
+    text = (out / "manifest.txt").read_text()
+    return dict(line.split(" = ", 1) for line in text.splitlines())
+
+
 def sample_manifest(tmp_path, edits=()):
     """Run the sample config on a copy of the sample panel whose cells
     ``(entity, year, column)`` are set to the given text; return the
@@ -437,8 +497,7 @@ def sample_manifest(tmp_path, edits=()):
         (row,) = [r for r in rows if r[:2] == [entity, str(year)]]
         row[header.index(column)] = text
     assert sample_run(tmp_path, [lines[0]] + [",".join(r) for r in rows]) == 0
-    text = (tmp_path / "out" / "manifest.txt").read_text()
-    return dict(line.split(" = ", 1) for line in text.splitlines())
+    return run_manifest(tmp_path / "out")
 
 
 def test_an_input_column_named_shock_is_not_read(tmp_path):
@@ -463,6 +522,53 @@ def test_a_control_may_read_an_input_column_named_shock(tmp_path):
         assert sample_run(tmp_path / name, panel, [edit]) == 0
     shock, extra = (tmp_path / d / "out" / "irf.csv" for d in ("shock", "extra"))
     assert shock.read_bytes() == extra.read_bytes()
+
+
+def test_manifest_names_a_control_the_year_effects_absorb(tmp_path):
+    # a control that is the same for every entity in a year is collinear
+    # with the year effects; the fit drops it and the manifest says so
+    lines = (REPO_ROOT / "data" / "sample_panel.csv").read_text().splitlines()
+    price = {year: f"{50 + 0.7 * (year - 1980):.2f}" for year in range(1980, 2020)}
+    rows = [lines[0] + ",world_price"]
+    rows += [f"{line},{price[int(line.split(',')[1])]}" for line in lines[1:]]
+    edit = ("gdp_pc:log,trade_share", "gdp_pc:log,trade_share,world_price")
+    assert sample_run(tmp_path, rows, [edit]) == 0
+    manifest = run_manifest(tmp_path / "out")
+    for k in range(6):
+        assert manifest[f"horizon_{k}.dropped_columns"] == "world_price"
+
+
+def test_manifest_names_an_entity_missing_from_one_input(tmp_path):
+    # the sample panel split over two files, the second without USA
+    lines = (REPO_ROOT / "data" / "sample_panel.csv").read_text().splitlines()
+    cells = [line.split(",") for line in lines]
+    write_lines(
+        tmp_path / "extra.csv",
+        [",".join(c[:2] + c[4:]) for c in cells if c[0] != "USA"],
+    )
+    edit = ("data/sample_panel.csv", f"data/sample_panel.csv,{tmp_path / 'extra.csv'}")
+    assert sample_run(tmp_path, [",".join(c[:4]) for c in cells], [edit]) == 0
+    manifest = run_manifest(tmp_path / "out")
+    assert manifest["entities_not_in_every_input"] == "USA"
+    assert "input_sha256.extra.csv" in manifest
+
+
+def test_carbon_var_scales_a_logged_outcome_without_moving_the_irf(tmp_path):
+    # input.carbon_var multiplies co2_pc by 3.667; the log response of a
+    # rescaled outcome is the same up to rounding
+    lines = (REPO_ROOT / "data" / "sample_panel.csv").read_text().splitlines()
+    edit = ("spec.kind = baseline", "input.carbon_var = co2_pc\nspec.kind = baseline")
+    assert sample_run(tmp_path / "plain", lines) == 0
+    assert sample_run(tmp_path / "carbon", lines, [edit]) == 0
+    plain, carbon = (
+        read_irf(str(tmp_path / d / "out" / "irf.csv")) for d in ("plain", "carbon")
+    )
+    for key in ("estimate", "se"):
+        np.testing.assert_allclose(
+            [r[key] for r in carbon], [r[key] for r in plain], rtol=1e-12, atol=0
+        )
+    manifest = run_manifest(tmp_path / "carbon" / "out")
+    assert manifest["config.input.carbon_var"] == "co2_pc"
 
 
 def h1n1_only_run(tmp_path, edits=()):
@@ -597,6 +703,7 @@ def test_estimate_non_finite_sigma_exits_1(tmp_path, sim_dir, capsys, sigma):
         "spec.controls = gdp_pc:",
         "spec.controls = gdp_pc:per_capita_log",  # a control has no population
         "spec.dependent_transform = per_capita_log",  # without spec.population
+        "spec.kind = interaction",  # without input.groups
     ],
 )
 def test_estimate_bad_spec_value_is_a_config_error(tmp_path, sim_dir, capsys, line):
@@ -617,6 +724,8 @@ def test_estimate_bad_spec_value_is_a_config_error(tmp_path, sim_dir, capsys, li
     assert value in errors[0]
     if key in ("spec.entity_fe", "dgp.entities", "dgp.theta"):  # parser rejects
         assert errors[0].startswith(f"error: config: {key} must be ")
+    if key == "spec.kind":
+        assert errors == ["error: config: interaction design needs input.groups"]
     if key == "spec.controls":  # the line names the key and the bad token
         token = line.split(" = ")[1].split(",")[-1]
         assert errors[0].startswith(f"error: config: {key} token {token!r}: ")

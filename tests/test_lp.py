@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import gc
-import pathlib
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from panellp.cli import _spec_from_config
+from conftest import assert_same_bits, sample_case
 from panellp import estimator, lp
 from panellp.errors import (
     ConfigError,
@@ -22,7 +21,6 @@ from panellp.errors import (
 )
 from panellp.estimator import fit_with_covariance, lsdv_fit
 from panellp.events import EventList, PandemicEvent, build_dummies
-from panellp.ingest import load_config, read_event_list, read_panel
 from panellp.lp import (
     GroupSpec,
     LPSpec,
@@ -46,9 +44,6 @@ from panellp.simgen import DGPSpec, generate
 from panellp.validation import brute_force_cluster_cov, solve_normal_equations
 
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
 def sim_case(seed=3, **dgp_kw):
     base = dict(
         n_entities=30,
@@ -66,16 +61,6 @@ def spec_y(**kw):
     base = dict(dependent=VariableSpec("y", transform="level"), horizons=3)
     base.update(kw)
     return LPSpec(**base)
-
-
-def sample_case():
-    """The shipped sample panel, events and baseline spec."""
-    cfg = load_config(str(REPO_ROOT / "configs" / "sample_baseline.cfg"))
-    panel = read_panel(str(REPO_ROOT / cfg["input.panel"]))
-    events = read_event_list(
-        str(REPO_ROOT / cfg["input.events"]), str(REPO_ROOT / cfg["input.mortality"])
-    )
-    return panel, events, _spec_from_config(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -612,18 +597,6 @@ WORKING_NAMES = (
     "growth_lag_1", "recession_weight_lag_1", "shock_recession",
     "__dep", "__dgrow", "__fz", "__z",
 )
-
-
-def assert_same_bits(got, want, label=None):
-    """Two impulse responses with equal diagnostics, intervals and fit
-    arrays, bit for bit."""
-    assert got.diagnostics == want.diagnostics, label
-    assert len(got.horizons) == len(want.horizons), label
-    for g, w in zip(got.horizons, want.horizons):
-        assert g.intervals == w.intervals, label
-        for field in ("coefficients", "covariance", "residuals"):
-            a, b = getattr(g.result, field), getattr(w.result, field)
-            assert a.tobytes() == b.tobytes(), (label, field)
 
 
 @pytest.mark.parametrize("kind", ["baseline", "interaction", "transition"])

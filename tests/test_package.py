@@ -16,8 +16,32 @@ import panellp
 from panellp.cli import main
 
 
-def test_every_export_resolves():
-    # a name removed from a module must leave ``__all__`` with it
+def test_package_exports_each_module_all_and_every_name_resolves():
+    # each module's ``__all__`` is the one list of its public names; the
+    # package re-exports them all, and a name removed from a module must
+    # leave its ``__all__`` with it
+    from panellp import (
+        cli,
+        errors,
+        estimator,
+        events,
+        ingest,
+        lp,
+        panel,
+        simgen,
+        validation,
+    )
+
+    modules = (errors, panel, estimator, events, lp, ingest)
+    assert panellp.__all__ == [
+        "__version__",
+        *(name for module in modules for name in module.__all__),
+        *simgen.__all__,  # spelled out in the package, which loads it lazily
+    ]
+    assert len(set(panellp.__all__)) == len(panellp.__all__)
+    for module in (*modules, simgen, cli, validation):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
     for name in panellp.__all__:
         assert hasattr(panellp, name), name
 
