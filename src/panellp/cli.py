@@ -272,10 +272,8 @@ def _write_manifest(
     for p in input_paths:
         lines.append(f"input_sha256.{os.path.basename(p)} = {file_sha256(p)}")
     lines.append(f"series = {','.join(irf.series_names)}")
-    sweeps = irf.diagnostics["demean_sweeps"]
     for h in irf.horizons:
         lines.append(f"horizon_{h.horizon}.n_obs = {h.result.n_obs}")
-        lines.append(f"horizon_{h.horizon}.demean_sweeps = {sweeps[h.horizon]}")
         if h.result.dropped_columns:
             dropped = ",".join(h.result.dropped_columns)
             lines.append(f"horizon_{h.horizon}.dropped_columns = {dropped}")

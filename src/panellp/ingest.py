@@ -6,9 +6,9 @@ blank rows are skipped wherever they stand.  The first non-blank row is
 the header; its names must be distinct and include the file's required
 columns, and other columns are allowed.  Every data row has the header's
 field count.  A breach of these rules, an empty, unreadable or non-UTF-8
-file, a malformed cell, or a duplicate key fails loudly as a
+file, a malformed cell, or an empty or repeated key fails loudly as a
 :class:`DataError` with the file and line number rather than propagating
-a silent NaN; an empty cell is the one sanctioned way to say "missing".
+a silent NaN; an empty value cell is how a file says "missing".
 Writers are lossless where the data flows back into code (impulse
 responses round-trip through ``repr`` floats) and fixed-point where the
 output is meant for reading (regression tables).
@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,20 +54,47 @@ CARBON_TO_CO2 = 3.667
 _MAX_YEAR_SPAN = 10_000
 
 
+def _integer(cell: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise ValueError("non-integer") from None
+
+
+def _number(cell: str) -> float | None:
+    if cell == "":
+        return None  # an empty cell is missing
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError("non-numeric") from None
+    if not math.isfinite(value):
+        raise ValueError("non-finite")
+    return value
+
+
 def _read_table(
-    path: str, required: Sequence[str]
-) -> tuple[dict[str, int], list[tuple[int, list[str]]]]:
+    path: str,
+    columns: dict[str, Callable[[str], object]],
+    key: Sequence[str] = (),
+    rest: Callable[[str], object] | None = None,
+) -> tuple[list[str], list[tuple[int, list]]]:
     """Read one input CSV under the rules every input file follows.
 
     Every cell is stripped, and blank rows are skipped wherever they
     stand, before the header too.  The first non-blank row is the header:
-    its names must be distinct and include ``required``; other columns
-    are allowed.  Every data row must have the header's field count.
-    Returns the header's ``{name: position}`` in file order and one
-    ``(line, cells)`` pair per data row.  The file is UTF-8 text; a
-    leading byte-order mark, as spreadsheet programs write, is skipped.
-    Each breach, an unreadable file included, is a :class:`DataError`
-    naming the file and, where there is one, the line.
+    its names must be distinct and include ``columns``; other columns are
+    parsed by ``rest`` when it is given and ignored otherwise.  Every data
+    row must have the header's field count.  ``columns`` maps a column to
+    its parser (``str``, :func:`_integer` or :func:`_number`); a parser
+    rejects a cell with a ``ValueError`` that names what the cell is not.
+    ``key`` names the columns that identify a row: no key cell is empty
+    and no parsed key repeats.  Returns the names read, ``columns`` first
+    and then the rest in file order, and one ``(line, values)`` pair per
+    data row.  The file is UTF-8 text; a leading byte-order mark, as
+    spreadsheet programs write, is skipped.  Each breach, an unreadable
+    file included, is a :class:`DataError` naming the file and, where
+    there is one, the line.
     """
     rows: list[tuple[int, list[str]]] = []
     try:
@@ -89,13 +116,21 @@ def _read_table(
     pos = {name: i for i, name in enumerate(header)}
     if len(pos) != len(header):
         raise DataError("header has duplicate column names", path=path, line=line)
-    for name in required:
+    for name in columns:
         if name not in pos:
             raise DataError(
                 f"header lacks required column {name!r} (found {header})",
                 path=path,
                 line=line,
             )
+    plan = [(name, pos[name], parse) for name, parse in columns.items()]
+    if rest is not None:
+        plan += [(name, i, rest) for i, name in enumerate(header) if name not in columns]
+    names = [name for name, _, _ in plan]
+    key_at = [names.index(name) for name in key]
+    key_cells = [(name, pos[name]) for name in key]
+    first_line: dict[tuple, int] = {}
+    out: list[tuple[int, list]] = []
     for line, cells in rows[1:]:
         if len(cells) != len(header):
             raise DataError(
@@ -103,40 +138,35 @@ def _read_table(
                 path=path,
                 line=line,
             )
-    return pos, rows[1:]
-
-
-def _parse_float(
-    cell: str, path: str, line: int, column: str
-) -> float | None:
-    if cell == "":
-        return None
-    try:
-        value = float(cell)
-    except ValueError:
-        raise DataError(
-            f"column {column!r} has non-numeric value {cell!r}",
-            path=path,
-            line=line,
-        ) from None
-    if not math.isfinite(value):
-        raise DataError(
-            f"column {column!r} has non-finite value {cell!r}",
-            path=path,
-            line=line,
-        )
-    return value
-
-
-def _parse_int(cell: str, path: str, line: int, column: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise DataError(
-            f"column {column!r} has non-integer value {cell!r}",
-            path=path,
-            line=line,
-        ) from None
+        for name, i in key_cells:
+            if not cells[i]:
+                raise DataError(f"empty {name} label", path=path, line=line)
+        values = []
+        try:
+            for name, i, parse in plan:
+                values.append(parse(cells[i]))
+        except ValueError as exc:
+            raise DataError(
+                f"column {name!r} has {exc} value {cells[i]!r}",
+                path=path,
+                line=line,
+            ) from None
+        if key:
+            ids = tuple([values[j] for j in key_at])
+            seen = first_line.setdefault(ids, line)
+            if seen != line:
+                shown = (
+                    f"{key[0]} {ids[0]}"
+                    if len(key) == 1
+                    else f"({', '.join(key)}) = ({', '.join(map(str, ids))})"
+                )
+                raise DataError(
+                    f"{shown} repeated; first seen at line {seen}",
+                    path=path,
+                    line=line,
+                )
+        out.append((line, values))
+    return names, out
 
 
 def read_panel(path: str) -> Panel:
@@ -146,47 +176,29 @@ def read_panel(path: str) -> Panel:
     names a numeric variable.  Empty cells are missing.  Entities keep
     their order of first appearance, and the period axis spans every year
     from the file's first to its last, at most ``_MAX_YEAR_SPAN`` of them.
-    A repeated (entity, year) pair is an error that names both offending
-    lines, and a non-numeric cell is an error naming file, line, and
-    column.
+    The key is (entity, year), the year read as an integer.
     """
-    pos, rows = _read_table(path, ("entity", "year"))
+    names, rows = _read_table(
+        path, {"entity": str, "year": _integer}, ("entity", "year"), rest=_number
+    )
     if not rows:
         raise DataError("no data rows", path=path)
-    ent_pos, year_pos = pos.pop("entity"), pos.pop("year")
+    variables = names[2:]
     codes: dict[str, int] = {}
-    first_line: dict[tuple[int, int], int] = {}
-    ents: list[int] = []
-    years: list[int] = []
-    values: list[list[float | None]] = []
-    for line, row in rows:
-        ent = row[ent_pos]
-        if ent == "":
-            raise DataError("empty entity label", path=path, line=line)
-        code = codes.setdefault(ent, len(codes))
-        year = _parse_int(row[year_pos], path, line, "year")
-        seen = first_line.setdefault((code, year), line)
-        if seen != line:
-            raise DataError(
-                f"duplicate (entity, year) = ({ent}, {year}); "
-                f"first seen at line {seen}",
-                path=path,
-                line=line,
-            )
-        ents.append(code)
-        years.append(year)
-        values.append([_parse_float(row[p], path, line, v) for v, p in pos.items()])
+    ents = [codes.setdefault(values[0], len(codes)) for _, values in rows]
+    years = [values[1] for _, values in rows]
     first, last = min(years), max(years)
     if last - first >= _MAX_YEAR_SPAN:
         raise DataError(
             f"years {first}..{last} span more than {_MAX_YEAR_SPAN}", path=path
         )
     # one (variable, entity, year) grid, filled by one assignment; None -> NaN
-    block = np.array(values, dtype=float).reshape(len(rows), len(pos))
+    block = np.array([values[2:] for _, values in rows], dtype=float)
+    block = block.reshape(len(rows), len(variables))
     offsets = np.fromiter((y - first for y in years), np.intp, len(years))
-    grids = np.full((len(pos), len(codes), last - first + 1), np.nan)
+    grids = np.full((len(variables), len(codes), last - first + 1), np.nan)
     grids[:, ents, offsets] = block.T
-    return Panel(list(codes), range(first, last + 1), dict(zip(pos, grids)))
+    return Panel(list(codes), range(first, last + 1), dict(zip(variables, grids)))
 
 
 def write_panel(panel: Panel, path: str, variables: Sequence[str] | None = None) -> None:
@@ -212,30 +224,20 @@ def read_event_list(path: str, mortality_path: str | None = None) -> EventList:
     """Load events (``event_name, year, iso3`` rows) and optional mortality.
 
     The mortality file has ``event_name, iso3, mortality`` rows keyed to
-    (event, affected country) pairs.
+    (event, affected country) pairs, as the event file is.
     """
-    pos, rows = _read_table(path, ("event_name", "year", "iso3"))
-    name_pos, year_pos, iso_pos = pos["event_name"], pos["year"], pos["iso3"]
+    _, rows = _read_table(
+        path,
+        {"event_name": str, "year": _integer, "iso3": str},
+        ("event_name", "iso3"),
+    )
     years: dict[str, int] = {}
     members: dict[str, list[str]] = {}
-    first_line: dict[tuple[str, str], int] = {}
-    for line, row in rows:
-        name, iso = row[name_pos], row[iso_pos]
-        if name == "" or iso == "":
-            raise DataError("empty event name or country code", path=path, line=line)
-        year = _parse_int(row[year_pos], path, line, "year")
+    for line, (name, year, iso) in rows:
         if years.setdefault(name, year) != year:
             raise DataError(
                 f"event {name!r} listed with conflicting years "
                 f"{years[name]} and {year}",
-                path=path,
-                line=line,
-            )
-        seen = first_line.setdefault((name, iso), line)
-        if seen != line:
-            raise DataError(
-                f"country {iso} repeated for event {name!r}; "
-                f"first seen at line {seen}",
                 path=path,
                 line=line,
             )
@@ -249,23 +251,13 @@ def read_event_list(path: str, mortality_path: str | None = None) -> EventList:
 
     mortality = None
     if mortality_path is not None:
-        mortality = {}
-        pos, rows = _read_table(mortality_path, ("event_name", "iso3", "mortality"))
-        name_pos, iso_pos, mort_pos = pos["event_name"], pos["iso3"], pos["mortality"]
-        first_line = {}
-        for line, row in rows:
-            key = (row[name_pos], row[iso_pos])
-            seen = first_line.setdefault(key, line)
-            if seen != line:
-                raise DataError(
-                    f"duplicate mortality entry for {key}; "
-                    f"first seen at line {seen}",
-                    path=mortality_path,
-                    line=line,
-                )
-            value = _parse_float(row[mort_pos], mortality_path, line, "mortality")
-            if value is not None:  # an empty mortality cell is simply absent
-                mortality[key] = value
+        _, rows = _read_table(
+            mortality_path,
+            {"event_name": str, "iso3": str, "mortality": _number},
+            ("event_name", "iso3"),
+        )
+        # an empty mortality cell is simply absent
+        mortality = {(n, iso): v for _, (n, iso, v) in rows if v is not None}
     return EventList(events=events, mortality=mortality)
 
 
@@ -281,36 +273,18 @@ def write_event_list(events: EventList, path: str) -> None:
 
 
 def read_groups(path: str, name: str) -> GroupSpec:
-    """Load a membership CSV (``entity, member`` with 0/1 flags).
-
-    Each entity is listed once; a repeated one is an error that names
-    both lines.
-    """
-    pos, rows = _read_table(path, ("entity", "member"))
-    ent_pos, mem_pos = pos["entity"], pos["member"]
-    members: set[str] = set()
-    first_line: dict[str, int] = {}
-    for line, row in rows:
-        ent = row[ent_pos]
-        if ent == "":
-            raise DataError("empty entity label", path=path, line=line)
-        seen = first_line.setdefault(ent, line)
-        if seen != line:
-            raise DataError(
-                f"entity {ent} repeated; first seen at line {seen}",
-                path=path,
-                line=line,
-            )
-        flag = _parse_int(row[mem_pos], path, line, "member")
+    """Load a membership CSV (``entity, member`` with 0/1 flags), keyed
+    on ``entity``."""
+    _, rows = _read_table(path, {"entity": str, "member": _integer}, ("entity",))
+    for line, (_, flag) in rows:
         if flag not in (0, 1):
             raise DataError(
                 f"member flag must be 0 or 1, got {flag}", path=path, line=line
             )
-        if flag == 1:
-            members.add(ent)
+    members = frozenset(ent for _, (ent, flag) in rows if flag == 1)
     if not members:
         raise DataError("no group members flagged", path=path)
-    return GroupSpec(name=name, members=frozenset(members))
+    return GroupSpec(name=name, members=members)
 
 
 def carbon_to_co2(panel: Panel, var: str) -> Panel:
@@ -384,6 +358,7 @@ _IRF_FIELDS = (
     "n_periods",
     "r_squared",
 )
+_IRF_PARSERS = (_integer, str, *[_number] * 5, str, *[_integer] * 3, _number)
 
 
 def write_irf(irf: IRF, path: str) -> None:
@@ -406,23 +381,12 @@ def write_irf(irf: IRF, path: str) -> None:
 
 
 def read_irf(path: str) -> list[dict[str, object]]:
-    """Read an impulse-response CSV back into typed row dicts."""
-    pos, rows = _read_table(path, _IRF_FIELDS)
-    ints = {"horizon", "n_obs", "n_entities", "n_periods"}
-    floats = {"estimate", "se", "ci_low", "ci_high", "p_value", "r_squared"}
-    out: list[dict[str, object]] = []
-    for line, row in rows:
-        rec: dict[str, object] = {}
-        for name in _IRF_FIELDS:
-            cell = row[pos[name]]
-            if name in ints:
-                rec[name] = _parse_int(cell, path, line, name)
-            elif name in floats:
-                rec[name] = _parse_float(cell, path, line, name)
-            else:
-                rec[name] = cell
-        out.append(rec)
-    return out
+    """Read an impulse-response CSV, keyed on (horizon, series), back into
+    typed row dicts."""
+    names, rows = _read_table(
+        path, dict(zip(_IRF_FIELDS, _IRF_PARSERS)), ("horizon", "series")
+    )
+    return [dict(zip(names, values)) for _, values in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -128,37 +128,32 @@ class LPSpec:
     def __post_init__(self):
         if self.kind not in ("baseline", "interaction", "transition"):
             raise ConfigError(f"unknown projection kind {self.kind!r}")
-        if self.horizons < 0:
-            raise ConfigError("horizons must be >= 0")
-        if self.lag_order < 0:
-            raise ConfigError("lag_order must be >= 0")
-        if self.dummy_lags < 0:
-            raise ConfigError("dummy_lags must be >= 0")
+        for name in ("horizons", "lag_order", "dummy_lags"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 < self.conf_level <= MAX_LEVEL:
             raise ConfigError(
                 f"conf_level must be in (0, 1), at most 1 - 2**-52, got {self.conf_level}"
             )
         _check_sigma(self.sigma)
-        if self.cluster not in ("entity", "period"):
-            raise ConfigError("cluster must be 'entity' or 'period'")
-        if self.z_scope not in ("pooled", "entity"):
-            raise ConfigError("z_scope must be 'pooled' or 'entity'")
-        if self.group_handling not in ("design", "report_only"):
-            raise ConfigError("group_handling must be 'design' or 'report_only'")
-        if self.r2_mode not in ("within", "overall"):
-            raise ConfigError("r2_mode must be 'within' or 'overall'")
+        for name, allowed in (
+            ("cluster", ("entity", "period")),
+            ("z_scope", ("pooled", "entity")),
+            ("group_handling", ("design", "report_only")),
+            ("r2_mode", ("within", "overall")),
+            ("percentile_rule", ("linear", "nearest_rank")),
+            ("ci_dist", ("t", "normal")),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(
+                    f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}"
+                )
         if self.shock_dummy not in SHOCK_DUMMIES:
             raise ConfigError(
                 f"unknown shock dummy {self.shock_dummy!r}; "
                 f"pick one of {', '.join(SHOCK_DUMMIES)}"
             )
-        if self.percentile_rule not in ("linear", "nearest_rank"):
-            raise ConfigError(
-                f"percentile_rule must be 'linear' or 'nearest_rank', "
-                f"got {self.percentile_rule!r}"
-            )
-        if self.ci_dist not in ("t", "normal"):
-            raise ConfigError(f"ci_dist must be 't' or 'normal', got {self.ci_dist!r}")
         if self.kind == "transition" and not self.growth:
             raise ConfigError("transition design needs a growth variable")
         if self.kind == "transition" and self.controls:
@@ -338,12 +333,14 @@ def _design_columns(spec: LPSpec) -> tuple[str, ...]:
     if spec.kind == "transition":
         for j in lags:
             names += [f"growth_lag_{j}", f"recession_weight_lag_{j}"]
-    for i, name in enumerate(names):
-        if name in names[:i]:
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
             raise ConfigError(
                 f"the {spec.kind} design would have two columns named {name!r}; "
                 "rename or drop the control"
             )
+        seen.add(name)
     return tuple(names)
 
 

@@ -76,9 +76,9 @@ class DGPSpec:
 
     def __post_init__(self):
         if self.n_entities < 2:
-            raise ConfigError("need at least 2 entities")
+            raise ConfigError(f"need at least 2 entities, got {self.n_entities}")
         if self.n_periods < 3:
-            raise ConfigError("need at least 3 periods")
+            raise ConfigError(f"need at least 3 periods, got {self.n_periods}")
         for name in ("entity_sd", "time_sd", "noise_sd", "error_rho", "ar_coef",
                      "shock_prob", "sigma", "base_level"):
             value = getattr(self, name)
@@ -91,14 +91,15 @@ class DGPSpec:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("entity_sd", "time_sd", "noise_sd"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if not abs(self.error_rho) < 1:
-            raise ConfigError("error_rho must lie in (-1, 1)")
-        if not abs(self.ar_coef) < 1:
-            raise ConfigError("ar_coef must lie in (-1, 1)")
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
+        for name in ("error_rho", "ar_coef"):
+            value = getattr(self, name)
+            if not abs(value) < 1:
+                raise ConfigError(f"{name} must lie in (-1, 1), got {value}")
         if not 0.0 <= self.shock_prob <= 1.0:
-            raise ConfigError("shock_prob must lie in [0, 1]")
+            raise ConfigError(f"shock_prob must lie in [0, 1], got {self.shock_prob}")
         if not self.theta:
             raise ConfigError("theta path is empty")
         cells = _schedule_cells(self.shock_schedule or ())  # no schedule: no cell

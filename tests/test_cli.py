@@ -666,6 +666,47 @@ def test_estimate_without_residual_dof_exits_1(tmp_path, capsys):
     assert len(errors) == 1 and errors[0].startswith("error: degenerate-design:")
 
 
+@pytest.mark.parametrize(
+    "usa_growth, message",
+    [
+        ("single", "'input:gdp_growth': entity 'USA' has a single value"),
+        ("constant", "'input:gdp_growth' has zero variance within entity 'USA'"),
+    ],
+)
+def test_entity_scoped_growth_needs_two_distinct_values_per_entity(
+    tmp_path, capsys, usa_growth, message
+):
+    # spec.z_scope = entity standardizes growth within each country, so a
+    # country with a growth value needs two distinct ones
+    lines = (REPO_ROOT / "data" / "sample_panel.csv").read_text().splitlines()
+    col = lines[0].split(",").index("gdp_growth")
+    usa = [i for i, line in enumerate(lines) if line.startswith("USA,")]
+    for n, i in enumerate(usa):
+        cells = lines[i].split(",")
+        if usa_growth == "single":
+            cells[col] = "1.5" if n == 1 else ""
+        elif cells[col]:
+            cells[col] = "1.5"
+        lines[i] = ",".join(cells)
+    panel = tmp_path / "panel.csv"
+    write_lines(panel, lines)
+    cfg = estimate_config(
+        tmp_path,
+        tmp_path,
+        [
+            f"input.panel = {panel}",
+            f"input.events = {REPO_ROOT / 'data' / 'pandemic_events.csv'}",
+            "spec.kind = transition",
+            "spec.dependent = co2_pc",
+            "spec.growth = gdp_growth",
+            "spec.z_scope = entity",
+        ],
+    )
+    assert main(["estimate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: degenerate-variable: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf"])
 def test_estimate_non_finite_sigma_exits_1(tmp_path, sim_dir, capsys, sigma):
     # nan once passed the sigma > 0 check and surfaced as an empty sample;
@@ -704,6 +745,20 @@ def test_estimate_non_finite_sigma_exits_1(tmp_path, sim_dir, capsys, sigma):
         "spec.controls = gdp_pc:per_capita_log",  # a control has no population
         "spec.dependent_transform = per_capita_log",  # without spec.population
         "spec.kind = interaction",  # without input.groups
+        "spec.horizons = -3",
+        "spec.lag_order = -4",
+        "spec.dummy_lags = -5",
+        "spec.cluster = region",
+        "spec.z_scope = country",
+        "spec.group_handling = drop",
+        "spec.r2_mode = adjusted",
+        "dgp.periods = 2",
+        "dgp.entity_sd = -0.5",
+        "dgp.time_sd = -0.25",
+        "dgp.noise_sd = -2.5",
+        "dgp.error_rho = -1.25",
+        "dgp.ar_coef = 1.5",
+        "dgp.shock_prob = 1.75",
     ],
 )
 def test_estimate_bad_spec_value_is_a_config_error(tmp_path, sim_dir, capsys, line):

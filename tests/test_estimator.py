@@ -537,6 +537,24 @@ def test_design_rejects_bad_codes(rng, codes):
         )
 
 
+def test_design_rejects_a_bad_matrix_or_column_names(rng):
+    good = {
+        "response": rng.normal(size=6),
+        "matrix": rng.normal(size=(6, 2)),
+        "columns": ("a", "b"),
+        "entities": np.arange(6),
+        "periods": np.arange(6),
+    }
+    assert DesignMatrix(**good).columns == ("a", "b")
+    for change, message in [
+        ({"matrix": rng.normal(size=6)}, "design matrix must be 2-D"),
+        ({"columns": ("a",)}, "1 names for 2 columns"),
+        ({"columns": ("a", "a")}, "duplicate column names in design"),
+    ]:
+        with pytest.raises(PanelLPError, match=f"^{message}$"):
+            DesignMatrix(**{**good, **change})
+
+
 def test_sparse_codes_cost_and_give_what_dense_codes_do(rng):
     # codes far past the row count are mapped to dense ones once, so the
     # per-code counts of the fit and the covariance are sized by the 200
@@ -665,6 +683,17 @@ def test_interval_requires_covariance(rng):
     fit = ols_fit(make_design(rng))
     with pytest.raises(PanelLPError, match="covariance"):
         coefficient_interval(fit, "x0")
+
+
+def test_a_t_interval_needs_two_clusters(rng):
+    # a one-cluster result that holds a covariance leaves the t reference
+    # no degrees of freedom; the normal reference needs none
+    fit = replace(fit_with_covariance(make_design(rng)), n_clusters=1)
+    with pytest.raises(
+        InsufficientClustersError, match=r"^t reference needs >= 2 clusters \(df = 0\)$"
+    ):
+        coefficient_interval(fit, "x0")
+    assert coefficient_interval(fit, "x0", dist="normal").se > 0.0
 
 
 def test_interval_bracket_validation():

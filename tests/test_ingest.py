@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,13 @@ def test_read_panel_duplicate_cell_names_both_lines(tmp_path):
     with pytest.raises(DataError, match="first seen at line 2") as err:
         read_panel(path)
     assert "p.csv:4:" in str(err.value)
+    # the key holds the year as an integer, however it is written
+    write_lines(path, ["entity,year,y", "A,2000,1.0", "A,02000,3.0"])
+    with pytest.raises(DataError) as err:
+        read_panel(path)
+    assert str(err.value) == (
+        f"{path}:3: (entity, year) = (A, 2000) repeated; first seen at line 2"
+    )
 
 
 def test_read_panel_non_numeric_cell_names_location(tmp_path):
@@ -267,7 +275,13 @@ def test_read_event_list_duplicate_mortality_pair(tmp_path):
         mpath,
         ["event_name,iso3,mortality", "alpha,USA,1.0", "alpha,USA,2.0"],
     )
-    with pytest.raises(DataError, match="duplicate mortality"):
+    with pytest.raises(
+        DataError,
+        match=re.escape(
+            "mort.csv:3: (event_name, iso3) = (alpha, USA) repeated; "
+            "first seen at line 2"
+        ),
+    ):
         read_event_list(epath, mpath)
 
 
@@ -298,6 +312,91 @@ def test_read_groups(tmp_path):
     write_lines(blank, ["entity,member", "USA,1", ",1"])
     with pytest.raises(DataError, match="blank.csv:3: empty entity label"):
         read_groups(blank, "treaty")
+
+
+# ---------------------------------------------------------------------------
+# the rules every reader shares: key cells, repeated keys, cells
+# ---------------------------------------------------------------------------
+
+# per reader: its header, one good row, its key columns, and one typed
+# column with what a cell "x" there is not
+_TABLES = {
+    "panel": ("entity,year,y", "A,2000,1.5", ("entity", "year"), ("y", "non-numeric")),
+    "events": (
+        "event_name,year,iso3",
+        "flu,2000,A",
+        ("event_name", "iso3"),
+        ("year", "non-integer"),
+    ),
+    "mortality": (
+        "event_name,iso3,mortality",
+        "flu,A,1.5",
+        ("event_name", "iso3"),
+        ("mortality", "non-numeric"),
+    ),
+    "groups": ("entity,member", "A,1", ("entity",), ("member", "non-integer")),
+    "irf": (
+        "horizon,series,estimate,se,ci_low,ci_high,p_value,stars,"
+        "n_obs,n_entities,n_periods,r_squared",
+        "0,shock,0.1,0.2,-0.3,0.5,0.6,,10,2,5,0.5",
+        ("horizon", "series"),
+        ("n_obs", "non-integer"),
+    ),
+}
+
+
+def read_rows(tmp_path, which, rows):
+    """Write ``which``'s header and ``rows`` to a file, read it with that
+    reader, and return the :class:`DataError` it raises."""
+    path = str(tmp_path / f"{which}.csv")
+    write_lines(path, [_TABLES[which][0], *rows])
+    events = str(tmp_path / "events.csv")
+    if which == "mortality":
+        write_lines(events, ["event_name,year,iso3", "flu,2000,A"])
+    read = {
+        "panel": lambda: read_panel(path),
+        "events": lambda: read_event_list(path),
+        "mortality": lambda: read_event_list(events, path),
+        "groups": lambda: read_groups(path, "g"),
+        "irf": lambda: read_irf(path),
+    }[which]
+    with pytest.raises(DataError) as err:
+        read()
+    return path, err.value
+
+
+def with_cell(which, column, cell):
+    """``which``'s good row with ``column``'s cell replaced by ``cell``."""
+    header, row = (text.split(",") for text in _TABLES[which][:2])
+    row[header.index(column)] = cell
+    return ",".join(row)
+
+
+@pytest.mark.parametrize("which", _TABLES)
+def test_a_repeated_key_names_both_lines(tmp_path, which):
+    _, row, key, _ = _TABLES[which]
+    path, err = read_rows(tmp_path, which, [row, row])
+    message = str(err)
+    assert (err.path, err.line) == (path, 3)
+    assert message.endswith(" repeated; first seen at line 2")
+    assert all(name in message for name in key)
+
+
+@pytest.mark.parametrize(
+    "which, column",
+    [(which, column) for which, table in _TABLES.items() for column in table[2]],
+)
+def test_an_empty_key_cell_is_an_error_at_its_line(tmp_path, which, column):
+    row = _TABLES[which][1]
+    path, err = read_rows(tmp_path, which, [row, with_cell(which, column, "")])
+    assert str(err) == f"{path}:3: empty {column} label"
+
+
+@pytest.mark.parametrize("which", _TABLES)
+def test_a_bad_cell_names_its_column_and_line(tmp_path, which):
+    column, kind = _TABLES[which][3]
+    path, err = read_rows(tmp_path, which, [with_cell(which, column, "x")])
+    assert str(err) == f"{path}:2: column {column!r} has {kind} value 'x'"
 
 
 # ---------------------------------------------------------------------------
