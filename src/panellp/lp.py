@@ -225,8 +225,7 @@ def build_transition_state(
     z_scope: str = "pooled",
 ) -> TransitionState:
     """Standardize the growth variable and map it through the logistic."""
-    work = standardize(panel, growth, out="__z", scope=z_scope)
-    z = work.column("__z")
+    z = standardize(panel, growth, scope=z_scope).column(growth)
     return TransitionState(z=z, weight=smooth_transition(z, sigma))
 
 
@@ -304,14 +303,6 @@ class _Study:
     series: tuple[tuple[str, Mapping[str, float] | None], ...]
 
 
-def _input(name: str | None) -> str | None:
-    """The working panel's name for input column ``name``, which is what a
-    transform's error message names.  No working column has it: the
-    package's own names hold no colon, nor does a control parsed from a
-    config."""
-    return None if name is None else f"input:{name}"
-
-
 def _design_columns(spec: LPSpec) -> tuple[str, ...]:
     """The regressors of ``spec``'s design, in reporting order: the shock
     (the transition design's two regime-weighted shocks; the interaction
@@ -344,6 +335,23 @@ def _design_columns(spec: LPSpec) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _made(panel: Panel, v: VariableSpec) -> np.ndarray:
+    """``v``'s grid, made by :func:`apply_variable_spec` from a panel of only
+    its source and population, under a name longer than either."""
+    reads = [s for s in (v.src, v.population) if s is not None]
+    out = "_" + "_".join(reads)
+    made, _ = apply_variable_spec(panel.select(reads), replace(v, name=out, source=v.src))
+    return made.column(out)
+
+
+def _lags(panel: Panel, grid: np.ndarray, n: int, name: str) -> dict[str, np.ndarray]:
+    """``grid`` lagged ``j`` periods as ``{name}_lag_{j}`` for ``j`` in 1..n,
+    each made by :func:`add_lag` from a panel of ``grid`` alone as ``name``."""
+    alone = panel._new({name: grid})
+    lags = [f"{name}_lag_{j}" for j in range(1, n + 1)]
+    return {lag: add_lag(alone, name, j).column(lag) for j, lag in enumerate(lags, 1)}
+
+
 def _build_study(
     panel: Panel,
     events: EventList,
@@ -355,68 +363,49 @@ def _build_study(
     :func:`_design_columns` order, the runs of ``horizons`` with equal
     samples, and per run its sample, its horizons' slice of the one response
     stack (formed here only, by :func:`panel.horizon_delta`) and its fixed
-    effects.  The working panel starts from the input columns ``spec``
-    reads (the dependent's and each control's source and population, and
-    the transition design's growth), each under its :func:`_input` name,
-    which no working column shares: no other input column is read, and a
-    missing one is reported before any work.
+    effects.  Each working grid is made by a public transform from a panel
+    of only the inputs it reads: a variable's source and population, the
+    transition design's growth, or the one grid being lagged; so no input
+    column shares a name with a working one, and no other input is read.
     Missing cells are counted per working column, holes and log losses
     together, from the one ``np.isnan`` of the regressor stack that also
     gives the present cells; the outcome's count (that of the horizon-0
     response) goes under the dependent's name.
     """
     names = _design_columns(spec)
-    kind = spec.kind
-    read = (spec.dependent, *spec.controls)
-    sources = [s for v in read for s in (v.src, v.population) if s is not None]
-    if kind == "transition":
-        sources.append(spec.growth)
-    inputs = panel._new({_input(s): panel.column(s) for s in sources})
-    growth = _input(spec.growth)
-    dep = spec.dependent
-    dep = replace(dep, name=_DEP, source=_input(dep.src), population=_input(dep.population))
-    work, _ = apply_variable_spec(inputs, dep)
-
-    eventset = build_dummies(events, work, rule=spec.percentile_rule)
-    work = work._stored(SHOCK, eventset.column(spec.shock_dummy))
-    for j in range(1, spec.dummy_lags + 1):
-        work = add_lag(work, SHOCK, j)
+    outcome = panel._new({_DEP: _made(panel, spec.dependent)})
+    eventset = build_dummies(events, panel, rule=spec.percentile_rule)
+    cols = {SHOCK: eventset.column(spec.shock_dummy)}
+    cols.update(_lags(panel, cols[SHOCK], spec.dummy_lags, SHOCK))
     for ctrl in spec.controls:
-        ctrl = replace(ctrl, source=_input(ctrl.src), population=_input(ctrl.population))
-        work, _ = apply_variable_spec(work, ctrl)
-    work = first_difference(work, _DEP, out="__dgrow")
-    for j in range(1, spec.lag_order + 1):
-        work = add_lag(work, "__dgrow", j, out=f"outcome_growth_lag_{j}")
+        cols[ctrl.name] = _made(panel, ctrl)
+    cols["__dgrow"] = first_difference(outcome, _DEP, out="__dgrow").column("__dgrow")
+    cols.update(_lags(panel, cols["__dgrow"], spec.lag_order, "outcome_growth"))
 
     series = ((SHOCK, None),)
-    if kind == "interaction":
-        gcol = group.indicator(work)
-        work = work._stored(_GROUP_SHOCK, gcol * work.column(SHOCK))
-        if spec.group_handling == "design":
-            work = work._stored(_GROUP, gcol)
+    if spec.kind == "interaction":
+        cols[_GROUP] = group.indicator(panel)
+        cols[_GROUP_SHOCK] = cols[_GROUP] * cols[SHOCK]
         series = (
             (f"effect_outside_{group.name}", {SHOCK: 1.0}),
             (f"effect_in_{group.name}", {SHOCK: 1.0, _GROUP_SHOCK: 1.0}),
         )
-    elif kind == "transition":
-        F = build_transition_state(inputs, growth, spec.sigma, spec.z_scope).weight
-        shock = work.column(SHOCK)
-        work = work._stored(SHOCK_RECESSION, F * shock)
-        work = work._stored(SHOCK_EXPANSION, (1.0 - F) * shock)
-        work = work._stored("__fz", F)
-        for j in range(1, spec.dummy_lags + 1):
-            work = add_lag(work, growth, j, out=f"growth_lag_{j}")
-            work = add_lag(work, "__fz", j, out=f"recession_weight_lag_{j}")
+    elif spec.kind == "transition":
+        growth = panel.select([spec.growth])
+        F = build_transition_state(growth, spec.growth, spec.sigma, spec.z_scope).weight
+        cols[SHOCK_RECESSION] = F * cols[SHOCK]
+        cols[SHOCK_EXPANSION] = (1.0 - F) * cols[SHOCK]
+        cols.update(_lags(panel, growth.column(spec.growth), spec.dummy_lags, "growth"))
+        cols.update(_lags(panel, F, spec.dummy_lags, "recession_weight"))
         series = ((SHOCK_RECESSION, None), (SHOCK_EXPANSION, None))
 
-    regressors = np.stack([work.column(n) for n in names])
+    regressors = np.stack([cols[n] for n in names])
+    del cols, eventset  # free every grid but the outcome's before the stacked pass
     holes = np.isnan(regressors)
-    counts = {spec.dependent.name: work.missing_count(_DEP)}
+    counts = {spec.dependent.name: outcome.missing_count(_DEP)}
     counts.update(zip(names, np.count_nonzero(holes, axis=(1, 2)).tolist()))
     present = ~holes.any(axis=0)
     regressors[:, ~present] = 0.0  # the samples read only present cells
-    outcome = work.select([_DEP])
-    del work, eventset  # free every grid but the outcome's before the stacked pass
     deltas = (horizon_delta(outcome, _DEP, k, out="__resp") for k in horizons)
     grids = np.stack([delta.column("__resp") for delta in deltas])
     missing = np.isnan(grids)
@@ -466,11 +455,11 @@ def _gather(
         flat = np.flatnonzero(mask)
         ent_idx, per_idx = np.divmod(flat, T)
     if flat.size == 0:
-        counts = {"response": int(study.response_missing[r]), **study.missing_counts}
-        raise EmptySampleError(
-            f"no complete rows at horizon {run[0]}; "
-            f"missing cells per variable: {counts}"
-        )
+        # the response, then the nine largest counts: a long study stays one line
+        counts = sorted(study.missing_counts.items(), key=lambda c: -c[1])
+        shown = dict([("response", int(study.response_missing[r])), *counts[:9]])
+        more = f" (+{len(counts) - 9} more)" if len(counts) > 9 else ""
+        raise EmptySampleError(f"no complete rows; missing cells per variable: {shown}{more}")
     n_cols, m = len(study.columns), len(run)
     rows = np.empty((n_cols + m, flat.size))
     X, Y = rows[:n_cols], rows[n_cols:]

@@ -367,7 +367,8 @@ def log_column(panel: Panel, var: str, out: str | None = None) -> tuple[Panel, i
     """Natural log of ``var``; non-positive cells become missing.
 
     Returns the new panel and the count of non-positive cells that were
-    mapped to missing (surfaced in run diagnostics).
+    mapped to missing; a run's manifest counts these losses together with
+    the holes, under ``missing_cells``.
     """
     grid = panel.column(var)
     ok = ~np.isnan(grid)
@@ -411,10 +412,8 @@ def apply_variable_spec(panel: Panel, spec: VariableSpec) -> tuple[Panel, int]:
     if spec.transform == "log":
         return log_column(panel, src, out=spec.name)
     if spec.transform == "per_capita_log":
-        tmp = f"__pc_{spec.name}"
-        panel = per_capita(panel, src, spec.population, tmp)
-        panel, bad = log_column(panel, tmp, out=spec.name)
-        return panel.select([v for v in panel.variables if v != tmp]), bad
+        panel = per_capita(panel, src, spec.population, spec.name)
+        return log_column(panel, spec.name, out=spec.name)
     if spec.transform == "standardize":
         return standardize(panel, src, out=spec.name), 0
     raise PanelLPError(f"unknown transform {spec.transform!r}")  # pragma: no cover

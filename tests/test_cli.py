@@ -524,6 +524,31 @@ def test_a_control_may_read_an_input_column_named_shock(tmp_path):
     assert shock.read_bytes() == extra.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        *(
+            pytest.param(
+                ("spec.kind = baseline", f"spec.entity_fe = {flag}\nspec.kind = baseline"),
+                id=f"entity_fe-{flag}",
+            )
+            for flag in ("yes", "on", "1", "true")
+        ),
+        pytest.param(
+            ("gdp_pc:log,trade_share", "gdp_pc:log,,trade_share,"), id="empty-controls"
+        ),
+    ],
+)
+def test_equivalent_config_spellings_write_the_same_irf(tmp_path, edit):
+    # a true flag in any spelling is the default entity_fe, and empty
+    # controls tokens are skipped
+    lines = (REPO_ROOT / "data" / "sample_panel.csv").read_text().splitlines()
+    assert sample_run(tmp_path / "plain", lines) == 0
+    assert sample_run(tmp_path / "edited", lines, [edit]) == 0
+    plain, edited = (tmp_path / d / "out" / "irf.csv" for d in ("plain", "edited"))
+    assert plain.read_bytes() == edited.read_bytes()
+
+
 def test_manifest_names_a_control_the_year_effects_absorb(tmp_path):
     # a control that is the same for every entity in a year is collinear
     # with the year effects; the fit drops it and the manifest says so
@@ -667,26 +692,37 @@ def test_estimate_without_residual_dof_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "usa_growth, message",
+    "z_scope, usa_growth, message",
     [
-        ("single", "'input:gdp_growth': entity 'USA' has a single value"),
-        ("constant", "'input:gdp_growth' has zero variance within entity 'USA'"),
+        pytest.param(
+            "entity", "single", "'gdp_growth': entity 'USA' has a single value",
+            id="entity-single",
+        ),
+        pytest.param(
+            "entity", "constant", "'gdp_growth' has zero variance within entity 'USA'",
+            id="entity-constant",
+        ),
+        pytest.param(
+            "pooled", "only", "'gdp_growth': need >= 2 values to standardize",
+            id="pooled-only",
+        ),
     ],
 )
 def test_entity_scoped_growth_needs_two_distinct_values_per_entity(
-    tmp_path, capsys, usa_growth, message
+    tmp_path, capsys, z_scope, usa_growth, message
 ):
     # spec.z_scope = entity standardizes growth within each country, so a
-    # country with a growth value needs two distinct ones
+    # country with a growth value needs two distinct ones; pooled, the panel
+    # needs two growth values, and "only" leaves USA's one value alone in it
     lines = (REPO_ROOT / "data" / "sample_panel.csv").read_text().splitlines()
     col = lines[0].split(",").index("gdp_growth")
     usa = [i for i, line in enumerate(lines) if line.startswith("USA,")]
-    for n, i in enumerate(usa):
+    for i in range(1, len(lines)):
         cells = lines[i].split(",")
-        if usa_growth == "single":
-            cells[col] = "1.5" if n == 1 else ""
-        elif cells[col]:
-            cells[col] = "1.5"
+        if i in usa and usa_growth == "constant":
+            cells[col] = "1.5" if cells[col] else ""
+        elif i in usa or usa_growth == "only":
+            cells[col] = "1.5" if i == usa[1] else ""
         lines[i] = ",".join(cells)
     panel = tmp_path / "panel.csv"
     write_lines(panel, lines)
@@ -699,7 +735,7 @@ def test_entity_scoped_growth_needs_two_distinct_values_per_entity(
             "spec.kind = transition",
             "spec.dependent = co2_pc",
             "spec.growth = gdp_growth",
-            "spec.z_scope = entity",
+            f"spec.z_scope = {z_scope}",
         ],
     )
     assert main(["estimate", "--config", str(cfg)]) == 1
@@ -745,6 +781,7 @@ def test_estimate_non_finite_sigma_exits_1(tmp_path, sim_dir, capsys, sigma):
         "spec.controls = gdp_pc:per_capita_log",  # a control has no population
         "spec.dependent_transform = per_capita_log",  # without spec.population
         "spec.kind = interaction",  # without input.groups
+        "spec.dependent = ",  # no outcome
         "spec.horizons = -3",
         "spec.lag_order = -4",
         "spec.dummy_lags = -5",
@@ -781,6 +818,8 @@ def test_estimate_bad_spec_value_is_a_config_error(tmp_path, sim_dir, capsys, li
         assert errors[0].startswith(f"error: config: {key} must be ")
     if key == "spec.kind":
         assert errors == ["error: config: interaction design needs input.groups"]
+    if key == "spec.dependent":
+        assert errors == ["error: config: config lacks spec.dependent"]
     if key == "spec.controls":  # the line names the key and the bad token
         token = line.split(" = ")[1].split(",")[-1]
         assert errors[0].startswith(f"error: config: {key} token {token!r}: ")

@@ -5,7 +5,8 @@ implementation.
 Each check runs the shipped path twice, on an input and on its
 transformed copy: the sample config under both cluster axes, and a
 simulated 60 x 30 panel with about 5 % of its cells missing, under the
-baseline and the transition designs.  Relabelling periods and adding
+baseline, interaction (every other entity in the group) and transition
+designs.  Relabelling periods and adding
 an entity constant the floats add exactly are bitwise; a permutation or
 a rescaling moves the rounding, so it is held to 1e-12 relative.
 """
@@ -20,14 +21,14 @@ import pytest
 
 from conftest import assert_same_bits, sample_case
 from panellp.events import EventList
-from panellp.lp import LPSpec, estimate_irf
+from panellp.lp import GroupSpec, LPSpec, estimate_irf
 from panellp.panel import Panel, VariableSpec
 from panellp.simgen import DGPSpec, generate
 
 RTOL = 1e-12
 
 SAMPLE_CASES = ["sample-entity", "sample-period"]
-SIM_CASES = ["sim-baseline", "sim-transition"]
+SIM_CASES = ["sim-baseline", "sim-interaction", "sim-transition"]
 
 
 @functools.cache
@@ -56,10 +57,14 @@ def case(name: str) -> tuple[Panel, EventList, LPSpec]:
 
 def run(name: str, panel=None, events=None):
     """``estimate_irf`` on the case's inputs, with ``panel`` or ``events``
-    put in their place."""
+    put in their place; the interaction design's group holds every other
+    entity of the case's panel."""
     p, e, spec = case(name)
+    group = None
+    if spec.kind == "interaction":
+        group = GroupSpec("even", frozenset(p.entities[::2]))
     panel = p if panel is None else panel
-    return estimate_irf(panel, e if events is None else events, spec)
+    return estimate_irf(panel, e if events is None else events, spec, group)
 
 
 def fit(irf) -> tuple[np.ndarray, np.ndarray]:

@@ -391,6 +391,36 @@ def test_empty_sample_reports_missing_counts():
         estimate_irf(panel, events, spec_y(horizons=7))
 
 
+def test_an_empty_sample_names_the_response_and_the_nine_largest_counts():
+    # 200 outcome-growth lags on the sample's 40 periods: from lag 39 on a
+    # lag misses all 400 cells, and the message stays one short line
+    panel, events, spec = sample_case()
+    with pytest.raises(EmptySampleError) as info:
+        estimate_irf(panel, events, replace(spec, lag_order=200))
+    lags = ", ".join(f"'outcome_growth_lag_{j}': 400" for j in range(39, 48))
+    assert str(info.value) == (
+        "horizon 0: no complete rows; missing cells per variable: "
+        f"{{'response': 0, {lags}}} (+194 more)"
+    )
+
+
+def test_each_transform_receives_only_the_inputs_of_its_grid(monkeypatch):
+    # every working grid is made from a panel of at most a source and its
+    # population, so a study with 30 outcome lags never grows one panel
+    panel, events, spec = sample_case()
+    widths = {}
+    for name in ("add_lag", "apply_variable_spec", "first_difference", "horizon_delta"):
+
+        def recording(pnl, *args, _real=getattr(lp, name), _name=name, **kwargs):
+            widths.setdefault(_name, set()).add(len(pnl.variables))
+            return _real(pnl, *args, **kwargs)
+
+        monkeypatch.setattr(lp, name, recording)
+    estimate_irf(panel, events, replace(spec, lag_order=30))
+    assert len(widths) == 4
+    assert max(map(max, widths.values())) <= 2, widths
+
+
 @pytest.mark.parametrize("horizons", [14, 30, 5000])
 def test_horizons_past_the_panel_end_keep_the_first_failure(horizons):
     # On 12 periods every horizon from 12 on has an empty sample, and the
@@ -698,6 +728,20 @@ def test_a_shock_its_entity_effect_absorbs_keeps_the_generic_message():
         estimate_irf(panel, events, spec_y(horizons=0))
     assert type(info.value) is PanelLPError
     assert str(info.value) == "horizon 0: no coefficient for 'shock' (dropped as collinear)"
+
+
+@pytest.mark.parametrize("name", ["co2_pc", "pop"])
+def test_a_per_capita_outcome_may_take_its_source_or_population_name(name):
+    # the outcome is made under a private name, so co2_pc / pop named
+    # co2_pc or pop gives the bits of the same outcome under a name of its own
+    panel, events, spec = sample_case()
+    panel = panel.with_column("pop", np.full((panel.n_entities, panel.n_periods), 3.0))
+
+    def run(n):
+        dep = VariableSpec(n, "per_capita_log", source="co2_pc", population="pop")
+        return estimate_irf(panel, events, replace(spec, dependent=dep))
+
+    assert_same_bits(run(name), run("co2_per_head"))
 
 
 @pytest.mark.parametrize("role", ["dependent", "control"])

@@ -141,6 +141,13 @@ def test_traced_ops_record_one_fit_per_run_and_restore_every_attribute(workload)
     names = [s["name"] for s in tracer.spans]
     fits = 1 if workload == "mc_recovery" else n_horizons
     assert names.count("estimator.ols_fit") == names.count("estimator.fit") == fits
+    # each transform is reached through lp's own names: per study, the
+    # outcome, its first difference and lags, the shock's lags, each
+    # horizon's response, and mc_recovery's five lead controls or the
+    # transition design's standardize and lags of growth and weight; and
+    # one set of dummies
+    assert names.count("panel.transform") == (17 if workload == "mc_recovery" else 15)
+    assert names.count("events.build_dummies") == 1
 
 
 @pytest.mark.parametrize(
