@@ -363,29 +363,34 @@ def _build_study(
     :func:`_design_columns` order, the runs of ``horizons`` with equal
     samples, and per run its sample, its horizons' slice of the one response
     stack (formed here only, by :func:`panel.horizon_delta`) and its fixed
-    effects.  Each working grid is made by a public transform from a panel
-    of only the inputs it reads: a variable's source and population, the
-    transition design's growth, or the one grid being lagged; so no input
-    column shares a name with a working one, and no other input is read.
+    effects.  Every input ``spec`` reads is looked up before any work.
+    Each working grid is made by a public transform from a panel of only
+    its inputs (a variable's source and population, the transition design's
+    growth, or the grid being lagged), so no input shares a working name.
     Missing cells are counted per working column, holes and log losses
     together, from the one ``np.isnan`` of the regressor stack that also
     gives the present cells; the outcome's count (that of the horizon-0
     response) goes under the dependent's name.
     """
     names = _design_columns(spec)
+    reads = [s for v in (spec.dependent, *spec.controls) for s in (v.src, v.population)]
+    reads += [spec.growth] if spec.kind == "transition" else []
+    panel.select(s for s in reads if s is not None)
     outcome = panel._new({_DEP: _made(panel, spec.dependent)})
     eventset = build_dummies(events, panel, rule=spec.percentile_rule)
     cols = {SHOCK: eventset.column(spec.shock_dummy)}
     cols.update(_lags(panel, cols[SHOCK], spec.dummy_lags, SHOCK))
     for ctrl in spec.controls:
         cols[ctrl.name] = _made(panel, ctrl)
-    cols["__dgrow"] = first_difference(outcome, _DEP, out="__dgrow").column("__dgrow")
-    cols.update(_lags(panel, cols["__dgrow"], spec.lag_order, "outcome_growth"))
+    dgrow = first_difference(outcome, _DEP, out="__dgrow").column("__dgrow")
+    cols.update(_lags(panel, dgrow, spec.lag_order, "outcome_growth"))
 
     series = ((SHOCK, None),)
     if spec.kind == "interaction":
-        cols[_GROUP] = group.indicator(panel)
-        cols[_GROUP_SHOCK] = cols[_GROUP] * cols[SHOCK]
+        gcol = group.indicator(panel)
+        cols[_GROUP_SHOCK] = gcol * cols[SHOCK]
+        if spec.group_handling == "design":
+            cols[_GROUP] = gcol
         series = (
             (f"effect_outside_{group.name}", {SHOCK: 1.0}),
             (f"effect_in_{group.name}", {SHOCK: 1.0, _GROUP_SHOCK: 1.0}),
@@ -484,9 +489,14 @@ def _gather(
 def _one_horizon_design(
     panel: Panel, events: EventList, spec: LPSpec, k: int, group: GroupSpec | None = None
 ) -> DesignMatrix:
-    """The per-study and per-run steps of :func:`estimate_irf` for the
-    one horizon ``k``, with its response as a vector."""
-    design, _ = _gather(_build_study(panel, events, spec, (k,), group), 0, spec)
+    """The per-study and per-run steps of :func:`estimate_irf` for the one
+    horizon ``k``, with its response as a vector; an error names ``k``, as there."""
+    study = _build_study(panel, events, spec, (k,), group)
+    try:
+        design, _ = _gather(study, 0, spec)
+    except PanelLPError as exc:
+        exc.args = (f"horizon {k}: {exc}",)
+        raise
     return replace(design, response=design.response[:, 0])
 
 

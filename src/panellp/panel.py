@@ -403,12 +403,8 @@ def apply_variable_spec(panel: Panel, spec: VariableSpec) -> tuple[Panel, int]:
     of a non-positive value (zero for the other transforms).
     """
     src = spec.src
-    if spec.transform == "level":
-        if spec.name == src:
-            panel.column(src)  # existence check
-            return panel, 0
-        # a stored grid is read-only, so the new name shares it
-        return panel._stored(spec.name, panel.column(src)), 0
+    if spec.transform == "level":  # a stored grid is read-only, so the name shares it
+        return panel._stored(spec.name, panel.column(src), replace=spec.name == src), 0
     if spec.transform == "log":
         return log_column(panel, src, out=spec.name)
     if spec.transform == "per_capita_log":

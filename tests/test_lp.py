@@ -17,6 +17,7 @@ from panellp.errors import (
     DataError,
     DegenerateDesignError,
     EmptySampleError,
+    MissingVariableError,
     PanelLPError,
     UnidentifiedShockError,
 )
@@ -402,6 +403,10 @@ def test_an_empty_sample_names_the_response_and_the_nine_largest_counts():
         "horizon 0: no complete rows; missing cells per variable: "
         f"{{'response': 0, {lags}}} (+194 more)"
     )
+    # a one-horizon design names its horizon too
+    with pytest.raises(EmptySampleError) as one:
+        build_baseline_design(panel, events, replace(spec, lag_order=200), 0)
+    assert str(one.value) == str(info.value)
 
 
 def test_each_transform_receives_only_the_inputs_of_its_grid(monkeypatch):
@@ -677,6 +682,38 @@ def test_input_columns_the_spec_reads_may_take_working_names(kind):
                 reads = replace(spec, controls=(VariableSpec("g", source=name),))
             got = estimate_irf(renamed, events, reads, **extra)
             assert_same_bits(got, want, (name, old))
+
+
+@pytest.mark.parametrize(
+    "kind, name", [("baseline", "__dgrow"), ("interaction", "__dgrow"), ("interaction", "group")]
+)
+def test_a_control_named_like_a_grid_outside_the_design_is_that_control(kind, name):
+    # the outcome's growth is no design column, nor is the group's
+    # membership when it is only reported: a control of either name gives
+    # the bits of the same control under a name of its own
+    panel, events, spec, extra, _ = kind_case(kind)
+    spec = replace(spec, group_handling="report_only")
+
+    def run(n):
+        ctrl = VariableSpec(n, source="growth")
+        return estimate_irf(panel, events, replace(spec, controls=(ctrl,)), **extra)
+
+    got, want = run(name), run("g")
+    assert got.diagnostics["missing_counts"][name] == want.diagnostics["missing_counts"]["g"]
+    for g, w in zip(got.horizons, want.horizons, strict=True):
+        assert g.intervals == w.intervals
+        for field in ("coefficients", "covariance", "residuals"):
+            assert getattr(g.result, field).tobytes() == getattr(w.result, field).tobytes()
+
+
+def test_a_missing_input_is_reported_before_any_transform():
+    # the dependent cannot be standardized, but the missing growth column
+    # is what the study reports
+    panel, events, spec, _, _ = kind_case("transition")
+    panel = panel.with_column("flat", np.ones((panel.n_entities, panel.n_periods)))
+    dep = VariableSpec("y", "standardize", source="flat")
+    with pytest.raises(MissingVariableError, match="^no variable named 'nope';"):
+        estimate_irf(panel, events, replace(spec, dependent=dep, growth="nope"))
 
 
 @pytest.mark.parametrize("kind", ["baseline", "interaction", "transition"])

@@ -271,7 +271,7 @@ def test_per_capita_log_spec_round_trip():
     assert bad == 0  # zero population is missing, not a log error
     assert abs(q.column("log_pc")[0, 0] - np.log(2.0)) < 1e-15
     assert np.isnan(q.column("log_pc")[0, 1])
-    assert "__pc_log_pc" not in q.variables  # scratch column dropped
+    assert q.variables == ("emis", "pop", "log_pc")  # no scratch column
 
 
 def test_scale_column_multiplies_in_place():
